@@ -3,40 +3,38 @@
 
 Usage: python scripts/run_all_sweeps.py [--trials N] [--seed N] [--outdir D]
 
-The default grids mirror the shipped figure settings: two-user payloads
-(300, 1000) over -5..10 dB, the packet-interval sweep at 0 dB, the two-user
-block-fading sweep at K=1000, and the threshold-optimization grid.
+Each sweep runs through the `cwf` CLI on its built-in default grid: two-user
+payloads (300, 1000) over -5..10 dB, the packet-interval sweep at 0 dB, the
+two-user block-fading sweep at K=1000, and the threshold-optimization grid.
+Every sweep runs even when an earlier one fails; the exit code is the first
+non-zero CLI exit code, or 0.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
-from cwf.config import default_config
-from cwf.sweeps import run_fading_sweep, run_queue_sweep, run_thm1_sweep, run_waterfill_sweep
+from cwf import cli
 
 
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--trials", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=20240801)
     ap.add_argument("--outdir", default="results")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    outdir = Path(args.outdir)
-    runners = {
-        "thm1_sweep": run_thm1_sweep,
-        "queue_sweep": run_queue_sweep,
-        "fading_sweep": run_fading_sweep,
-        "waterfill_sweep": run_waterfill_sweep,
-    }
-    for kind, runner in runners.items():
-        cfg = default_config(kind).override(trials=args.trials, seed=args.seed)
-        out = outdir / f"{kind}.csv"
+    status = 0
+    for sub in ("thm1", "queue", "fading", "waterfill"):
+        out = Path(args.outdir) / f"{cli.SUBCOMMAND_KINDS[sub]}.csv"
         start = time.time()
-        runner(cfg, out)
-        print(f"{kind:16s} -> {out}  ({time.time() - start:.1f}s)")
+        code = cli.main([sub, "--trials", str(args.trials), "--seed", str(args.seed),
+                         "--out", str(out)])
+        print(f"{sub:10s} -> {out}  exit {code}  ({time.time() - start:.1f}s)")
+        status = status or code
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

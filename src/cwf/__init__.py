@@ -33,11 +33,9 @@ from .simulate import (
 from .waterfill import (
     FastFadingScenario,
     ThresholdSearchResult,
-    WaterfillAllocation,
     capacity_lower_bound,
     fading_waterfill_threshold,
     optimize_threshold,
-    parallel_gaussian_waterfill,
     single_user_threshold,
 )
 

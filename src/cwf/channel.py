@@ -39,11 +39,6 @@ def sinr_awgn(power: float, active_users: int) -> float:
     return power / (1.0 + (active_users - 1) * power)
 
 
-def sinr_ladder(power: float, s_max: int) -> np.ndarray:
-    """SINR values indexed by active-user count s = 1..s_max (descending)."""
-    return np.array([sinr_awgn(power, s) for s in range(1, s_max + 1)])
-
-
 def sinr_fading(power: float, gains, active_from: int, j: int) -> float:
     """SINR of user `j` when users `active_from..S` are still transmitting.
 

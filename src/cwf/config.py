@@ -64,6 +64,9 @@ class ExperimentConfig:
         if self.kind in ("thm1_sweep", "fading_sweep", "waterfill_sweep", "queue_sweep"):
             if not self.snr_db:
                 raise ConfigError(f"{self.kind} needs a non-empty snr_db grid")
+        if self.kind in ("thm1_sweep", "queue_sweep", "fading_sweep"):
+            if not 0.0 < self.epsilon <= 0.5:  # the fixed_n baseline column
+                raise ConfigError(f"{self.kind} needs epsilon in (0, 0.5], got {self.epsilon}")
         if self.kind in ("thm1_sweep", "queue_sweep"):
             if len(self.payload_bits) < 1:
                 raise ConfigError(f"{self.kind} needs per-user payload_bits")

@@ -96,18 +96,13 @@ def message_threshold(payload_bits: float) -> float:
     return kappa + math.log(kappa)
 
 
-def _blocklength_real(kappa: float, cap: float, disp: float, qinv: float) -> float:
-    """Real-valued n solving kappa = n*cap - sqrt(n*disp)*qinv (largest root)."""
-    b = qinv * math.sqrt(disp)
-    x = (b + math.sqrt(b * b + 4.0 * cap * kappa)) / (2.0 * cap)
-    return x * x
-
-
-def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float) -> int:
+def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
+                             dims: int = 1) -> int:
     """Smallest blocklength n meeting the normal approximation at `epsilon`.
 
-    Solves payload_bits*ln2 <= n*C - sqrt(n*V)*Qinv(epsilon) with C and V the
-    real-AWGN capacity and dispersion at `snr`.
+    Solves payload_bits*ln2 <= n*d*C - sqrt(n*d*V)*Qinv(epsilon) with C and V
+    the real-AWGN capacity and dispersion at `snr`, where each of the n
+    symbols spends d = `dims` real dimensions (2 for a complex symbol).
     """
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
@@ -117,10 +112,13 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float) ->
     c = capacity(snr, Field.REAL_AWGN)
     v = dispersion(snr)
     qinv = float(ndtri(1.0 - epsilon))
-    n = math.ceil(_blocklength_real(kappa, c, v, qinv) - 1e-9)
+    # largest real root of kappa = x*c - sqrt(x*v)*qinv in real dimensions x
+    b = qinv * math.sqrt(v)
+    root = (b + math.sqrt(b * b + 4.0 * c * kappa)) / (2.0 * c)
+    n = math.ceil(root * root / dims - 1e-9)
 
     def ok(m: int) -> bool:
-        return kappa <= m * c - math.sqrt(m * v) * qinv
+        return kappa <= dims * m * c - math.sqrt(dims * m * v) * qinv
 
     while not ok(n):
         n += 1

@@ -2,12 +2,16 @@
 dynamic interference cancellation, the queued variant, and the empirical
 error-rate check of the random-coding union bound.
 
-Protocol shared by the walk simulators: every active user accumulates one
-information-density increment per symbol, drawn at the SINR implied by the
-current active set.  A user whose running sum crosses its threshold stops
-transmitting from the next symbol on, which raises everyone else's SINR.
-Only the true-codeword walk is tracked here; competing-codeword crossings
-are a separate, rarer event measured by `simulate_error_probability`.
+One walk engine (`_walk_trial`) serves the AWGN, block-fading and queued
+simulators: every active user accumulates one information-density
+increment per symbol, drawn at the SINR implied by the current active set.
+A user whose running sum crosses its threshold stops transmitting from the
+next symbol on, which raises everyone else's SINR.  The queued variant is
+the same walk plus a boundary schedule and two reset rules: at every
+packet-interval boundary the light users restart from zero, and a
+congested user that crosses resets its sum and stays active.  Only the
+true-codeword walk is tracked here; competing-codeword crossings are a
+separate, rarer event measured by `simulate_error_probability`.
 
 Reproducibility: trial i of a run seeded with s draws from a dedicated
 Philox stream keyed (s, i), so results do not depend on execution order or
@@ -121,27 +125,42 @@ def _mean_rate(snr: float, dims: int) -> float:
     return dims * 0.5 * math.log1p(snr)
 
 
-def _cancellation_trial(rng, thresholds, snr_for, dims, max_symbols):
-    """One trial of the coupled walk; returns per-user stop times (or cap).
+def _walk_trial(rng, thresholds, snr_for, dims, max_symbols, t_sub=None, congested=None):
+    """One trial of the coupled walk; returns per-user first-crossing times
+    (or the cap) and which users never crossed.
 
     `snr_for(active_mask)` yields each user's SINR under the current active
     set.  The walk advances in chunks; the earliest in-chunk crossing ends
     the chunk because it changes the interference felt by everyone else, so
     later draws in that chunk are discarded and redrawn at the new SINR.
+
+    A crossing user resets its accumulation and stays active when it is
+    `congested`; any other user goes silent until the next interval
+    boundary (every `t_sub` symbols), where it restarts from zero.  With no
+    boundary and no congested user this is the plain cancellation walk.
     """
     s_total = len(thresholds)
+    if congested is None:
+        congested = np.zeros(s_total, dtype=bool)
+    light = ~congested
     acc = np.zeros(s_total)
     active = np.ones(s_total, dtype=bool)
     stop = np.full(s_total, max_symbols, dtype=np.int64)
-    capped = np.zeros(s_total, dtype=bool)
+    done = np.zeros(s_total, dtype=bool)
     t = 0
-    while active.any() and t < max_symbols:
+    interval = 1
+    boundary = math.inf if t_sub is None else int(round(t_sub))
+    while t < max_symbols and not done.all():
+        while boundary <= t:  # guard against sub-symbol intervals
+            interval += 1
+            boundary = int(round(interval * t_sub))
         snr = snr_for(active)
         users = np.flatnonzero(active)
         need = min(
             (thresholds[u] - acc[u]) / _mean_rate(snr[u], dims) for u in users
         )
-        chunk = int(min(max(16.0, 1.25 * need + 8.0), float(max_symbols - t), _MAX_CHUNK))
+        chunk = int(min(max(16.0, 1.25 * need + 8.0), float(boundary - t),
+                        float(max_symbols - t), _MAX_CHUNK))
         cums = {}
         first = None
         for u in users:
@@ -157,24 +176,43 @@ def _cancellation_trial(rng, thresholds, snr_for, dims, max_symbols):
                 acc[u] = cums[u][-1]
             t += chunk
         else:
+            t += first + 1
             for u in users:
                 acc[u] = cums[u][first]
                 if acc[u] >= thresholds[u]:
-                    stop[u] = t + first + 1
-                    active[u] = False
-            t += first + 1
-    capped[active] = True
-    return stop, capped
+                    if not done[u]:
+                        stop[u] = t
+                        done[u] = True
+                    if congested[u]:
+                        acc[u] = 0.0  # next queued packet starts immediately
+                    else:
+                        active[u] = False
+        if t == boundary:  # packet arrival: light users restart
+            acc[light] = 0.0
+            active[light] = True
+    return stop, ~done
 
 
-def _aggregate(stops: np.ndarray, capped: np.ndarray) -> StoppingOutcome:
-    trials = stops.shape[0]
+def _run_trials(plan: TrialPlan, s_total: int, trial) -> StoppingOutcome:
+    """Run `trial(rng)` on each trial's own stream and average the outcomes."""
+    stops = np.empty((plan.trials, s_total), dtype=np.int64)
+    capped = np.empty((plan.trials, s_total), dtype=bool)
+    for i in range(plan.trials):
+        stops[i], capped[i] = trial(trial_stream(plan.seed, i))
     mean = stops.mean(axis=0)
-    if trials > 1:
-        se = stops.std(axis=0, ddof=1) / math.sqrt(trials)
+    if plan.trials > 1:
+        se = stops.std(axis=0, ddof=1) / math.sqrt(plan.trials)
     else:
         se = np.zeros_like(mean)
-    return StoppingOutcome(mean=mean, se=se, cap_hits=capped.sum(axis=0), trials=trials)
+    return StoppingOutcome(mean=mean, se=se, cap_hits=capped.sum(axis=0), trials=plan.trials)
+
+
+def _awgn_snr_for(power: float, s_total: int, cancellation: bool = True):
+    def snr_for(active):
+        count = int(active.sum()) if cancellation else s_total
+        return np.full(s_total, power / (1.0 + (count - 1) * power))
+
+    return snr_for
 
 
 def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan, *,
@@ -191,24 +229,15 @@ def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan, *,
     s_total = sc.s_count
     thresholds = np.array([message_threshold(k) for k in sc.payload_bits])
     p = sc.power
-
-    def snr_for(active):
-        count = s_total if not interference_cancellation else int(active.sum())
-        value = p / (1.0 + (count - 1) * p)
-        return np.full(s_total, value)
+    snr_for = _awgn_snr_for(p, s_total, interference_cancellation)
 
     base = AwgnScenario(sc.payload_bits, sc.power, 0.0)
     predicted = _lengths.awgn_vlsf_lengths(base)[-1]
     if not interference_cancellation:
         predicted = thresholds[-1] / _mean_rate(p / (1.0 + (s_total - 1) * p), 1)
     cap = plan.max_symbols or int(CAP_FACTOR * predicted)
-
-    stops = np.empty((plan.trials, s_total), dtype=np.int64)
-    capped = np.empty((plan.trials, s_total), dtype=bool)
-    for i in range(plan.trials):
-        rng = trial_stream(plan.seed, i)
-        stops[i], capped[i] = _cancellation_trial(rng, thresholds, snr_for, 1, cap)
-    return _aggregate(stops, capped)
+    return _run_trials(plan, s_total,
+                       lambda rng: _walk_trial(rng, thresholds, snr_for, 1, cap))
 
 
 def _fading_snr_for(gains: np.ndarray, power: float):
@@ -241,13 +270,8 @@ def simulate_block_fading(gains, payload_bits: float, power: float,
     sorted_gains = np.sort(gains)[::-1]
     coeffs = _lengths.fading_vlsf_coeffs(sorted_gains, power)
     cap = plan.max_symbols or int(CAP_FACTOR * coeffs.max() * gamma)
-
-    stops = np.empty((plan.trials, s_total), dtype=np.int64)
-    capped = np.empty((plan.trials, s_total), dtype=bool)
-    for i in range(plan.trials):
-        rng = trial_stream(plan.seed, i)
-        stops[i], capped[i] = _cancellation_trial(rng, thresholds, snr_for, 2, cap)
-    return _aggregate(stops, capped)
+    return _run_trials(plan, s_total,
+                       lambda rng: _walk_trial(rng, thresholds, snr_for, 2, cap))
 
 
 def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: float,
@@ -265,14 +289,11 @@ def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: flo
     # random draws can be much slower than the typical-gain prediction
     cap = plan.max_symbols or int(10.0 * CAP_FACTOR * typical.max() * gamma)
 
-    stops = np.empty((plan.trials, s_count), dtype=np.int64)
-    capped = np.empty((plan.trials, s_count), dtype=bool)
-    for i in range(plan.trials):
-        rng = trial_stream(plan.seed, i)
+    def trial(rng):
         gains = np.sort(rng.standard_exponential(s_count))[::-1]
-        snr_for = _fading_snr_for(gains, power)
-        stops[i], capped[i] = _cancellation_trial(rng, thresholds, snr_for, 2, cap)
-    return _aggregate(stops, capped)
+        return _walk_trial(rng, thresholds, _fading_snr_for(gains, power), 2, cap)
+
+    return _run_trials(plan, s_count, trial)
 
 
 def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
@@ -289,76 +310,11 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     p = sc.power
     thresholds = np.array([message_threshold(k) for k in sc.payload_bits])
     breakdown = _lengths.queue_vlsf_lengths(QueueScenario(AwgnScenario(sc.payload_bits, p, 0.0), qs.t_sub))
-    r = breakdown.r
-    congested = np.arange(s_total) >= r  # users r+1..S carry accumulation
+    congested = np.arange(s_total) >= breakdown.r  # users r+1..S carry accumulation
     cap = plan.max_symbols or int(CAP_FACTOR * max(breakdown.lengths.max(), qs.t_sub))
-
-    stops = np.empty((plan.trials, s_total), dtype=np.int64)
-    capped = np.empty((plan.trials, s_total), dtype=bool)
-    for i in range(plan.trials):
-        rng = trial_stream(plan.seed, i)
-        stops[i], capped[i] = _queue_trial(rng, thresholds, congested, p, qs.t_sub, cap)
-    return _aggregate(stops, capped)
-
-
-def _queue_trial(rng, thresholds, congested, power, t_sub, max_symbols):
-    """One queued trial.  Events: interval boundaries (light users restart),
-    light-user crossings (deactivate until the boundary) and congested-user
-    crossings (reset accumulation, stay active)."""
-    s_total = len(thresholds)
-    acc = np.zeros(s_total)
-    active = np.ones(s_total, dtype=bool)
-    tagged = np.full(s_total, max_symbols, dtype=np.int64)
-    done = np.zeros(s_total, dtype=bool)
-    t = 0
-    interval = 1
-
-    def boundary() -> int:
-        return int(round(interval * t_sub))
-
-    while t < max_symbols and not done.all():
-        while boundary() <= t:  # guard against sub-symbol intervals
-            interval += 1
-        count = int(active.sum())
-        snr = power / (1.0 + (count - 1) * power)
-        rate = _mean_rate(snr, 1)
-        users = np.flatnonzero(active)
-        need = min((thresholds[u] - acc[u]) / rate for u in users)
-        chunk = int(min(max(16.0, 1.25 * need + 8.0), float(boundary() - t),
-                        float(max_symbols - t), _MAX_CHUNK))
-        cums = {}
-        first = None
-        for u in users:
-            cum = acc[u] + np.cumsum(_draw_increments(rng, snr, chunk, 1))
-            cums[u] = cum
-            hit = cum >= thresholds[u]
-            if hit.any():
-                j = int(np.argmax(hit))
-                if first is None or j < first:
-                    first = j
-        if first is None:
-            for u in users:
-                acc[u] = cums[u][-1]
-            t += chunk
-        else:
-            for u in users:
-                acc[u] = cums[u][first]
-            t += first + 1
-            for u in users:
-                if acc[u] >= thresholds[u]:
-                    if not done[u]:
-                        tagged[u] = t
-                        done[u] = True
-                    if congested[u]:
-                        acc[u] = 0.0  # next queued packet starts immediately
-                    else:
-                        active[u] = False  # silent until the next arrival
-        if t == boundary():
-            acc[~congested] = 0.0
-            active[~congested] = True
-            interval += 1
-    capped = ~done
-    return tagged, capped
+    snr_for = _awgn_snr_for(p, s_total)
+    return _run_trials(plan, s_total, lambda rng: _walk_trial(
+        rng, thresholds, snr_for, 1, cap, qs.t_sub, congested))
 
 
 def simulate_error_probability(payload_bits: float, snr: float, plan: TrialPlan,
@@ -420,6 +376,8 @@ def sorted_exponential_means(s_count: int, plan: TrialPlan) -> MomentEstimate:
     """Empirical means of descending-sorted unit exponentials, chunked."""
     if s_count < 1:
         raise ValueError(f"s_count must be >= 1, got {s_count}")
+    if plan.trials < 2:
+        raise ValueError(f"trials must be >= 2, got {plan.trials}")
     chunk_size = 1 << 16
     total = np.zeros(s_count)
     total_sq = np.zeros(s_count)

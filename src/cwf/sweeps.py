@@ -9,20 +9,17 @@ the same seed reproduces the file byte for byte.
 from __future__ import annotations
 
 import io
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import __version__
-from .channel import LN2, Field, capacity, dispersion, sinr_awgn, sinr_fading
+from .channel import sinr_awgn, sinr_fading
 from .config import ExperimentConfig, db_to_linear, point_seed
 from .lengths import (
     AwgnScenario,
     QueueScenario,
-    _blocklength_real,
     awgn_vlsf_lengths,
     fading_vlsf_coeffs,
     fixed_length_blocklength,
@@ -80,25 +77,6 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         meta["seed"] = cfg.resolved_seed
         meta["trials"] = cfg.trials
     return meta
-
-
-def _complex_blocklength(payload_bits: float, snr: float, epsilon: float) -> int:
-    """Fixed-length baseline in complex symbols: one complex symbol carries
-    two real dimensions, so solve the real normal approximation at 2n uses."""
-    kappa = payload_bits * LN2
-    c = capacity(snr, Field.REAL_AWGN)
-    v = dispersion(snr)
-    qinv = float(ndtri(1.0 - epsilon))
-    n = math.ceil(_blocklength_real(kappa, c, v, qinv) / 2.0 - 1e-9)
-
-    def ok(m):
-        return kappa <= 2 * m * c - math.sqrt(2 * m * v) * qinv
-
-    while not ok(n):
-        n += 1
-    while n > 1 and ok(n - 1):
-        n -= 1
-    return n
 
 
 def run_thm1_sweep(cfg: ExperimentConfig, out=None):
@@ -190,7 +168,7 @@ def run_fading_sweep(cfg: ExperimentConfig, out=None):
         coeffs = fading_vlsf_coeffs(gains, p)
         typical = (1.0 - cfg.epsilon) * coeffs * gamma
         worst_snr = sinr_fading(p, gains, 1, s)  # weakest user, everyone active
-        fixed_n = _complex_blocklength(payload, worst_snr, cfg.epsilon)
+        fixed_n = fixed_length_blocklength(payload, worst_snr, cfg.epsilon, dims=2)
         row = [snr_db, p, s, payload, *coeffs, *typical,
                fixed_n, 1.0 - typical[-1] / fixed_n]
         if cfg.trials > 0:

@@ -42,6 +42,7 @@ from .simulate import (
 from .waterfill import (
     FastFadingScenario,
     capacity_lower_bound,
+    lower_bound_terms,
     mc_capacity,
     optimize_threshold,
     single_user_threshold,
@@ -186,21 +187,22 @@ def _c7_threshold_grid(seed: int, scale: float):
     start = time.perf_counter()
     max_residual = 0.0
     min_gap = math.inf
-    points: list[tuple[float, int, float]] = []  # (gamma_th, s_count, power)
+    points: list[tuple[float, FastFadingScenario]] = []  # (gamma_th, scenario)
     failure = None
     for power in THRESHOLD_POWERS:
         for s in THRESHOLD_USERS:
             gamma_single = single_user_threshold(power, s)
             residual = abs(gamma_single * math.exp(gamma_single) - (1.0 / power + s - 1.0))
             max_residual = max(max_residual, residual)
+            sc = FastFadingScenario(s, power)
             try:
-                res = optimize_threshold(FastFadingScenario(s, power))
+                res = optimize_threshold(sc)
             except QuadratureError as exc:
                 failure = str(exc)
                 continue
             min_gap = min(min_gap, res.cl_at_multi - res.cl_at_single)
-            points.append((res.gamma_single, s, power))
-            points.append((res.gamma_multi, s, power))
+            points.append((res.gamma_single, sc))
+            points.append((res.gamma_multi, sc))
 
     sep_sc = FastFadingScenario(4, 10.0)
     sep = optimize_threshold(sep_sc)
@@ -226,7 +228,7 @@ def _c7_threshold_grid(seed: int, scale: float):
 
 
 def _c8_quadrature_oracle(seed: int, scale: float,
-                          points: list[tuple[float, int, float]]) -> CriterionResult:
+                          points: list[tuple[float, FastFadingScenario]]) -> CriterionResult:
     closed_err = 0.0
     for power in THRESHOLD_POWERS:
         sc = FastFadingScenario(1, power)
@@ -236,14 +238,8 @@ def _c8_quadrature_oracle(seed: int, scale: float,
 
     # re-check primary-vs-Simpson agreement at every threshold evaluated in c7
     disagreement = 0.0
-    for gamma_th, s, power in points:
-        pon = math.exp(-gamma_th)
-        for t in range(s):
-            weight = math.comb(s - 1, t) * (1.0 - pon) ** (s - 1 - t) * pon**t
-            if weight == 0.0:
-                continue
-            denom = pon / power + t * (1.0 + gamma_th)
-            f = lambda g, d=denom: np.log1p(g / d)
+    for gamma_th, sc in points:
+        for _, denom, f in lower_bound_terms(gamma_th, sc):
             primary = exp_tail_quadrature(f, gamma_th, scale=denom + gamma_th)
             check = adaptive_simpson(lambda g: float(np.log1p(g / denom) * math.exp(-g)),
                                      gamma_th, gamma_th + SIMPSON_SPAN, tol=1e-9)

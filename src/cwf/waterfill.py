@@ -1,5 +1,6 @@
-"""Power allocation: classical water-filling baselines and the multi-user
-constant-power threshold optimization for fast Rayleigh fading.
+"""Power allocation for fast Rayleigh fading: the multi-user constant-power
+threshold optimization, with the single-user water-filling cutoff as the
+classical reference point.
 
 The multi-user piece: every user transmits at power p/P(gain >= th) whenever
 its own gain clears the threshold `th` and stays silent otherwise, so the
@@ -18,31 +19,18 @@ import numpy as np
 from .quadrature import QuadratureError, checked_exp_integral, exp_tail_quadrature
 
 __all__ = [
-    "WaterfillAllocation",
     "FadingWaterfillResult",
     "FastFadingScenario",
     "ThresholdSearchResult",
     "McCapacityEstimate",
-    "parallel_gaussian_waterfill",
     "fading_waterfill_threshold",
-    "constant_power_policy",
-    "mac_waterfill_policy",
     "single_user_threshold",
+    "lower_bound_terms",
     "capacity_lower_bound",
-    "mean_gain_above",
     "optimize_threshold",
     "mc_capacity",
     "evaluate_thresholds",
 ]
-
-
-@dataclass(frozen=True)
-class WaterfillAllocation:
-    """Water level, per-channel powers (v - N_s)^+ and total capacity in nats."""
-
-    level: float
-    powers: np.ndarray
-    capacity: float
 
 
 @dataclass(frozen=True)
@@ -100,35 +88,6 @@ class ThresholdSearchResult:
     mc_capacity_multi: McCapacityEstimate | None = None
 
 
-def parallel_gaussian_waterfill(noise_vars, budget: float) -> WaterfillAllocation:
-    """Classical water-filling over parallel Gaussian channels.
-
-    Bisects the water level v until sum((v - N_s)^+) equals the power budget,
-    then reports powers (v - N_s)^+ and capacity sum(0.5*ln(1 + p_s/N_s)).
-    """
-    noise = np.asarray(noise_vars, dtype=float)
-    if noise.size == 0:
-        raise ValueError("at least one channel required")
-    if np.any(noise <= 0.0) or not np.all(np.isfinite(noise)):
-        raise ValueError("noise variances must be positive and finite")
-    if not budget > 0.0:
-        raise ValueError(f"budget must be positive, got {budget}")
-
-    lo, hi = float(noise.min()), float(noise.max()) + float(budget)
-    for _ in range(200):
-        v = 0.5 * (lo + hi)
-        if np.maximum(v - noise, 0.0).sum() < budget:
-            lo = v
-        else:
-            hi = v
-        if hi - lo <= 1e-15 * hi:
-            break
-    v = 0.5 * (lo + hi)
-    powers = np.maximum(v - noise, 0.0)
-    cap = float(0.5 * np.log1p(powers / noise).sum())
-    return WaterfillAllocation(level=v, powers=powers, capacity=cap)
-
-
 def _fading_budget_integral(level: float) -> float:
     """int_level^inf (1/level - 1/g) exp(-g) dg for unit-mean exponential gains."""
     return exp_tail_quadrature(lambda g: 1.0 / level - 1.0 / g, level, scale=level)
@@ -166,39 +125,6 @@ def fading_waterfill_threshold(power: float) -> FadingWaterfillResult:
     return FadingWaterfillResult(threshold=level, capacity=cap)
 
 
-def constant_power_policy(gain: float, threshold: float, power: float) -> float:
-    """On-off power rule for unit-mean exponential gains.
-
-    Transmit power / P(gain >= threshold) = power * e^threshold when the
-    instantaneous gain clears the threshold, else stay silent.  The average
-    transmit power is exactly `power` by construction.
-    """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
-    return power * math.exp(threshold) if gain >= threshold else 0.0
-
-
-def mac_waterfill_policy(gains, thresholds) -> np.ndarray:
-    """Instantaneous powers for the multi-access water-filling rule.
-
-    The user with the largest gain/threshold ratio transmits 1/l_k - 1/g_k,
-    provided its gain clears its own threshold; everyone else stays silent.
-    Ties go to the lowest user index.
-    """
-    gains = np.asarray(gains, dtype=float)
-    thresholds = np.asarray(thresholds, dtype=float)
-    if gains.shape != thresholds.shape:
-        raise ValueError("gains and thresholds must have matching shapes")
-    if np.any(gains <= 0.0) or np.any(thresholds <= 0.0):
-        raise ValueError("gains and thresholds must be positive")
-    powers = np.zeros_like(gains)
-    ratio = gains / thresholds
-    k = int(np.argmax(ratio))  # argmax takes the first (lowest) index on ties
-    if gains[k] >= thresholds[k]:
-        powers[k] = 1.0 / thresholds[k] - 1.0 / gains[k]
-    return powers
-
-
 def single_user_threshold(power: float, s_count: int) -> float:
     """Root of th * e^th = 1/power + s_count - 1.
 
@@ -225,20 +151,22 @@ def single_user_threshold(power: float, s_count: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def mean_gain_above(threshold: float, quadrature: bool = False) -> float:
-    """Average interference gain (1 + th) * e^th of an active exponential user.
+def lower_bound_terms(gamma_th: float, sc: FastFadingScenario):
+    """Non-zero terms of `capacity_lower_bound`, one per interferer count t.
 
-    The expectation of gain / P(on)^2 over gains above the threshold; the
-    extra 1/P(on) accounts for the boosted transmit power of active users.
-    With quadrature=True the defining integral is evaluated numerically
-    instead of using the closed form.
+    Yields (weight, denom, integrand): the binomial weight
+    C(S-1,t) (1-q)^(S-1-t) q^t, the noise-plus-mean-interference level
+    denom = q/p + t*(1+gamma_th) and the integrand g -> ln(1 + g/denom),
+    to be integrated against e^-g over [gamma_th, inf).
     """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
-    if not quadrature:
-        return (1.0 + threshold) * math.exp(threshold)
-    pon = math.exp(-threshold)
-    return exp_tail_quadrature(lambda g: g, threshold) / (pon * pon)
+    s, p = sc.s_count, sc.power
+    pon = math.exp(-gamma_th)
+    for t in range(s):
+        weight = math.comb(s - 1, t) * (1.0 - pon) ** (s - 1 - t) * pon**t
+        if weight == 0.0:
+            continue
+        denom = pon / p + t * (1.0 + gamma_th)
+        yield weight, denom, lambda g, d=denom: np.log1p(g / d)
 
 
 def capacity_lower_bound(gamma_th: float, sc: FastFadingScenario, *,
@@ -258,15 +186,8 @@ def capacity_lower_bound(gamma_th: float, sc: FastFadingScenario, *,
     """
     if gamma_th < 0.0:
         raise ValueError(f"gamma_th must be non-negative, got {gamma_th}")
-    s, p = sc.s_count, sc.power
-    pon = math.exp(-gamma_th)
     total = 0.0
-    for t in range(s):
-        weight = math.comb(s - 1, t) * (1.0 - pon) ** (s - 1 - t) * pon**t
-        if weight == 0.0:
-            continue
-        denom = pon / p + t * (1.0 + gamma_th)
-        f = lambda g, d=denom: np.log1p(g / d)
+    for weight, denom, f in lower_bound_terms(gamma_th, sc):
         scale = denom + gamma_th  # distance from gamma_th to the log branch point
         if cross_check:
             integral = checked_exp_integral(f, gamma_th, scale=scale, agree_tol=1e-6)

@@ -12,7 +12,6 @@ from cwf.channel import (
     info_density_increment,
     sinr_awgn,
     sinr_fading,
-    sinr_ladder,
 )
 
 finite_powers = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -31,14 +30,6 @@ def test_sinr_awgn_domain_errors():
         sinr_awgn(-1.0, 2)
     with pytest.raises(ValueError):
         sinr_awgn(1.0, 0)
-
-
-@given(finite_powers, st.integers(min_value=1, max_value=20))
-@settings(max_examples=50, deadline=None)
-def test_sinr_ladder_strictly_decreasing(p, s_max):
-    ladder = sinr_ladder(p, s_max)
-    assert ladder.shape == (s_max,)
-    assert np.all(np.diff(ladder) < 0) or s_max == 1
 
 
 def test_sinr_fading_known_values():

@@ -1,4 +1,5 @@
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,19 @@ def test_cli_rejects_kind_mismatch(tmp_path):
     assert main(["queue", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.7])
+@pytest.mark.parametrize("sub", ["thm1", "queue", "fading"])
+def test_cli_rejects_epsilon_outside_fixed_length_domain(tmp_path, sub, epsilon):
+    # the fixed_n baseline column needs epsilon in (0, 0.5]
+    cfg = default_config(f"{sub}_sweep").to_dict()
+    cfg["epsilon"] = epsilon
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert main([sub, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_cli_requires_seed_for_stochastic_run(tmp_path):
     assert main(["thm1", "--trials", "10", "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
@@ -186,6 +200,24 @@ def test_cli_waterfill_numeric_error_aborts_row_not_sweep(tmp_path, monkeypatch)
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 2  # both rows present, each carrying the diagnostic
     assert all("error: QuadratureError" in r for r in rows)
+
+
+def test_run_all_sweeps_forwards_flags_and_first_failure(tmp_path, monkeypatch):
+    from cwf import cli
+
+    calls = []
+
+    def fake_main(argv):
+        calls.append(argv)
+        return {"queue": 2, "waterfill": 3}.get(argv[0], EXIT_OK)
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_sweeps.py"
+    run_all = runpy.run_path(str(script))["main"]
+    assert run_all(["--trials", "5", "--seed", "9", "--outdir", str(tmp_path)]) == 2
+    assert [argv[0] for argv in calls] == ["thm1", "queue", "fading", "waterfill"]
+    assert calls[0] == ["thm1", "--trials", "5", "--seed", "9",
+                        "--out", str(tmp_path / "thm1_sweep.csv")]
 
 
 def test_validate_subset_failure_reporting(tmp_path):

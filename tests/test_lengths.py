@@ -46,8 +46,9 @@ def test_message_threshold_rejects_tiny_payload():
 
 # ------------------------------------------------------------- fixed length
 
-def _oracle_blocklength(payload_bits, snr, epsilon):
-    """Independent integer bisection with a 50-digit Q-function inverse."""
+def _oracle_blocklength(payload_bits, snr, epsilon, dims=1):
+    """Independent integer bisection with a 50-digit Q-function inverse;
+    each of the n symbols spends `dims` real dimensions."""
     mp.mp.dps = 50
     kappa = mp.mpf(payload_bits) * mp.log(2)
     c = mp.log(1 + mp.mpf(snr)) / 2
@@ -55,7 +56,7 @@ def _oracle_blocklength(payload_bits, snr, epsilon):
     q = mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(epsilon))
 
     def ok(n):
-        return kappa <= n * c - mp.sqrt(n * v) * q
+        return kappa <= n * dims * c - mp.sqrt(n * dims * v) * q
 
     lo, hi = 1, 1
     while not ok(hi):
@@ -71,10 +72,13 @@ def _oracle_blocklength(payload_bits, snr, epsilon):
 
 @pytest.mark.parametrize(
     "payload,snr,eps",
-    [(1000.0, 0.5, 1e-3), (300.0, 1.0, 1e-3), (1000.0, 0.5, 1e-2), (50.0, 2.0, 1e-4)],
+    [(1000.0, 0.5, 1e-3), (300.0, 1.0, 1e-3), (1000.0, 0.5, 1e-2), (50.0, 2.0, 1e-4),
+     (1000.0, 0.1, 1e-3)],
 )
 def test_fixed_length_blocklength_matches_oracle(payload, snr, eps):
-    assert fixed_length_blocklength(payload, snr, eps) == _oracle_blocklength(payload, snr, eps)
+    for dims in (1, 2):  # real symbols, and complex symbols of the fading sweep
+        assert (fixed_length_blocklength(payload, snr, eps, dims)
+                == _oracle_blocklength(payload, snr, eps, dims))
 
 
 def test_fixed_length_blocklength_frozen_example():

@@ -51,6 +51,30 @@ def test_trial_streams_are_schedule_independent():
     assert not np.array_equal(first, other)
 
 
+SC_PIN = AwgnScenario((100.0, 300.0), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("run,stop_sums,cap_hits", [
+    (lambda: simulate_awgn_multiuser(SC_PIN, TrialPlan(200, 1)), [73076, 153899], [0, 0]),
+    (lambda: simulate_awgn_multiuser(SC_PIN, TrialPlan(200, 2), interference_cancellation=False),
+     [73394, 211256], [0, 0]),
+    (lambda: simulate_queue(QueueScenario(SC_PIN, 300.0), TrialPlan(200, 3)),
+     [73162, 210957], [0, 0]),
+    (lambda: simulate_queue(QueueScenario(SC_PIN, 40.0), TrialPlan(40, 4, max_symbols=300)),
+     [11928, 12000], [35, 40]),
+    (lambda: simulate_block_fading([1.5, 0.5], 300.0, 1.0, TrialPlan(200, 5)),
+     [62421, 138619], [0, 0]),
+    (lambda: simulate_rayleigh_block_fading(2, 200.0, 1.0, TrialPlan(100, 6)),
+     [34906, 326316], [0, 0]),
+], ids=["awgn", "awgn_no_cancellation", "queue", "queue_capped", "block_fading", "rayleigh"])
+def test_walk_engine_pinned_stop_sums(run, stop_sums, cap_hits):
+    # integer sums of stopping times pin the draws and crossings exactly; a
+    # change of RNG consumption must update them deliberately
+    out = run()
+    assert [int(round(m * out.trials)) for m in out.mean] == stop_sums
+    assert out.cap_hits.tolist() == cap_hits
+
+
 def test_queue_reduces_to_plain_walk_without_congestion():
     # huge interval: identical draws, identical stopping times, bit for bit
     plan = TrialPlan(150, 2024, max_symbols=60_000)
@@ -200,6 +224,11 @@ def test_sorted_exponential_means_against_harmonic_sums():
     est = sorted_exponential_means(3, TrialPlan(150_000, 61))
     exact = np.array([11.0 / 6.0, 5.0 / 6.0, 1.0 / 3.0])
     assert np.all(np.abs(est.mean - exact) <= 4.0 * est.se)
+
+
+def test_sorted_exponential_means_rejects_single_trial():
+    with pytest.raises(ValueError, match="trials must be >= 2"):
+        sorted_exponential_means(3, TrialPlan(1, 63))
 
 
 def test_sorted_exponential_means_deterministic_partial_chunk():
