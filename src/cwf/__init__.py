@@ -34,7 +34,6 @@ from .waterfill import (
     FastFadingScenario,
     ThresholdSearchResult,
     capacity_lower_bound,
-    fading_waterfill_threshold,
     optimize_threshold,
     single_user_threshold,
 )

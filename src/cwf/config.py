@@ -53,8 +53,8 @@ class ExperimentConfig:
     def _check(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.trials < 0:
-            raise ConfigError(f"trials must be >= 0, got {self.trials}")
+        if self.trials < 0 or self.trials == 1:  # a standard error needs two trials
+            raise ConfigError(f"trials must be 0 or >= 2, got {self.trials}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if self.seed is not None and self.seed < 0:
@@ -90,10 +90,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        d = {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.to_dict().items()}
-        return json.dumps(d, indent=2, sort_keys=True)
 
     def config_hash(self) -> str:
         """Hash of the experiment semantics; the output path does not count."""

@@ -13,9 +13,14 @@ congested user that crosses resets its sum and stays active.  Only the
 true-codeword walk is tracked here; competing-codeword crossings are a
 separate, rarer event measured by `simulate_error_probability`.
 
-Reproducibility: trial i of a run seeded with s draws from a dedicated
-Philox stream keyed (s, i), so results do not depend on execution order or
-batching.  Identical (scenario, plan) pairs produce bit-identical outcomes.
+One estimator serves every Monte Carlo mean: `streams` hands out the
+trials of a plan in blocks, stream (s, k) of a run seeded with s serving
+its k-th block, and `estimate` merges the per-block moments into an
+`Estimate` (mean, standard error, 95% half-width).  A block is one trial
+for the walks and the error-rate check and `BLOCK` = 2^16 trials for the
+bulk samplers; block sizes are part of the output contract, so results do
+not depend on execution order, and identical (scenario, plan) pairs
+produce bit-identical outcomes.
 
 Capped trials are never dropped silently: they enter the means at the cap
 value (a lower bound) and are counted in `cap_hits`.
@@ -40,9 +45,12 @@ CAP_FACTOR = 50.0
 #: chunk ceiling keeps single draws bounded in memory
 _MAX_CHUNK = 1 << 17
 
+#: trials per stream in the bulk samplers (`mc_capacity`, order statistics)
+BLOCK = 1 << 16
+
 
 def trial_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one trial of one experiment."""
+    """Independent counter-based stream for one block of one experiment."""
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -53,6 +61,7 @@ class TrialPlan:
 
     max_symbols=None lets each simulator cap trials at CAP_FACTOR times its
     own analytic prediction; cap hits are reported, never silently dropped.
+    At least two trials are needed for a standard error.
     """
 
     trials: int
@@ -60,20 +69,67 @@ class TrialPlan:
     max_symbols: int | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials < 2:
+            raise ValueError(f"trials must be >= 2, got {self.trials}")
         if self.max_symbols is not None and self.max_symbols < 1:
             raise ValueError(f"max_symbols must be >= 1, got {self.max_symbols}")
 
 
+def streams(plan: TrialPlan, block: int):
+    """Yield (stream k, trial count) for consecutive blocks of `block` trials."""
+    for k, start in enumerate(range(0, plan.trials, block)):
+        yield trial_stream(plan.seed, k), min(block, plan.trials - start)
+
+
 @dataclass(frozen=True)
-class StoppingOutcome:
+class Estimate:
+    """Sample mean with its standard error, scalar or one entry per user."""
+
+    mean: float | np.ndarray
+    se: float | np.ndarray
+    trials: int
+
+    @property
+    def ci95(self):
+        """Half-width of the normal 95% confidence interval."""
+        return 1.96 * self.se
+
+    @property
+    def low(self):
+        return self.mean - self.ci95
+
+    @property
+    def high(self):
+        return self.mean + self.ci95
+
+
+def estimate(samples) -> Estimate:
+    """Mean and standard error of per-trial rows arriving in blocks.
+
+    Each block, shaped (n,) or (n, k), is reduced two-pass to its mean and
+    sum of squared deviations; blocks are merged pairwise (Chan, Golub &
+    LeVeque, 1983), so a single block reproduces numpy's two-pass
+    `std(ddof=1)` bit for bit.
+    """
+    total, mean, m2 = 0, 0.0, 0.0
+    for x in samples:
+        n = len(x)
+        x_mean = x.mean(axis=0)
+        delta = x_mean - mean
+        merged = total + n
+        mean = mean + delta * (n / merged)
+        m2 = m2 + ((x - x_mean) ** 2).sum(axis=0) + delta * delta * (total * n / merged)
+        total = merged
+    if total < 2:
+        raise ValueError(f"need at least 2 samples for a standard error, got {total}")
+    return Estimate(mean=mean, se=np.sqrt(m2 / (total - 1)) / math.sqrt(total), trials=total)
+
+
+@dataclass(frozen=True)
+class StoppingOutcome(Estimate):
     """Per-user sample means of the stopping times, in symbols."""
 
-    mean: np.ndarray
-    se: np.ndarray
     cap_hits: np.ndarray
-    trials: int
 
     @property
     def cap_flagged(self) -> bool:
@@ -94,15 +150,6 @@ class ErrorRateEstimate:
     @property
     def upper95(self) -> float:
         return self.rate + 1.96 * self.se
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """Plain sample means with standard errors (order-statistics helper)."""
-
-    mean: np.ndarray
-    se: np.ndarray
-    trials: int
 
 
 def _draw_increments(rng, snr: float, count: int, dims: int) -> np.ndarray:
@@ -197,14 +244,10 @@ def _run_trials(plan: TrialPlan, s_total: int, trial) -> StoppingOutcome:
     """Run `trial(rng)` on each trial's own stream and average the outcomes."""
     stops = np.empty((plan.trials, s_total), dtype=np.int64)
     capped = np.empty((plan.trials, s_total), dtype=bool)
-    for i in range(plan.trials):
-        stops[i], capped[i] = trial(trial_stream(plan.seed, i))
-    mean = stops.mean(axis=0)
-    if plan.trials > 1:
-        se = stops.std(axis=0, ddof=1) / math.sqrt(plan.trials)
-    else:
-        se = np.zeros_like(mean)
-    return StoppingOutcome(mean=mean, se=se, cap_hits=capped.sum(axis=0), trials=plan.trials)
+    for i, (rng, _) in enumerate(streams(plan, 1)):
+        stops[i], capped[i] = trial(rng)
+    est = estimate([stops])
+    return StoppingOutcome(est.mean, est.se, est.trials, cap_hits=capped.sum(axis=0))
 
 
 def _awgn_snr_for(power: float, s_total: int, cancellation: bool = True):
@@ -340,8 +383,7 @@ def simulate_error_probability(payload_bits: float, snr: float, plan: TrialPlan,
 
     errors = 0
     cap_hits = 0
-    for i in range(plan.trials):
-        rng = trial_stream(plan.seed, i)
+    for rng, _ in streams(plan, 1):
         received = np.empty(0)
         acc = 0.0
         tau = None
@@ -372,25 +414,9 @@ def simulate_error_probability(payload_bits: float, snr: float, plan: TrialPlan,
                              trials=plan.trials, cap_hits=cap_hits)
 
 
-def sorted_exponential_means(s_count: int, plan: TrialPlan) -> MomentEstimate:
-    """Empirical means of descending-sorted unit exponentials, chunked."""
+def sorted_exponential_means(s_count: int, plan: TrialPlan) -> Estimate:
+    """Empirical means of descending-sorted unit exponentials."""
     if s_count < 1:
         raise ValueError(f"s_count must be >= 1, got {s_count}")
-    if plan.trials < 2:
-        raise ValueError(f"trials must be >= 2, got {plan.trials}")
-    chunk_size = 1 << 16
-    total = np.zeros(s_count)
-    total_sq = np.zeros(s_count)
-    done = 0
-    index = 0
-    while done < plan.trials:
-        n = min(chunk_size, plan.trials - done)
-        rng = trial_stream(plan.seed, index)
-        draws = np.sort(rng.standard_exponential((n, s_count)), axis=1)[:, ::-1]
-        total += draws.sum(axis=0)
-        total_sq += (draws * draws).sum(axis=0)
-        done += n
-        index += 1
-    mean = total / plan.trials
-    var = np.maximum(total_sq - plan.trials * mean * mean, 0.0) / (plan.trials - 1)
-    return MomentEstimate(mean=mean, se=np.sqrt(var / plan.trials), trials=plan.trials)
+    return estimate(np.sort(rng.standard_exponential((n, s_count)), axis=1)[:, ::-1]
+                    for rng, n in streams(plan, BLOCK))

@@ -103,7 +103,7 @@ def run_thm1_sweep(cfg: ExperimentConfig, out=None):
         if cfg.trials > 0:
             seed = point_seed(cfg.resolved_seed, i)
             outcome = simulate_awgn_multiuser(sc, TrialPlan(cfg.trials, seed))
-            row += [*outcome.mean, *(1.96 * outcome.se), cfg.trials, seed]
+            row += [*outcome.mean, *outcome.ci95, cfg.trials, seed]
         else:
             row += [None] * (2 * s) + [None, None]
         rows.append(row)
@@ -139,7 +139,7 @@ def run_queue_sweep(cfg: ExperimentConfig, out=None):
             if cfg.trials > 0:
                 seed = point_seed(cfg.resolved_seed, index)
                 outcome = simulate_queue(qs, TrialPlan(cfg.trials, seed))
-                row += [*outcome.mean, *(1.96 * outcome.se),
+                row += [*outcome.mean, *outcome.ci95,
                         outcome.cap_flagged, cfg.trials, seed]
             else:
                 row += [None] * (2 * s) + [None, None, None]
@@ -174,7 +174,7 @@ def run_fading_sweep(cfg: ExperimentConfig, out=None):
         if cfg.trials > 0:
             seed = point_seed(cfg.resolved_seed, i)
             outcome = simulate_rayleigh_block_fading(s, payload, p, TrialPlan(cfg.trials, seed))
-            row += [*outcome.mean, *(1.96 * outcome.se), cfg.trials, seed]
+            row += [*outcome.mean, *outcome.ci95, cfg.trials, seed]
         else:
             row += [None] * (2 * s) + [None, None]
         rows.append(row)

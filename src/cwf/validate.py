@@ -89,7 +89,8 @@ def _c1_awgn_vs_simulation(seed: int, scale: float) -> CriterionResult:
     outcome = simulate_awgn_multiuser(sc, TrialPlan(TRIALS_AWGN, seed))
     rel = np.abs(outcome.mean - expected) / expected
     elapsed = time.perf_counter() - start
-    ok = bool((rel <= 0.05 * scale).all()) and elapsed < RUNTIME_CAP_AWGN
+    ok = (bool((rel <= 0.05 * scale).all()) and not outcome.cap_flagged
+          and elapsed < RUNTIME_CAP_AWGN)
     return CriterionResult(
         1, "awgn_lengths_vs_simulation",
         expected="; ".join(_fmt(v) for v in expected),
@@ -164,7 +165,7 @@ def _c5_fading_vs_simulation(seed: int, scale: float) -> CriterionResult:
         expected="; ".join(_fmt(v) for v in expected),
         observed="; ".join(_fmt(v) for v in outcome.mean),
         tolerance=f"rel<={_fmt(0.05 * scale)}",
-        passed=bool((rel <= 0.05 * scale).all()),
+        passed=bool((rel <= 0.05 * scale).all()) and not outcome.cap_flagged,
     )
 
 
@@ -206,8 +207,10 @@ def _c7_threshold_grid(seed: int, scale: float):
 
     sep_sc = FastFadingScenario(4, 10.0)
     sep = optimize_threshold(sep_sc)
-    mc_single = mc_capacity(sep.gamma_single, sep_sc, TRIALS_MC_CAPACITY, point_seed(seed, 0))
-    mc_multi = mc_capacity(sep.gamma_multi, sep_sc, TRIALS_MC_CAPACITY, point_seed(seed, 1))
+    mc_single = mc_capacity(sep.gamma_single, sep_sc,
+                            TrialPlan(TRIALS_MC_CAPACITY, point_seed(seed, 0)))
+    mc_multi = mc_capacity(sep.gamma_multi, sep_sc,
+                           TrialPlan(TRIALS_MC_CAPACITY, point_seed(seed, 1)))
     separated = mc_multi.low > mc_single.high
     elapsed = time.perf_counter() - start
     ok = (failure is None and max_residual < 1e-10 * scale and min_gap >= 0.0

@@ -1,12 +1,11 @@
 """Power allocation for fast Rayleigh fading: the multi-user constant-power
-threshold optimization, with the single-user water-filling cutoff as the
-classical reference point.
+threshold optimization.
 
-The multi-user piece: every user transmits at power p/P(gain >= th) whenever
-its own gain clears the threshold `th` and stays silent otherwise, so the
-long-run average power is exactly p.  Raising the threshold thins out
-interference from badly faded users; the capacity lower bound below is
-maximized over `th` to pick the operating point.
+Every user transmits at power p/P(gain >= th) whenever its own gain clears
+the threshold `th` and stays silent otherwise, so the long-run average
+power is exactly p.  Raising the threshold thins out interference from
+badly faded users; the capacity lower bound below is maximized over `th`
+to pick the operating point, and `mc_capacity` checks it by simulation.
 """
 
 from __future__ import annotations
@@ -17,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureError, checked_exp_integral, exp_tail_quadrature
+from .simulate import BLOCK, Estimate, TrialPlan, estimate, streams
 
 __all__ = [
-    "FadingWaterfillResult",
     "FastFadingScenario",
     "ThresholdSearchResult",
-    "McCapacityEstimate",
-    "fading_waterfill_threshold",
     "single_user_threshold",
     "lower_bound_terms",
     "capacity_lower_bound",
@@ -31,14 +28,6 @@ __all__ = [
     "mc_capacity",
     "evaluate_thresholds",
 ]
-
-
-@dataclass(frozen=True)
-class FadingWaterfillResult:
-    """Optimal single-user fading water-filling threshold and capacity."""
-
-    threshold: float
-    capacity: float
 
 
 @dataclass(frozen=True)
@@ -56,27 +45,6 @@ class FastFadingScenario:
 
 
 @dataclass(frozen=True)
-class McCapacityEstimate:
-    """Monte Carlo capacity estimate with a 95% confidence half-width."""
-
-    mean: float
-    se: float
-    trials: int
-
-    @property
-    def ci95(self) -> float:
-        return 1.96 * self.se
-
-    @property
-    def low(self) -> float:
-        return self.mean - self.ci95
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.ci95
-
-
-@dataclass(frozen=True)
 class ThresholdSearchResult:
     """Single-user and interference-aware thresholds with their objectives."""
 
@@ -84,45 +52,8 @@ class ThresholdSearchResult:
     gamma_multi: float
     cl_at_single: float
     cl_at_multi: float
-    mc_capacity_single: McCapacityEstimate | None = None
-    mc_capacity_multi: McCapacityEstimate | None = None
-
-
-def _fading_budget_integral(level: float) -> float:
-    """int_level^inf (1/level - 1/g) exp(-g) dg for unit-mean exponential gains."""
-    return exp_tail_quadrature(lambda g: 1.0 / level - 1.0 / g, level, scale=level)
-
-
-def fading_waterfill_threshold(power: float) -> FadingWaterfillResult:
-    """Water-filling cutoff and capacity for a single user in Rayleigh fading.
-
-    The cutoff solves the average-power equation
-    int_l^inf (1/l - 1/g) e^{-g} dg = power (monotone decreasing in l), and
-    the capacity is int_l^inf ln(g/l) e^{-g} dg.
-    """
-    if not power > 0.0:
-        raise ValueError(f"power must be positive, got {power}")
-    lo = 1e-12
-    hi = 1.0
-    while _fading_budget_integral(hi) > power:
-        hi *= 2.0
-        if hi > 1e9:
-            raise QuadratureError("failed to bracket the water-filling cutoff")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _fading_budget_integral(mid) > power:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    level = 0.5 * (lo + hi)
-    residual = _fading_budget_integral(level) - power
-    if abs(residual) > 1e-8:
-        raise QuadratureError(f"budget residual {residual:.3e} after bisection")
-    cap = checked_exp_integral(lambda g: np.log(g / level), level, scale=level,
-                               agree_tol=1e-6)
-    return FadingWaterfillResult(threshold=level, capacity=cap)
+    mc_capacity_single: Estimate | None = None
+    mc_capacity_multi: Estimate | None = None
 
 
 def single_user_threshold(power: float, s_count: int) -> float:
@@ -254,47 +185,27 @@ def optimize_threshold(sc: FastFadingScenario, *, grid_step: float = 0.01,
     )
 
 
-_MC_CHUNK = 1 << 16
-
-
-def mc_capacity(gamma_th: float, sc: FastFadingScenario, trials: int,
-                seed: int) -> McCapacityEstimate:
+def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Estimate:
     """Monte Carlo estimate of one user's capacity under the on-off policy.
 
     Samples S independent exponential gains; when the user's own gain clears
     the threshold it sees ln(1 + (g1/q) / (1/p + sum_i (gi/q)[gi > th]))
-    nats, else zero.  Sampled in fixed 2^16 chunks, each from its own
-    counter-derived stream, so the estimate is reproducible and independent
-    of scheduling.
+    nats, else zero.  Trials are drawn in blocks of `BLOCK`, each from its
+    own counter-based stream, so the estimate does not depend on scheduling.
     """
     if gamma_th < 0.0:
         raise ValueError(f"gamma_th must be non-negative, got {gamma_th}")
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    from .simulate import trial_stream
-
     pon = math.exp(-gamma_th)
     inv_p = 1.0 / sc.power
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        n = min(_MC_CHUNK, trials - done)
-        rng = trial_stream(seed, chunk_index)
+
+    def capacities(rng, n):
         gains = rng.standard_exponential((n, sc.s_count))
         own = gains[:, 0]
         others = gains[:, 1:]
         interference = ((others / pon) * (others > gamma_th)).sum(axis=1)
-        value = np.where(own > gamma_th,
-                         np.log1p((own / pon) / (inv_p + interference)), 0.0)
-        total += float(value.sum())
-        total_sq += float((value * value).sum())
-        done += n
-        chunk_index += 1
-    mean = total / trials
-    var = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
-    return McCapacityEstimate(mean=mean, se=math.sqrt(var / trials), trials=trials)
+        return np.where(own > gamma_th, np.log1p((own / pon) / (inv_p + interference)), 0.0)
+
+    return estimate(capacities(rng, n) for rng, n in streams(plan, BLOCK))
 
 
 def evaluate_thresholds(sc: FastFadingScenario, trials: int,
@@ -306,6 +217,6 @@ def evaluate_thresholds(sc: FastFadingScenario, trials: int,
         gamma_multi=base.gamma_multi,
         cl_at_single=base.cl_at_single,
         cl_at_multi=base.cl_at_multi,
-        mc_capacity_single=mc_capacity(base.gamma_single, sc, trials, seed),
-        mc_capacity_multi=mc_capacity(base.gamma_multi, sc, trials, seed + 1),
+        mc_capacity_single=mc_capacity(base.gamma_single, sc, TrialPlan(trials, seed)),
+        mc_capacity_multi=mc_capacity(base.gamma_multi, sc, TrialPlan(trials, seed + 1)),
     )

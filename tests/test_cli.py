@@ -166,6 +166,14 @@ def test_cli_rejects_epsilon_outside_fixed_length_domain(tmp_path, sub, epsilon)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", ["thm1", "queue", "fading", "waterfill"])
+def test_cli_rejects_single_trial(tmp_path, sub):
+    # one trial has no standard error, so no 95% column can be written
+    out = tmp_path / "x.csv"
+    assert main([sub, "--trials", "1", "--seed", "1", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_cli_requires_seed_for_stochastic_run(tmp_path):
     assert main(["thm1", "--trials", "10", "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 

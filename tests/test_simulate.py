@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cwf.channel import Field, capacity, info_density_increment, sinr_awgn
 from cwf.lengths import (
@@ -14,12 +16,14 @@ from cwf.lengths import (
 )
 from cwf.simulate import (
     TrialPlan,
+    estimate,
     simulate_awgn_multiuser,
     simulate_block_fading,
     simulate_error_probability,
     simulate_queue,
     simulate_rayleigh_block_fading,
     sorted_exponential_means,
+    streams,
     trial_stream,
 )
 
@@ -49,6 +53,40 @@ def test_trial_streams_are_schedule_independent():
     other = trial_stream(99, 4).standard_normal(8)
     assert np.array_equal(first, again)
     assert not np.array_equal(first, other)
+
+
+def test_streams_serve_consecutive_blocks():
+    blocks = list(streams(TrialPlan(5, 99), 2))
+    assert [n for _, n in blocks] == [2, 2, 1]
+    for k, (rng, _) in enumerate(blocks):
+        assert np.array_equal(rng.standard_normal(4), trial_stream(99, k).standard_normal(4))
+
+
+# ------------------------------------------------------------------ estimator
+
+@given(
+    st.integers(min_value=2, max_value=300),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_estimate_merges_blocks_like_two_pass(n, k, seed, fractions):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_exponential(n if k is None else (n, k)) * 10.0 ** rng.uniform(-3, 3)
+    mean, se = x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(n)
+    single = estimate([x])
+    assert np.array_equal(single.mean, mean) and np.array_equal(single.se, se)
+    assert single.trials == n
+    cuts = sorted({1 + int(f * (n - 2)) for f in fractions})  # non-empty blocks
+    merged = estimate(np.split(x, cuts))
+    assert merged.trials == n
+    np.testing.assert_allclose(merged.mean, mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(merged.se, se, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError):
+        estimate([x[:1]])
+    with pytest.raises(ValueError):
+        estimate([])
 
 
 SC_PIN = AwgnScenario((100.0, 300.0), 1.0, 0.0)

@@ -4,52 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import exp1, lambertw
 
-from cwf.quadrature import exp_tail_quadrature
+from cwf.simulate import BLOCK, TrialPlan, trial_stream
 from cwf.waterfill import (
     FastFadingScenario,
     capacity_lower_bound,
     evaluate_thresholds,
-    fading_waterfill_threshold,
     lower_bound_terms,
     mc_capacity,
     optimize_threshold,
     single_user_threshold,
 )
-
-
-# ------------------------------------------------- fading cutoff (single user)
-
-def test_fading_waterfill_budget_residual_and_frozen_value():
-    res = fading_waterfill_threshold(1.0)
-    # budget integral back-substitution (closed forms for Exp(1) gains)
-    budget = math.exp(-res.threshold) / res.threshold - float(exp1(res.threshold))
-    assert budget == pytest.approx(1.0, abs=1e-8)
-    assert res.threshold == pytest.approx(0.39377384504511836, abs=1e-8)
-    # capacity integral has the closed form E1(threshold)
-    assert res.capacity == pytest.approx(float(exp1(res.threshold)), abs=1e-8)
-
-
-def test_fading_waterfill_trapezoid_oracle():
-    res = fading_waterfill_threshold(1.0)
-    g = np.linspace(res.threshold, res.threshold + 60.0, 4_000_001)
-    cap_oracle = np.trapezoid(np.log(g / res.threshold) * np.exp(-g), g)
-    assert res.capacity == pytest.approx(cap_oracle, abs=1e-7)
-
-
-def test_fading_waterfill_cutoff_falls_with_power():
-    t1 = fading_waterfill_threshold(1.0).threshold
-    t2 = fading_waterfill_threshold(10.0).threshold
-    t3 = fading_waterfill_threshold(100.0).threshold
-    assert t1 > t2 > t3 > 0.0
-
-
-# ----------------------------------------------------------- on-off policies
-
-def test_constant_power_policy_average_is_power():
-    # quadrature of policy(gain) * exp(-gain) over the on-region equals power
-    th, p = 0.8, 1.7
-    avg = exp_tail_quadrature(lambda g: np.full_like(g, p * math.exp(th)), th)
-    assert avg == pytest.approx(p, abs=1e-8)
 
 
 # ------------------------------------------------------ threshold optimization
@@ -119,7 +83,7 @@ def test_optimize_threshold_single_user_exists():
 def test_mc_capacity_single_user_matches_quadrature():
     sc = FastFadingScenario(1, 1.0)
     th = 0.6
-    est = mc_capacity(th, sc, 300_000, seed=77)
+    est = mc_capacity(th, sc, TrialPlan(300_000, 77))
     want = capacity_lower_bound(th, sc)  # exact for S=1 (no interference)
     assert abs(est.mean - want) <= 3.0 * est.ci95
 
@@ -127,15 +91,24 @@ def test_mc_capacity_single_user_matches_quadrature():
 def test_mc_capacity_jensen_direction():
     sc = FastFadingScenario(3, 2.0)
     th = 0.9
-    est = mc_capacity(th, sc, 200_000, seed=78)
+    est = mc_capacity(th, sc, TrialPlan(200_000, 78))
     assert est.mean >= capacity_lower_bound(th, sc) - 3.0 * est.ci95
 
 
 def test_mc_capacity_deterministic_and_chunk_invariant():
+    # two blocks merged: the same draws reduced two-pass in one array
     sc = FastFadingScenario(2, 1.0)
-    a = mc_capacity(0.5, sc, 70_000, seed=5)
-    b = mc_capacity(0.5, sc, 70_000, seed=5)
-    assert a == b
+    th = 0.5
+    a = mc_capacity(th, sc, TrialPlan(70_000, 5))
+    assert a == mc_capacity(th, sc, TrialPlan(70_000, 5))
+    gains = np.concatenate([trial_stream(5, 0).standard_exponential((BLOCK, 2)),
+                            trial_stream(5, 1).standard_exponential((70_000 - BLOCK, 2))])
+    pon = math.exp(-th)
+    interference = (gains[:, 1] / pon) * (gains[:, 1] > th)
+    values = np.where(gains[:, 0] > th, np.log1p((gains[:, 0] / pon) / (1.0 + interference)), 0.0)
+    assert a.trials == 70_000
+    assert a.mean == pytest.approx(values.mean(), rel=1e-12)
+    assert a.se == pytest.approx(values.std(ddof=1) / math.sqrt(70_000), rel=1e-12)
 
 
 def test_evaluate_thresholds_attaches_mc_fields():
