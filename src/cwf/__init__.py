@@ -9,7 +9,7 @@ the reproduction harness behind the `cwf` CLI in `cwf.sweeps`/`cwf.validate`.
 
 __version__ = "0.1.0"
 
-from .channel import Field, capacity, dispersion, info_density_increment, sinr_awgn, sinr_fading
+from .channel import capacity, dispersion, info_density_increment, sinr_awgn, sinr_fading
 from .lengths import (
     AwgnScenario,
     QueueBreakdown,

@@ -1,4 +1,4 @@
-"""Shared link-level primitives: SINR ladders, capacity, dispersion and
+"""Shared link-level primitives: SINRs, capacity, dispersion and
 per-symbol information density increments.
 
 All information quantities are in nats.  Payload sizes given in bits are
@@ -7,23 +7,11 @@ converted at the boundary via kappa = K * ln(2).
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
 
 LN2 = math.log(2.0)
-
-
-class Field(enum.Enum):
-    """Signalling field of a link.
-
-    REAL_AWGN carries 0.5*ln(1+snr) nats per symbol, COMPLEX_FADING carries
-    ln(1+snr) nats per symbol (two independent real dimensions).
-    """
-
-    REAL_AWGN = "real_awgn"
-    COMPLEX_FADING = "complex_fading"
 
 
 def sinr_awgn(power: float, active_users: int) -> float:
@@ -60,14 +48,16 @@ def sinr_fading(power: float, gains, active_from: int, j: int) -> float:
     return power * gains[j - 1] / (1.0 + math.fsum(others))
 
 
-def capacity(snr, field: Field = Field.REAL_AWGN):
-    """Gaussian channel capacity in nats per symbol at the given SINR."""
+def capacity(snr, dims: int = 1):
+    """Gaussian channel capacity in nats per symbol at the given SINR.
+
+    Each symbol spends `dims` real dimensions at 0.5*ln(1+snr) nats each:
+    1 for a real AWGN link, 2 for a complex (fading) link.
+    """
     snr = np.asarray(snr, dtype=float)
     if np.any(snr < 0.0):
         raise ValueError("snr must be non-negative")
-    c = np.log1p(snr)
-    if field is Field.REAL_AWGN:
-        c = 0.5 * c
+    c = dims * 0.5 * np.log1p(snr)
     return c if c.ndim else float(c)
 
 
@@ -93,7 +83,7 @@ def info_density_increment(x, y, power: float, noise_var: float):
           + y^2 / (2*(power+noise_var)) - (y-x)^2 / (2*noise_var)
 
     Accepts scalars or arrays (broadcast).  Its expectation over the channel
-    equals capacity(power/noise_var, REAL_AWGN).
+    equals capacity(power/noise_var).
     """
     if not noise_var > 0.0:
         raise ValueError(f"noise_var must be positive, got {noise_var}")

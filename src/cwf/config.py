@@ -14,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .lengths import AwgnScenario, QueueScenario, message_threshold, rayleigh_order_means
+from .waterfill import FastFadingScenario
+
 KINDS = ("thm1_sweep", "queue_sweep", "fading_sweep", "waterfill_sweep", "validate")
 
 #: fixed seed used by `cwf validate` when none is given
@@ -67,18 +70,30 @@ class ExperimentConfig:
         if self.kind in ("thm1_sweep", "queue_sweep", "fading_sweep"):
             if not 0.0 < self.epsilon <= 0.5:  # the fixed_n baseline column
                 raise ConfigError(f"{self.kind} needs epsilon in (0, 0.5], got {self.epsilon}")
-        if self.kind in ("thm1_sweep", "queue_sweep"):
-            if len(self.payload_bits) < 1:
-                raise ConfigError(f"{self.kind} needs per-user payload_bits")
         if self.kind == "queue_sweep" and not self.t_sub:
             raise ConfigError("queue_sweep needs a non-empty t_sub grid")
-        if self.kind == "fading_sweep":
-            if len(self.payload_bits) != 1:
-                raise ConfigError("fading_sweep takes exactly one common payload")
-            if self.s_count < 1:
-                raise ConfigError("fading_sweep needs s_count >= 1")
+        if self.kind == "fading_sweep" and len(self.payload_bits) != 1:
+            raise ConfigError("fading_sweep takes exactly one common payload")
         if self.kind == "waterfill_sweep" and not self.s_counts:
             raise ConfigError("waterfill_sweep needs a non-empty s_counts grid")
+        try:
+            self._build_scenarios()
+        except (ValueError, OverflowError) as exc:  # OverflowError: dB too large
+            raise ConfigError(str(exc)) from exc
+
+    def _build_scenarios(self):
+        """Build what the sweep builds, so its own checks reject the config."""
+        for power in map(db_to_linear, self.snr_db):
+            if self.kind in ("thm1_sweep", "queue_sweep"):
+                sc = AwgnScenario(self.payload_bits, power, self.epsilon)
+                for t_sub in self.t_sub if self.kind == "queue_sweep" else ():
+                    QueueScenario(sc, t_sub)
+            elif self.kind == "waterfill_sweep":
+                for s_count in self.s_counts:
+                    FastFadingScenario(s_count, power)
+        if self.kind == "fading_sweep":
+            rayleigh_order_means(self.s_count)
+            message_threshold(self.payload_bits[0])
 
     @property
     def resolved_seed(self) -> int:

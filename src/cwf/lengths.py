@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .channel import LN2, Field, capacity, dispersion, sinr_awgn, sinr_fading
+from .channel import LN2, capacity, dispersion, sinr_awgn, sinr_fading
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 0.5], got {epsilon}")
     kappa = payload_bits * LN2
-    c = capacity(snr, Field.REAL_AWGN)
+    c = capacity(snr)
     v = dispersion(snr)
     qinv = float(ndtri(1.0 - epsilon))
     # largest real root of kappa = x*c - sqrt(x*v)*qinv in real dimensions x
@@ -135,7 +135,7 @@ def _awgn_phase_capacities(sc: AwgnScenario) -> np.ndarray:
     """caps[t-1] = capacity during phase t, when S-t+1 users are active."""
     s = sc.s_count
     return np.array(
-        [capacity(sinr_awgn(sc.power, s - t + 1), Field.REAL_AWGN) for t in range(1, s + 1)]
+        [capacity(sinr_awgn(sc.power, s - t + 1)) for t in range(1, s + 1)]
     )
 
 
@@ -219,7 +219,7 @@ def fading_vlsf_coeffs(gains, power: float) -> np.ndarray:
 
     def cap_sj(s: int, j: int) -> float:
         # s users active means users S-s+1..S are still transmitting
-        return capacity(sinr_fading(power, gains, s_total - s + 1, j), Field.COMPLEX_FADING)
+        return capacity(sinr_fading(power, gains, s_total - s + 1, j), dims=2)
 
     a = np.empty(s_total)
     a[0] = 1.0 / cap_sj(s_total, 1)

@@ -22,6 +22,13 @@ bulk samplers; block sizes are part of the output contract, so results do
 not depend on execution order, and identical (scenario, plan) pairs
 produce bit-identical outcomes.
 
+One draw rule serves every walk: symbol t takes the next 2*dims normals
+of its trial's stream for each active user, in user order, the input and
+then the noise.  In the error-rate check the competing codewords then take
+the (M-1)*tau normals that follow the true walk's 2*tau.  Walks look ahead
+in chunks of at most `_MAX_CHUNK` symbols but keep every normal they did
+not use, so look-ahead never changes a result.
+
 Capped trials are never dropped silently: they enter the means at the cap
 value (a lower bound) and are counted in `cap_hits`.
 """
@@ -42,8 +49,8 @@ _MASK64 = (1 << 64) - 1
 #: default per-trial symbol cap, as a multiple of the predicted mean length
 CAP_FACTOR = 50.0
 
-#: chunk ceiling keeps single draws bounded in memory
-_MAX_CHUNK = 1 << 17
+#: longest look-ahead of any walk, in symbols; bounds memory, never results
+_MAX_CHUNK = 1 << 15
 
 #: trials per stream in the bulk samplers (`mc_capacity`, order statistics)
 BLOCK = 1 << 16
@@ -149,23 +156,11 @@ class ErrorRateEstimate:
 
     @property
     def upper95(self) -> float:
-        return self.rate + 1.96 * self.se
-
-
-def _draw_increments(rng, snr: float, count: int, dims: int) -> np.ndarray:
-    """Information-density increments for `count` channel symbols.
-
-    Each symbol spends `dims` real dimensions (2 for a complex link); the
-    per-dimension increments share the symbol SINR and are summed.  The
-    (power, noise) pair is normalized to (snr, 1), which leaves the
-    increment distribution unchanged.
-    """
-    z = rng.standard_normal((2, dims * count))
-    x = math.sqrt(snr) * z[0]
-    inc = info_density_increment(x, x + z[1], snr, 1.0)
-    if dims == 1:
-        return inc
-    return inc.reshape(count, dims).sum(axis=1)
+        """Upper limit of the 95% Wilson score interval, positive even when
+        no error occurred."""
+        n, z2 = self.trials, 1.96**2
+        spread = math.sqrt(z2 * self.rate * (1.0 - self.rate) / n + z2 * z2 / (4.0 * n * n))
+        return (self.rate + z2 / (2.0 * n) + spread) / (1.0 + z2 / n)
 
 
 def _mean_rate(snr: float, dims: int) -> float:
@@ -177,9 +172,14 @@ def _walk_trial(rng, thresholds, snr_for, dims, max_symbols, t_sub=None, congest
     (or the cap) and which users never crossed.
 
     `snr_for(active_mask)` yields each user's SINR under the current active
-    set.  The walk advances in chunks; the earliest in-chunk crossing ends
-    the chunk because it changes the interference felt by everyone else, so
-    later draws in that chunk are discarded and redrawn at the new SINR.
+    set.  Symbol t takes the next 2*dims normals of the stream for each
+    active user, in user order: the input, then the noise; a symbol spends
+    `dims` real dimensions (2 for a complex link) whose increments share the
+    symbol SINR, and crossings are checked once per symbol.  The walk looks
+    ahead in chunks, each a (chunk, active users, 2, dims) view of a buffer
+    of drawn normals; the earliest in-chunk crossing ends the chunk, because
+    it changes the interference felt by everyone else, and the normals after
+    it stay in the buffer for the next chunk.  Chunk sizes affect speed only.
 
     A crossing user resets its accumulation and stays active when it is
     `congested`; any other user goes silent until the next interval
@@ -194,6 +194,7 @@ def _walk_trial(rng, thresholds, snr_for, dims, max_symbols, t_sub=None, congest
     active = np.ones(s_total, dtype=bool)
     stop = np.full(s_total, max_symbols, dtype=np.int64)
     done = np.zeros(s_total, dtype=bool)
+    spare = np.empty(0)  # drawn but unused normals, in stream order
     t = 0
     interval = 1
     boundary = math.inf if t_sub is None else int(round(t_sub))
@@ -208,32 +209,32 @@ def _walk_trial(rng, thresholds, snr_for, dims, max_symbols, t_sub=None, congest
         )
         chunk = int(min(max(16.0, 1.25 * need + 8.0), float(boundary - t),
                         float(max_symbols - t), _MAX_CHUNK))
-        cums = {}
-        first = None
-        for u in users:
-            cum = acc[u] + np.cumsum(_draw_increments(rng, snr[u], chunk, dims))
-            cums[u] = cum
-            hit = cum >= thresholds[u]
+        width = len(users) * 2 * dims  # normals per symbol
+        if spare.size < chunk * width:
+            spare = np.concatenate([spare, rng.standard_normal(chunk * width - spare.size)])
+        z = spare[:chunk * width].reshape(chunk, len(users), 2, dims)
+        used = chunk
+        cums = []
+        for i, u in enumerate(users):
+            x = math.sqrt(snr[u]) * z[:, i, 0]
+            inc = info_density_increment(x, x + z[:, i, 1], snr[u], 1.0)
+            inc[0, 0] += acc[u]  # the running sum is the same float whatever the chunking
+            cums.append(np.cumsum(inc)[dims - 1::dims])  # summed over dims, per symbol
+            hit = cums[-1][:used] >= thresholds[u]
             if hit.any():
-                j = int(np.argmax(hit))
-                if first is None or j < first:
-                    first = j
-        if first is None:
-            for u in users:
-                acc[u] = cums[u][-1]
-            t += chunk
-        else:
-            t += first + 1
-            for u in users:
-                acc[u] = cums[u][first]
-                if acc[u] >= thresholds[u]:
-                    if not done[u]:
-                        stop[u] = t
-                        done[u] = True
-                    if congested[u]:
-                        acc[u] = 0.0  # next queued packet starts immediately
-                    else:
-                        active[u] = False
+                used = int(np.argmax(hit)) + 1
+        spare = spare[used * width:]
+        t += used
+        for i, u in enumerate(users):
+            acc[u] = cums[i][used - 1]
+            if acc[u] >= thresholds[u]:
+                if not done[u]:
+                    stop[u] = t
+                    done[u] = True
+                if congested[u]:
+                    acc[u] = 0.0  # next queued packet starts immediately
+                else:
+                    active[u] = False
         if t == boundary:  # packet arrival: light users restart
             acc[light] = 0.0
             active[light] = True
@@ -384,28 +385,27 @@ def simulate_error_probability(payload_bits: float, snr: float, plan: TrialPlan,
     errors = 0
     cap_hits = 0
     for rng, _ in streams(plan, 1):
-        received = np.empty(0)
-        acc = 0.0
-        tau = None
-        while tau is None and received.size < cap:
-            chunk = min(int(2.0 * threshold / rate) + 32, cap - received.size)
-            z = rng.standard_normal((2, chunk))
-            y = sqrt_snr * z[0] + z[1]
-            inc = info_density_increment(sqrt_snr * z[0], y, snr, 1.0)
-            cum = acc + np.cumsum(inc)
-            hit = cum >= threshold
-            if hit.any():
-                j = int(np.argmax(hit))
-                received = np.concatenate([received, y[: j + 1]])
-                tau = received.size
-            else:
-                acc = cum[-1]
-                received = np.concatenate([received, y])
-        if tau is None:
+        # symbol t reads row t: the input, then the noise; the window doubles
+        z = rng.standard_normal((min(int(2.0 * threshold / rate) + 32, cap, _MAX_CHUNK), 2))
+        while True:
+            x = sqrt_snr * z[:, 0]
+            received = x + z[:, 1]
+            crossed = np.cumsum(info_density_increment(x, received, snr, 1.0)) >= threshold
+            if crossed.any() or len(z) == cap:
+                break
+            z = np.concatenate([z, rng.standard_normal((min(len(z), cap - len(z), _MAX_CHUNK), 2))])
+        if crossed.any():
+            tau = int(np.argmax(crossed)) + 1
+        else:
+            tau = cap
             cap_hits += 1  # undecided truth; competitors may still cross
-        if m_codewords > 1 and received.size:
-            false_x = sqrt_snr * rng.standard_normal((m_codewords - 1, received.size))
-            false_inc = info_density_increment(false_x, received[None, :], snr, 1.0)
+        if m_codewords > 1:
+            # competitors take the (M-1)*tau normals after the truth walk's 2*tau
+            count = (m_codewords - 1) * tau
+            spare = z[tau:].ravel()
+            false_z = np.concatenate([spare, rng.standard_normal(max(count - spare.size, 0))])
+            false_x = sqrt_snr * false_z[:count].reshape(m_codewords - 1, tau)
+            false_inc = info_density_increment(false_x, received[None, :tau], snr, 1.0)
             if (np.cumsum(false_inc, axis=1) >= threshold).any():
                 errors += 1
     rate_hat = errors / plan.trials

@@ -79,6 +79,25 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     return meta
 
 
+def _sim_header(s: int) -> list[str]:
+    """Simulation columns of the walk sweeps, per user then per point."""
+    return ([f"sim_mean_{u}" for u in range(1, s + 1)]
+            + [f"sim_ci95_{u}" for u in range(1, s + 1)]
+            + [f"sim_cap_hits_{u}" for u in range(1, s + 1)]
+            + ["sim_diverged", "trials", "point_seed"])
+
+
+def _sim_cells(cfg: ExperimentConfig, s: int, index: int, simulate) -> list:
+    """Cells under `_sim_header`: `simulate(plan)` run at grid point `index`,
+    or empty cells for an analytic-only config."""
+    if cfg.trials == 0:
+        return [None] * (3 * s + 3)
+    seed = point_seed(cfg.resolved_seed, index)
+    outcome = simulate(TrialPlan(cfg.trials, seed))
+    return [*outcome.mean, *outcome.ci95, *outcome.cap_hits, outcome.cap_flagged,
+            cfg.trials, seed]
+
+
 def run_thm1_sweep(cfg: ExperimentConfig, out=None):
     """Fixed-length baseline vs cancellation-aware lengths over an SNR grid."""
     s = len(cfg.payload_bits)
@@ -86,10 +105,7 @@ def run_thm1_sweep(cfg: ExperimentConfig, out=None):
     header += [f"payload_bits_{u}" for u in range(1, s + 1)]
     header += [f"vlsf_len_{u}" for u in range(1, s + 1)]
     header += [f"vlsf_raw_len_{u}" for u in range(1, s + 1)]
-    header += ["fixed_n", "savings_ratio"]
-    header += [f"sim_mean_{u}" for u in range(1, s + 1)]
-    header += [f"sim_ci95_{u}" for u in range(1, s + 1)]
-    header += ["trials", "point_seed"]
+    header += ["fixed_n", "savings_ratio", *_sim_header(s)]
 
     rows = []
     for i, snr_db in enumerate(cfg.snr_db):
@@ -98,15 +114,9 @@ def run_thm1_sweep(cfg: ExperimentConfig, out=None):
         ell = awgn_vlsf_lengths(sc)
         raw = awgn_vlsf_lengths(AwgnScenario(cfg.payload_bits, p, 0.0))
         fixed_n = fixed_length_blocklength(cfg.payload_bits[-1], sinr_awgn(p, s), cfg.epsilon)
-        row = [snr_db, p, cfg.epsilon, *cfg.payload_bits, *ell, *raw,
-               fixed_n, 1.0 - ell[-1] / fixed_n]
-        if cfg.trials > 0:
-            seed = point_seed(cfg.resolved_seed, i)
-            outcome = simulate_awgn_multiuser(sc, TrialPlan(cfg.trials, seed))
-            row += [*outcome.mean, *outcome.ci95, cfg.trials, seed]
-        else:
-            row += [None] * (2 * s) + [None, None]
-        rows.append(row)
+        rows.append([snr_db, p, cfg.epsilon, *cfg.payload_bits, *ell, *raw,
+                     fixed_n, 1.0 - ell[-1] / fixed_n,
+                     *_sim_cells(cfg, s, i, lambda plan: simulate_awgn_multiuser(sc, plan))])
     return write_csv(out, _metadata(cfg), header, rows)
 
 
@@ -117,10 +127,7 @@ def run_queue_sweep(cfg: ExperimentConfig, out=None):
     for u in range(1, s + 1):
         header += [f"full_intervals_{u}", f"leftover_nats_{u}",
                    f"leftover_stage_{u}", f"queue_len_{u}"]
-    header += ["fixed_n", "savings_ratio"]
-    header += [f"sim_mean_{u}" for u in range(1, s + 1)]
-    header += [f"sim_ci95_{u}" for u in range(1, s + 1)]
-    header += ["sim_diverged", "trials", "point_seed"]
+    header += ["fixed_n", "savings_ratio", *_sim_header(s)]
 
     rows = []
     index = 0
@@ -135,14 +142,8 @@ def run_queue_sweep(cfg: ExperimentConfig, out=None):
             for u in range(s):
                 row += [br.full_intervals[u], br.leftover_nats[u],
                         br.leftover_stage[u], br.lengths[u]]
-            row += [fixed_n, 1.0 - br.lengths[-1] / fixed_n]
-            if cfg.trials > 0:
-                seed = point_seed(cfg.resolved_seed, index)
-                outcome = simulate_queue(qs, TrialPlan(cfg.trials, seed))
-                row += [*outcome.mean, *outcome.ci95,
-                        outcome.cap_flagged, cfg.trials, seed]
-            else:
-                row += [None] * (2 * s) + [None, None, None]
+            row += [fixed_n, 1.0 - br.lengths[-1] / fixed_n,
+                    *_sim_cells(cfg, s, index, lambda plan: simulate_queue(qs, plan))]
             rows.append(row)
             index += 1
     return write_csv(out, _metadata(cfg), header, rows)
@@ -156,10 +157,7 @@ def run_fading_sweep(cfg: ExperimentConfig, out=None):
     header = ["snr_db", "power", "s_count", "payload_bits"]
     header += [f"coeff_a_{u}" for u in range(1, s + 1)]
     header += [f"typical_len_{u}" for u in range(1, s + 1)]
-    header += ["fixed_n", "savings_ratio"]
-    header += [f"sim_mean_{u}" for u in range(1, s + 1)]
-    header += [f"sim_ci95_{u}" for u in range(1, s + 1)]
-    header += ["trials", "point_seed"]
+    header += ["fixed_n", "savings_ratio", *_sim_header(s)]
 
     gamma = message_threshold(payload)
     rows = []
@@ -169,15 +167,10 @@ def run_fading_sweep(cfg: ExperimentConfig, out=None):
         typical = (1.0 - cfg.epsilon) * coeffs * gamma
         worst_snr = sinr_fading(p, gains, 1, s)  # weakest user, everyone active
         fixed_n = fixed_length_blocklength(payload, worst_snr, cfg.epsilon, dims=2)
-        row = [snr_db, p, s, payload, *coeffs, *typical,
-               fixed_n, 1.0 - typical[-1] / fixed_n]
-        if cfg.trials > 0:
-            seed = point_seed(cfg.resolved_seed, i)
-            outcome = simulate_rayleigh_block_fading(s, payload, p, TrialPlan(cfg.trials, seed))
-            row += [*outcome.mean, *outcome.ci95, cfg.trials, seed]
-        else:
-            row += [None] * (2 * s) + [None, None]
-        rows.append(row)
+        rows.append([snr_db, p, s, payload, *coeffs, *typical,
+                     fixed_n, 1.0 - typical[-1] / fixed_n,
+                     *_sim_cells(cfg, s, i, lambda plan: simulate_rayleigh_block_fading(
+                         s, payload, p, plan))])
     return write_csv(out, _metadata(cfg), header, rows)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import exp1
 
 from . import __version__
-from .channel import LN2, Field, capacity, sinr_awgn
+from .channel import LN2, capacity, sinr_awgn
 from .config import DEFAULT_VALIDATE_SEED, point_seed
 from .lengths import (
     AwgnScenario,
@@ -103,8 +103,7 @@ def _c1_awgn_vs_simulation(seed: int, scale: float) -> CriterionResult:
 def _c2_single_user_identity(seed: int, scale: float) -> CriterionResult:
     sc = AwgnScenario((1000.0,), 1.0, 1e-3)
     ell = awgn_vlsf_lengths(sc)[0]
-    direct = (1.0 - sc.epsilon) * message_threshold(1000.0) / capacity(
-        sinr_awgn(1.0, 1), Field.REAL_AWGN)
+    direct = (1.0 - sc.epsilon) * message_threshold(1000.0) / capacity(sinr_awgn(1.0, 1))
     rel = abs(ell - direct) / direct
     return CriterionResult(
         2, "single_user_reduction",
@@ -117,7 +116,7 @@ def _c2_single_user_identity(seed: int, scale: float) -> CriterionResult:
 def _c3_cancellation_gain(seed: int, scale: float) -> CriterionResult:
     sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
     ell2 = awgn_vlsf_lengths(sc)[-1]
-    baseline = message_threshold(1000.0) / capacity(sinr_awgn(1.0, 2), Field.REAL_AWGN)
+    baseline = message_threshold(1000.0) / capacity(sinr_awgn(1.0, 2))
     ratio = ell2 / baseline
     return CriterionResult(
         3, "interference_cancellation_gain",

@@ -111,6 +111,23 @@ def test_fading_sweep_columns(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("kind,fields", [
+    ("thm1_sweep", {"payload_bits": (100.0, 300.0)}),
+    ("queue_sweep", {"payload_bits": (100.0, 300.0), "t_sub": (40.0,)}),
+    ("fading_sweep", {"payload_bits": (100.0,), "s_count": 2}),
+])
+def test_walk_sweeps_report_cap_hits_per_user(kind, fields):
+    cfg = ExperimentConfig(kind=kind, snr_db=(0.0,), trials=3, seed=5, **fields)
+    run = {"thm1_sweep": run_thm1_sweep, "queue_sweep": run_queue_sweep,
+           "fading_sweep": run_fading_sweep}[kind]
+    lines = [l for l in run(cfg, None).splitlines() if not l.startswith("#")]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    hits = [int(row[f"sim_cap_hits_{u}"]) for u in (1, 2)]
+    assert all(0 <= h <= 3 for h in hits)
+    # diverged: more than 1% of the 3 trials capped for some user
+    assert row["sim_diverged"] == ("true" if max(hits) > 0.03 else "false")
+
+
 def test_waterfill_sweep_ordering_columns():
     cfg = ExperimentConfig(kind="waterfill_sweep", snr_db=(0.0,), s_counts=(1, 2))
     text, failures = run_waterfill_sweep(cfg, None)
@@ -159,6 +176,23 @@ def test_cli_rejects_epsilon_outside_fixed_length_domain(tmp_path, sub, epsilon)
     # the fixed_n baseline column needs epsilon in (0, 0.5]
     cfg = default_config(f"{sub}_sweep").to_dict()
     cfg["epsilon"] = epsilon
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert main([sub, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub,fields", [
+    ("waterfill", {"s_counts": [0]}),
+    ("thm1", {"payload_bits": [1000.0, 300.0]}),
+    ("fading", {"payload_bits": [1.0]}),
+    ("queue", {"t_sub": [-5.0]}),
+], ids=["waterfill_no_users", "thm1_decreasing_payloads", "fading_tiny_payload",
+        "queue_negative_interval"])
+def test_cli_rejects_out_of_domain_scenarios(tmp_path, sub, fields):
+    # the sweeps' own scenario checks run at config time: exit 2, no CSV
+    cfg = {**default_config(f"{sub}_sweep").to_dict(), **fields}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "x.csv"

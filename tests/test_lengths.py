@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from cwf.channel import Field, capacity, sinr_awgn
+from cwf.channel import capacity, sinr_awgn
 from cwf.lengths import (
     AwgnScenario,
     QueueScenario,
@@ -90,7 +90,7 @@ def test_fixed_length_blocklength_epsilon_half_boundary():
     # Qinv(0.5) = 0 removes the dispersion penalty
     snr = 0.8
     kappa = 500.0 * LN2
-    expect = math.ceil(kappa / capacity(snr, Field.REAL_AWGN))
+    expect = math.ceil(kappa / capacity(snr))
     assert fixed_length_blocklength(500.0, snr, 0.5) == expect
 
 
@@ -135,7 +135,7 @@ def test_awgn_lengths_three_users_oracle():
 
 def test_awgn_single_user_closed_form():
     sc = AwgnScenario((1000.0,), 1.0, 1e-3)
-    want = (1.0 - 1e-3) * message_threshold(1000.0) / capacity(1.0, Field.REAL_AWGN)
+    want = (1.0 - 1e-3) * message_threshold(1000.0) / capacity(1.0)
     assert awgn_vlsf_lengths(sc)[0] == pytest.approx(want, rel=1e-15)
 
 
@@ -167,7 +167,7 @@ def test_awgn_lengths_monotone_and_gain_bound(params):
     lengths = awgn_vlsf_lengths(sc)
     assert np.all(np.diff(lengths) > 0) or s_count == 1
     # full-interference baseline: equality for user 1, strict gain after
-    cap_full = capacity(sinr_awgn(power, s_count), Field.REAL_AWGN)
+    cap_full = capacity(sinr_awgn(power, s_count))
     for s in range(1, s_count + 1):
         baseline = (1.0 - eps) * message_threshold(sc.payload_bits[s - 1]) / cap_full
         if s == 1 or s_count == 1:
@@ -254,7 +254,7 @@ def test_queue_heavy_congestion_approaches_full_interference():
     sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
     br = queue_vlsf_lengths(QueueScenario(sc, 10.0))
     assert br.r == 0
-    cap_full = capacity(sinr_awgn(1.0, 2), Field.REAL_AWGN)
+    cap_full = capacity(sinr_awgn(1.0, 2))
     for u, k in enumerate(sc.payload_bits):
         full = message_threshold(k) / cap_full
         assert br.lengths[u] == pytest.approx(full, rel=0.05)

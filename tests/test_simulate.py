@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cwf.channel import Field, capacity, info_density_increment, sinr_awgn
+from cwf import simulate
+from cwf.channel import capacity, info_density_increment, sinr_awgn
 from cwf.lengths import (
     AwgnScenario,
     QueueScenario,
@@ -15,6 +16,7 @@ from cwf.lengths import (
     queue_vlsf_lengths,
 )
 from cwf.simulate import (
+    ErrorRateEstimate,
     TrialPlan,
     estimate,
     simulate_awgn_multiuser,
@@ -92,25 +94,50 @@ def test_estimate_merges_blocks_like_two_pass(n, k, seed, fractions):
 SC_PIN = AwgnScenario((100.0, 300.0), 1.0, 0.0)
 
 
-@pytest.mark.parametrize("run,stop_sums,cap_hits", [
-    (lambda: simulate_awgn_multiuser(SC_PIN, TrialPlan(200, 1)), [73076, 153899], [0, 0]),
+PINNED = pytest.mark.parametrize("run,stop_sums,cap_hits", [
+    (lambda: simulate_awgn_multiuser(SC_PIN, TrialPlan(200, 1)), [73611, 152968], [0, 0]),
     (lambda: simulate_awgn_multiuser(SC_PIN, TrialPlan(200, 2), interference_cancellation=False),
-     [73394, 211256], [0, 0]),
+     [72321, 212808], [0, 0]),
     (lambda: simulate_queue(QueueScenario(SC_PIN, 300.0), TrialPlan(200, 3)),
-     [73162, 210957], [0, 0]),
+     [73260, 210190], [0, 0]),
     (lambda: simulate_queue(QueueScenario(SC_PIN, 40.0), TrialPlan(40, 4, max_symbols=300)),
-     [11928, 12000], [35, 40]),
+     [11974, 12000], [36, 40]),
     (lambda: simulate_block_fading([1.5, 0.5], 300.0, 1.0, TrialPlan(200, 5)),
-     [62421, 138619], [0, 0]),
+     [61050, 139152], [0, 0]),
     (lambda: simulate_rayleigh_block_fading(2, 200.0, 1.0, TrialPlan(100, 6)),
-     [34906, 326316], [0, 0]),
+     [34812, 336701], [0, 0]),
 ], ids=["awgn", "awgn_no_cancellation", "queue", "queue_capped", "block_fading", "rayleigh"])
+
+
+@PINNED
 def test_walk_engine_pinned_stop_sums(run, stop_sums, cap_hits):
     # integer sums of stopping times pin the draws and crossings exactly; a
     # change of RNG consumption must update them deliberately
     out = run()
     assert [int(round(m * out.trials)) for m in out.mean] == stop_sums
     assert out.cap_hits.tolist() == cap_hits
+
+
+@PINNED
+def test_walk_outcomes_do_not_depend_on_look_ahead(monkeypatch, run, stop_sums, cap_hits):
+    # look-ahead keeps unused normals for the next chunk, so the chunk cap
+    # changes speed only
+    outs = []
+    for max_chunk in (7, 1000):
+        monkeypatch.setattr(simulate, "_MAX_CHUNK", max_chunk)
+        outs.append(run())
+    a, b = outs
+    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.se, b.se)
+    assert np.array_equal(a.cap_hits, b.cap_hits)
+    assert [int(round(m * a.trials)) for m in a.mean] == stop_sums
+
+
+def test_error_rate_does_not_depend_on_look_ahead(monkeypatch):
+    outs = []
+    for max_chunk in (7, 1000):
+        monkeypatch.setattr(simulate, "_MAX_CHUNK", max_chunk)
+        outs.append(simulate_error_probability(8.0, 1.0, TrialPlan(300, 51)))
+    assert outs[0] == outs[1]
 
 
 def test_queue_reduces_to_plain_walk_without_congestion():
@@ -128,7 +155,7 @@ def test_wald_identity_and_single_user_mean():
     # independent fixed-horizon oracle walk, built directly on the increment
     payload, snr, trials, horizon = 100.0, 1.0, 4000, 500
     gamma = message_threshold(payload)
-    cap = capacity(snr, Field.REAL_AWGN)
+    cap = capacity(snr)
     rng = np.random.default_rng(8)
     x = math.sqrt(snr) * rng.standard_normal((trials, horizon))
     y = x + rng.standard_normal((trials, horizon))
@@ -162,7 +189,7 @@ def test_cancellation_strictly_shortens_second_user():
     se = math.hypot(with_ic.se[1], control.se[1])
     assert gap >= 3.0 * se
     # control run sits near the full-interference closed form
-    full = message_threshold(300.0) / capacity(sinr_awgn(1.0, 2), Field.REAL_AWGN)
+    full = message_threshold(300.0) / capacity(sinr_awgn(1.0, 2))
     assert control.mean[1] == pytest.approx(full, rel=0.05)
 
 
@@ -248,6 +275,23 @@ def test_error_rate_zero_without_competitors():
 def test_error_rate_vanishes_at_large_threshold():
     est = simulate_error_probability(8.0, 1.0, TrialPlan(1500, 53), threshold=20.0)
     assert est.rate <= 2.0 / 1500.0
+
+
+def test_error_rate_bound_positive_without_errors():
+    # a zero-error run still carries a 95% bound: Wilson's 1.96^2/(n + 1.96^2)
+    est = simulate_error_probability(8.0, 1.0, TrialPlan(300, 53), threshold=20.0)
+    assert est.errors == 0 and est.se == 0.0
+    assert est.upper95 == pytest.approx(1.96**2 / (300 + 1.96**2), rel=1e-12)
+    assert est.upper95 > 0.0
+
+
+def test_error_rate_upper95_is_wilson_limit():
+    est = ErrorRateEstimate(rate=0.25, se=math.sqrt(0.25 * 0.75 / 40), errors=10,
+                            trials=40, cap_hits=0)
+    z = 1.96
+    centre = (0.25 + z * z / 80) / (1 + z * z / 40)
+    half = z / (1 + z * z / 40) * math.sqrt(0.25 * 0.75 / 40 + z * z / (4 * 40 * 40))
+    assert est.upper95 == pytest.approx(centre + half, rel=1e-12)
 
 
 def test_error_rate_decreases_with_threshold():
