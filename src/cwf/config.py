@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -31,6 +32,10 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a kind, its parameter grid, trial budget and seed."""
@@ -49,13 +54,19 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
         object.__setattr__(self, "payload_bits", tuple(float(v) for v in self.payload_bits))
-        object.__setattr__(self, "s_counts", tuple(int(v) for v in self.s_counts))
+        object.__setattr__(self, "s_counts", tuple(self.s_counts))
         object.__setattr__(self, "t_sub", tuple(float(v) for v in self.t_sub))
         self._check()
 
     def _check(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        for name in ("trials", "seed", "s_count"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (name == "seed" and value is None)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not all(map(_is_int, self.s_counts)):
+            raise ConfigError(f"s_counts must hold integers, got {list(self.s_counts)}")
         if self.trials < 0 or self.trials == 1:  # a standard error needs two trials
             raise ConfigError(f"trials must be 0 or >= 2, got {self.trials}")
         if not 0.0 <= self.epsilon < 1.0:

@@ -10,7 +10,10 @@ with f a slowly growing log-type factor:
   handles [a+1, inf) after shifting; the head [a, a+1] uses 64-node
   Gauss-Legendre panels whose widths grow geometrically from `scale`, so a
   branch point of f at distance `scale` below `a` never sits close to a
-  panel relative to its width.
+  panel relative to its width.  `a` and `scale` broadcast, so one call
+  integrates a whole grid of lower limits.  An element of an array call may
+  differ from the same scalar call in the last bit: a matrix-vector product
+  may sum in another order than the scalar 1-D dot product.
 * `adaptive_simpson` - classic recursive Simpson with Richardson
   extrapolation, used as the cross-check on a truncated interval.
 
@@ -36,31 +39,37 @@ _LEG_X, _LEG_W = leggauss(64)
 
 #: integrals truncated here for the Simpson cross-check; exp(-40) ~ 4e-18
 SIMPSON_SPAN = 40.0
+#: width of the Gauss-Legendre head [a, a + HEAD] before the Laguerre tail
+HEAD = 1.0
 
 
-def exp_tail_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float,
-                        scale: float = 1.0, head: float = 1.0) -> float:
-    """Integrate f(g)*exp(-g) over [a, inf).
+def exp_tail_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float | np.ndarray,
+                        scale: float | np.ndarray = 1.0) -> float | np.ndarray:
+    """Integrate f(g)*exp(-g) over [a, inf), one integral per element of a.
 
-    `scale` should bound the distance from `a` to the nearest singularity of
-    f below `a` (use 1.0 for smooth integrands).  `f` must accept arrays.
+    `a` and `scale` broadcast against each other; scalars give a float,
+    arrays an array of their broadcast shape.  `scale` should bound the
+    distance from `a` to the nearest singularity of f below `a` (use 1.0 for
+    smooth integrands).  `f` must accept arrays: it is called on `(..., 64)`
+    node arrays, one row of nodes per element.
     """
-    if not np.isfinite(a):
+    a, scale = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(scale, dtype=float))
+    if not np.isfinite(a).all():
         raise QuadratureError(f"non-finite lower limit {a}")
-    total = 0.0
-    # geometric panels covering [a, a + head]
-    lo = 0.0
-    width = min(max(scale, 1e-300), head)
-    while lo < head:
-        hi = min(lo + width, head)
+    total = np.zeros(a.shape)
+    # geometric panels covering [a, a + HEAD]; covered elements add half = 0
+    lo = np.zeros(a.shape)
+    width = np.minimum(np.maximum(scale, 1e-300), HEAD)
+    while (lo < HEAD).any():
+        hi = np.minimum(lo + width, HEAD)
         mid, half = a + 0.5 * (lo + hi), 0.5 * (hi - lo)
-        g = mid + half * _LEG_X
-        total += half * float(_LEG_W @ (f(g) * np.exp(-g)))
+        g = mid[..., None] + half[..., None] * _LEG_X
+        total += half * ((f(g) * np.exp(-g)) @ _LEG_W)
         lo, width = hi, 2.0 * width
-    # shifted Gauss-Laguerre on [a + head, inf)
-    shift = a + head
-    total += np.exp(-shift) * float(_LAG_W @ f(shift + _LAG_X))
-    return total
+    # shifted Gauss-Laguerre on [a + HEAD, inf)
+    shift = a + HEAD
+    total += np.exp(-shift) * (f(shift[..., None] + _LAG_X) @ _LAG_W)
+    return float(total) if total.ndim == 0 else total
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,

@@ -82,26 +82,31 @@ def single_user_threshold(power: float, s_count: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def lower_bound_terms(gamma_th: float, sc: FastFadingScenario):
+def lower_bound_terms(gamma_th: float | np.ndarray, sc: FastFadingScenario):
     """Non-zero terms of `capacity_lower_bound`, one per interferer count t.
 
     Yields (weight, denom, integrand): the binomial weight
     C(S-1,t) (1-q)^(S-1-t) q^t, the noise-plus-mean-interference level
     denom = q/p + t*(1+gamma_th) and the integrand g -> ln(1 + g/denom),
-    to be integrated against e^-g over [gamma_th, inf).
+    to be integrated against e^-g over [gamma_th, inf).  An array gamma_th
+    gives arrays of weights and levels, and an integrand taking one row of
+    nodes per element; a term is skipped only when every weight is 0.
     """
     s, p = sc.s_count, sc.power
-    pon = math.exp(-gamma_th)
+    grid = np.ndim(gamma_th) > 0
+    # math.exp for scalars: np.exp may differ in the last bit
+    pon = np.exp(-gamma_th) if grid else math.exp(-gamma_th)
     for t in range(s):
         weight = math.comb(s - 1, t) * (1.0 - pon) ** (s - 1 - t) * pon**t
-        if weight == 0.0:
+        if not np.any(weight):
             continue
         denom = pon / p + t * (1.0 + gamma_th)
-        yield weight, denom, lambda g, d=denom: np.log1p(g / d)
+        d = denom[..., None] if grid else denom
+        yield weight, denom, lambda g, d=d: np.log1p(g / d)
 
 
-def capacity_lower_bound(gamma_th: float, sc: FastFadingScenario, *,
-                         cross_check: bool = True) -> float:
+def capacity_lower_bound(gamma_th: float | np.ndarray, sc: FastFadingScenario, *,
+                         cross_check: bool = True) -> float | np.ndarray:
     """One-dimensional capacity lower bound of one user at threshold gamma_th.
 
     Conditions on the number t of active interferers (binomial over S-1
@@ -113,10 +118,11 @@ def capacity_lower_bound(gamma_th: float, sc: FastFadingScenario, *,
 
     with q = exp(-gamma_th).  Each integral runs through the primary
     exp-tail quadrature; with cross_check=True an adaptive Simpson
-    evaluation must agree to 1e-6 or QuadratureError is raised.
+    evaluation must agree to 1e-6 or QuadratureError is raised.  Without
+    the cross-check gamma_th may be an array, giving one bound per element.
     """
-    if gamma_th < 0.0:
-        raise ValueError(f"gamma_th must be non-negative, got {gamma_th}")
+    if np.any(np.less(gamma_th, 0.0)):
+        raise ValueError(f"gamma_th must be non-negative, got {np.min(gamma_th)}")
     total = 0.0
     for weight, denom, f in lower_bound_terms(gamma_th, sc):
         scale = denom + gamma_th  # distance from gamma_th to the log branch point
@@ -152,24 +158,29 @@ def _threshold_cap(s_count: int) -> float:
     return math.log(1000.0 * s_count)
 
 
-def optimize_threshold(sc: FastFadingScenario, *, grid_step: float = 0.01,
-                       refine_tol: float = 1e-6) -> ThresholdSearchResult:
+#: coarse grid step of the threshold search and the golden-section tolerance
+GRID_STEP = 0.01
+REFINE_TOL = 1e-6
+
+
+def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
     """Maximize the capacity lower bound over the on-off threshold.
 
-    Coarse grid (step 0.01) over [0, ln(1000*S)] followed by golden-section
-    refinement; the interference-blind threshold is also evaluated so the
-    reported objective pair always satisfies cl_at_multi >= cl_at_single.
+    Coarse grid (step 0.01, evaluated in one array call) over
+    [0, ln(1000*S)] followed by golden-section refinement; the
+    interference-blind threshold is also evaluated so the reported
+    objective pair always satisfies cl_at_multi >= cl_at_single.
     """
     cap = _threshold_cap(sc.s_count)
-    grid = np.arange(0.0, cap + grid_step, grid_step)
+    grid = np.arange(0.0, cap + GRID_STEP, GRID_STEP)
     objective = lambda g: capacity_lower_bound(float(g), sc, cross_check=False)
-    values = [objective(g) for g in grid]
+    values = capacity_lower_bound(grid, sc, cross_check=False)
     if not np.isfinite(values).all():
         raise QuadratureError("non-finite objective on the threshold grid")
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    gamma_multi = _golden_max(objective, float(lo), float(hi), refine_tol)
+    gamma_multi = _golden_max(objective, float(lo), float(hi), REFINE_TOL)
 
     gamma_single = single_user_threshold(sc.power, sc.s_count)
     cl_multi = capacity_lower_bound(gamma_multi, sc)

@@ -200,6 +200,27 @@ def test_cli_rejects_out_of_domain_scenarios(tmp_path, sub, fields):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "thm1_sweep", "snr_db": [0.0], "payload_bits": [300, 1000], "trials": 2.5, "seed": 1},
+    {"kind": "fading_sweep", "snr_db": [0.0], "payload_bits": [1000], "s_count": 2.5},
+    {"kind": "waterfill_sweep", "snr_db": [0.0], "s_counts": [2.5]},
+], ids=["thm1_trials", "fading_s_count", "waterfill_s_counts"])
+def test_cli_rejects_non_integer_counts(tmp_path, cfg):
+    # neither a crash in the sweep nor a silent truncation to 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert main([cfg["kind"].split("_")[0], "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_config_rejects_bool_and_float_integer_fields():
+    for fields in ({"trials": True}, {"seed": 1.0}, {"s_counts": [2.0]}, {"s_counts": [True]}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"kind": "waterfill_sweep", "snr_db": [0.0],
+                                        "s_counts": [1], "seed": 3, **fields})
+
+
 @pytest.mark.parametrize("sub", ["thm1", "queue", "fading", "waterfill"])
 def test_cli_rejects_single_trial(tmp_path, sub):
     # one trial has no standard error, so no 95% column can be written

@@ -24,11 +24,17 @@ def test_exp_tail_polynomial_moment():
     assert exp_tail_quadrature(lambda g: g * g, 0.0) == pytest.approx(2.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("a,d", [(0.0, 2.0), (0.0, 0.1), (0.0, 1e-4), (0.5, 0.05), (3.0, 1e-6)])
+@pytest.mark.parametrize("a,d", [
+    (0.0, 2.0), (0.0, 0.1), (0.0, 1e-4), (0.5, 0.05), (3.0, 1e-6),
+    pytest.param(np.array([0.0, 0.5, 3.0]), np.array([2.0, 0.05, 1e-6]), id="array"),
+])
 def test_exp_tail_log_integrand_vs_closed_form(a, d):
-    # int_a^inf ln(1+g/d) e^-g dg = e^-a ln(1+a/d) + e^d E1(d+a)
-    got = exp_tail_quadrature(lambda g: np.log1p(g / d), a, scale=d + a)
-    want = math.exp(-a) * math.log1p(a / d) + math.exp(d) * float(exp1(d + a))
+    # int_a^inf ln(1+g/d) e^-g dg = e^-a ln(1+a/d) + e^d E1(d+a); arrays
+    # broadcast, one integral per element, with one row of nodes per element
+    got = exp_tail_quadrature(lambda g: np.log1p(g / np.expand_dims(d, -1)), a, scale=d + a)
+    want = np.exp(-a) * np.log1p(a / d) + np.exp(d) * exp1(d + a)
+    assert isinstance(got, float if np.ndim(a) == 0 else np.ndarray)
+    assert np.shape(got) == np.shape(a)
     assert got == pytest.approx(want, abs=1e-11, rel=1e-11)
 
 

@@ -1,12 +1,17 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.special import exp1, lambertw
 
+from cwf import waterfill
 from cwf.simulate import BLOCK, TrialPlan, trial_stream
 from cwf.waterfill import (
+    GRID_STEP,
     FastFadingScenario,
+    _threshold_cap,
     capacity_lower_bound,
     evaluate_thresholds,
     lower_bound_terms,
@@ -59,6 +64,26 @@ def test_capacity_lower_bound_continuity():
     assert np.max(np.abs(np.diff(vals))) < 0.02
 
 
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.1, max_value=100.0),
+    st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_capacity_lower_bound_array_matches_scalar_calls(s_count, power, data):
+    # thresholds on the search's own lattice, so no two lie within rounding
+    top = int(_threshold_cap(s_count) / GRID_STEP)
+    steps = data.draw(st.lists(st.integers(min_value=0, max_value=top),
+                               min_size=1, max_size=40, unique=True))
+    grid = np.sort(steps) * GRID_STEP
+    sc = FastFadingScenario(s_count, power)
+    values = capacity_lower_bound(grid, sc, cross_check=False)
+    scalars = [capacity_lower_bound(float(g), sc, cross_check=False) for g in grid]
+    assert values.shape == grid.shape
+    assert values == pytest.approx(scalars, rel=1e-12)
+    assert np.argmax(values) == np.argmax(scalars)
+
+
 def test_optimize_threshold_interior_maximum_and_ordering():
     sc = FastFadingScenario(2, 1.0)
     res = optimize_threshold(sc)
@@ -76,6 +101,31 @@ def test_optimize_threshold_single_user_exists():
     assert res.gamma_single > 0.0
     assert math.isfinite(res.gamma_multi)
     assert res.cl_at_multi >= res.cl_at_single
+
+
+@pytest.mark.parametrize("s_count,power,want", [
+    (1, 0.1, (1.492451709109245, 0.16354983075373591, 1.7455280027406994)),
+    (4, 10.0, (1.4287702754764529, 0.5608892323311842, 1.0667683070416145)),
+    (8, 100.0, (2.0889086580135294, 0.42478748599629357, 1.5252073397422148)),
+])
+def test_optimize_threshold_pinned(s_count, power, want):
+    # (gamma_multi, cl_at_multi, gamma_single) as the scalar grid loop found them
+    res = optimize_threshold(FastFadingScenario(s_count, power))
+    assert (res.gamma_multi, res.cl_at_multi, res.gamma_single) == pytest.approx(want, rel=1e-12)
+
+
+def test_optimize_threshold_evaluates_grid_in_one_call(monkeypatch):
+    # one array call for the ~850-point grid, then the scalar refinement
+    calls = []
+    real = waterfill.capacity_lower_bound
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(waterfill, "capacity_lower_bound", counting)
+    optimize_threshold(FastFadingScenario(4, 1.0))
+    assert len(calls) < 100
 
 
 # --------------------------------------------------------------- Monte Carlo
