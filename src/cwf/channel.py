@@ -1,6 +1,9 @@
 """Shared link-level primitives: SINRs, capacity, dispersion and
 per-symbol information density increments.
 
+Every link has unit noise variance, so SINRs are powers over 1 plus the
+interference, and the information density takes the SINR as its power.
+
 All information quantities are in nats.  Payload sizes given in bits are
 converted at the boundary via kappa = K * ln(2).
 """
@@ -74,23 +77,21 @@ def dispersion(snr):
     return v if v.ndim else float(v)
 
 
-def info_density_increment(x, y, power: float, noise_var: float):
-    """Per-symbol information density log dP(y|x)/dP(y) for a Gaussian link.
+def info_density_increment(x, y, power: float):
+    """Per-symbol information density log dP(y|x)/dP(y) for a Gaussian link
+    at unit noise.
 
-    Input x ~ N(0, power), output y = x + w with w ~ N(0, noise_var):
+    Input x ~ N(0, power), output y = x + w with w ~ N(0, 1):
 
-        0.5*ln((power+noise_var)/noise_var)
-          + y^2 / (2*(power+noise_var)) - (y-x)^2 / (2*noise_var)
+        0.5*ln(power+1) + y^2 / (2*(power+1)) - (y-x)^2 / 2
 
     Accepts scalars or arrays (broadcast).  Its expectation over the channel
-    equals capacity(power/noise_var).
+    equals capacity(power).
     """
-    if not noise_var > 0.0:
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
     if not power > 0.0:
         raise ValueError(f"power must be positive, got {power}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    tot = power + noise_var
-    out = 0.5 * math.log(tot / noise_var) + y * y / (2.0 * tot) - (y - x) ** 2 / (2.0 * noise_var)
+    tot = power + 1.0
+    out = 0.5 * math.log(tot) + y * y / (2.0 * tot) - (y - x) ** 2 / 2.0
     return out if out.ndim else float(out)

@@ -17,7 +17,7 @@ with f a slowly growing log-type factor:
 * `adaptive_simpson` - classic recursive Simpson with Richardson
   extrapolation, used as the cross-check on a truncated interval.
 
-Disagreement between the two routes beyond the caller's tolerance raises
+Disagreement between the two routes beyond `AGREE_TOL` raises
 QuadratureError; callers treat that as a numeric failure, not a warning.
 """
 
@@ -41,6 +41,8 @@ _LEG_X, _LEG_W = leggauss(64)
 SIMPSON_SPAN = 40.0
 #: width of the Gauss-Legendre head [a, a + HEAD] before the Laguerre tail
 HEAD = 1.0
+#: largest accepted disagreement between the two routes, absolute
+AGREE_TOL = 1e-6
 
 
 def exp_tail_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float | np.ndarray,
@@ -102,19 +104,18 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     return recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, 0)
 
 
-def checked_exp_integral(f: Callable, a: float, scale: float = 1.0,
-                         agree_tol: float = 1e-6) -> float:
+def checked_exp_integral(f: Callable, a: float, scale: float = 1.0) -> float:
     """Primary exp-tail quadrature with an adaptive-Simpson cross-check.
 
     Returns the primary value; raises QuadratureError if the two routes
-    differ by more than `agree_tol`.
+    differ by more than `AGREE_TOL`.
     """
     primary = exp_tail_quadrature(f, a, scale=scale)
     check = adaptive_simpson(lambda g: float(f(np.asarray(g)) * np.exp(-g)),
-                             a, a + SIMPSON_SPAN, tol=agree_tol * 1e-3)
-    if abs(primary - check) > agree_tol:
+                             a, a + SIMPSON_SPAN, tol=AGREE_TOL * 1e-3)
+    if abs(primary - check) > AGREE_TOL:
         raise QuadratureError(
             f"quadrature routes disagree: {primary!r} vs {check!r} "
-            f"(|diff|={abs(primary - check):.3e} > {agree_tol})"
+            f"(|diff|={abs(primary - check):.3e} > {AGREE_TOL})"
         )
     return primary

@@ -11,7 +11,9 @@ the same walk plus a boundary schedule and two reset rules: at every
 packet-interval boundary the light users restart from zero, and a
 congested user that crosses resets its sum and stays active.  Only the
 true-codeword walk is tracked here; competing-codeword crossings are a
-separate, rarer event measured by `simulate_error_probability`.
+separate, rarer event measured by `simulate_error_probability`, which
+decodes payloads of 2 to 12 bits at their `message_threshold`.  Every
+increment is the unit-noise information density at the symbol's SINR.
 
 One estimator serves every Monte Carlo mean: `streams` hands out the
 trials of a plan in blocks, stream (s, k) of a run seeded with s serving
@@ -148,11 +150,17 @@ class StoppingOutcome(Estimate):
 class ErrorRateEstimate:
     """Empirical decoding error rate with a binomial standard error."""
 
-    rate: float
-    se: float
     errors: int
     trials: int
     cap_hits: int
+
+    @property
+    def rate(self) -> float:
+        return self.errors / self.trials
+
+    @property
+    def se(self) -> float:
+        return math.sqrt(max(self.rate * (1.0 - self.rate), 0.0) / self.trials)
 
     @property
     def upper95(self) -> float:
@@ -217,7 +225,7 @@ def _walk_trial(rng, thresholds, snr_for, dims, max_symbols, t_sub=None, congest
         cums = []
         for i, u in enumerate(users):
             x = math.sqrt(snr[u]) * z[:, i, 0]
-            inc = info_density_increment(x, x + z[:, i, 1], snr[u], 1.0)
+            inc = info_density_increment(x, x + z[:, i, 1], snr[u])
             inc[0, 0] += acc[u]  # the running sum is the same float whatever the chunking
             cums.append(np.cumsum(inc)[dims - 1::dims])  # summed over dims, per symbol
             hit = cums[-1][:used] >= thresholds[u]
@@ -251,35 +259,27 @@ def _run_trials(plan: TrialPlan, s_total: int, trial) -> StoppingOutcome:
     return StoppingOutcome(est.mean, est.se, est.trials, cap_hits=capped.sum(axis=0))
 
 
-def _awgn_snr_for(power: float, s_total: int, cancellation: bool = True):
+def _awgn_snr_for(power: float, s_total: int):
     def snr_for(active):
-        count = int(active.sum()) if cancellation else s_total
+        count = int(active.sum())
         return np.full(s_total, power / (1.0 + (count - 1) * power))
 
     return snr_for
 
 
-def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan, *,
-                            interference_cancellation: bool = True) -> StoppingOutcome:
+def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcome:
     """Coupled stopping times of S equal-power AWGN users.
 
     Every user holds the decoding threshold of its own payload; crossing
     deactivates it from the next symbol on.  No (1-epsilon) idling is
     applied, so means compare against the epsilon-free analytic lengths.
-    With interference_cancellation=False the interference stays at the
-    full-S level throughout (control experiment); own stopping times are
-    still recorded.
     """
     s_total = sc.s_count
     thresholds = np.array([message_threshold(k) for k in sc.payload_bits])
-    p = sc.power
-    snr_for = _awgn_snr_for(p, s_total, interference_cancellation)
+    snr_for = _awgn_snr_for(sc.power, s_total)
 
     base = AwgnScenario(sc.payload_bits, sc.power, 0.0)
-    predicted = _lengths.awgn_vlsf_lengths(base)[-1]
-    if not interference_cancellation:
-        predicted = thresholds[-1] / _mean_rate(p / (1.0 + (s_total - 1) * p), 1)
-    cap = plan.max_symbols or int(CAP_FACTOR * predicted)
+    cap = plan.max_symbols or int(CAP_FACTOR * _lengths.awgn_vlsf_lengths(base)[-1])
     return _run_trials(plan, s_total,
                        lambda rng: _walk_trial(rng, thresholds, snr_for, 1, cap))
 
@@ -361,23 +361,22 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
         rng, thresholds, snr_for, 1, cap, qs.t_sub, congested))
 
 
-def simulate_error_probability(payload_bits: float, snr: float, plan: TrialPlan,
-                               *, threshold: float | None = None) -> ErrorRateEstimate:
+def simulate_error_probability(payload_bits: float, snr: float,
+                               plan: TrialPlan) -> ErrorRateEstimate:
     """Empirical error rate of threshold decoding against M-1 false codewords.
 
-    Per trial, the true walk runs until its crossing; every competing
-    codeword then replays the same received symbols with its own independent
-    inputs, and an error is scored when any competitor crosses no later than
-    the true walk.  Payloads are capped at 12 bits so all 2^K walks fit.
-    Payloads below 2 bits need an explicit `threshold`.
+    Per trial, the true walk runs until its crossing at the payload's
+    `message_threshold`; every competing codeword then replays the same
+    received symbols with its own independent inputs, and an error is scored
+    when any competitor crosses no later than the true walk.  Payloads lie
+    in [2, 12] bits: the threshold needs 2, and all 2^K walks fit in 12.
     """
-    if payload_bits < 0 or payload_bits > 12:
-        raise ValueError("payload_bits must lie in [0, 12] to track all codewords")
+    if not 2 <= payload_bits <= 12:
+        raise ValueError(f"payload_bits must lie in [2, 12], got {payload_bits}")
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
     m_codewords = int(round(2.0**payload_bits))
-    if threshold is None:
-        threshold = message_threshold(payload_bits)
+    threshold = message_threshold(payload_bits)
     rate = _mean_rate(snr, 1)
     cap = plan.max_symbols or int(CAP_FACTOR * max(threshold, rate) / rate)
     sqrt_snr = math.sqrt(snr)
@@ -390,7 +389,7 @@ def simulate_error_probability(payload_bits: float, snr: float, plan: TrialPlan,
         while True:
             x = sqrt_snr * z[:, 0]
             received = x + z[:, 1]
-            crossed = np.cumsum(info_density_increment(x, received, snr, 1.0)) >= threshold
+            crossed = np.cumsum(info_density_increment(x, received, snr)) >= threshold
             if crossed.any() or len(z) == cap:
                 break
             z = np.concatenate([z, rng.standard_normal((min(len(z), cap - len(z), _MAX_CHUNK), 2))])
@@ -399,19 +398,15 @@ def simulate_error_probability(payload_bits: float, snr: float, plan: TrialPlan,
         else:
             tau = cap
             cap_hits += 1  # undecided truth; competitors may still cross
-        if m_codewords > 1:
-            # competitors take the (M-1)*tau normals after the truth walk's 2*tau
-            count = (m_codewords - 1) * tau
-            spare = z[tau:].ravel()
-            false_z = np.concatenate([spare, rng.standard_normal(max(count - spare.size, 0))])
-            false_x = sqrt_snr * false_z[:count].reshape(m_codewords - 1, tau)
-            false_inc = info_density_increment(false_x, received[None, :tau], snr, 1.0)
-            if (np.cumsum(false_inc, axis=1) >= threshold).any():
-                errors += 1
-    rate_hat = errors / plan.trials
-    se = math.sqrt(max(rate_hat * (1.0 - rate_hat), 0.0) / plan.trials)
-    return ErrorRateEstimate(rate=rate_hat, se=se, errors=errors,
-                             trials=plan.trials, cap_hits=cap_hits)
+        # competitors take the (M-1)*tau normals after the truth walk's 2*tau
+        count = (m_codewords - 1) * tau
+        spare = z[tau:].ravel()
+        false_z = np.concatenate([spare, rng.standard_normal(max(count - spare.size, 0))])
+        false_x = sqrt_snr * false_z[:count].reshape(m_codewords - 1, tau)
+        false_inc = info_density_increment(false_x, received[None, :tau], snr)
+        if (np.cumsum(false_inc, axis=1) >= threshold).any():
+            errors += 1
+    return ErrorRateEstimate(errors=errors, trials=plan.trials, cap_hits=cap_hits)
 
 
 def sorted_exponential_means(s_count: int, plan: TrialPlan) -> Estimate:

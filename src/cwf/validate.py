@@ -1,5 +1,6 @@
 """End-to-end validation: every analytic result is checked against its
-independent oracle at desk scale, with pinned tolerances.
+independent oracle at desk scale.  Each check fixes its own trial budget
+and tolerance; neither is a parameter of the run.
 
 `run_validate` executes the checks twice under the same seed and verifies
 the two serialized reports match byte for byte (the determinism check),
@@ -30,7 +31,13 @@ from .lengths import (
     queue_vlsf_lengths,
     rayleigh_order_means,
 )
-from .quadrature import QuadratureError, SIMPSON_SPAN, adaptive_simpson, exp_tail_quadrature
+from .quadrature import (
+    AGREE_TOL,
+    SIMPSON_SPAN,
+    QuadratureError,
+    adaptive_simpson,
+    exp_tail_quadrature,
+)
 from .simulate import (
     TrialPlan,
     simulate_awgn_multiuser,
@@ -82,25 +89,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def _c1_awgn_vs_simulation(seed: int, scale: float) -> CriterionResult:
+def _c1_awgn_vs_simulation(seed: int) -> CriterionResult:
     start = time.perf_counter()
     sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
     expected = awgn_vlsf_lengths(sc)
     outcome = simulate_awgn_multiuser(sc, TrialPlan(TRIALS_AWGN, seed))
     rel = np.abs(outcome.mean - expected) / expected
     elapsed = time.perf_counter() - start
-    ok = (bool((rel <= 0.05 * scale).all()) and not outcome.cap_flagged
+    ok = (bool((rel <= 0.05).all()) and not outcome.cap_flagged
           and elapsed < RUNTIME_CAP_AWGN)
     return CriterionResult(
         1, "awgn_lengths_vs_simulation",
         expected="; ".join(_fmt(v) for v in expected),
         observed="; ".join(_fmt(v) for v in outcome.mean),
-        tolerance=f"rel<={_fmt(0.05 * scale)}",
+        tolerance=f"rel<={_fmt(0.05)}",
         passed=ok,
     )
 
 
-def _c2_single_user_identity(seed: int, scale: float) -> CriterionResult:
+def _c2_single_user_identity(seed: int) -> CriterionResult:
     sc = AwgnScenario((1000.0,), 1.0, 1e-3)
     ell = awgn_vlsf_lengths(sc)[0]
     direct = (1.0 - sc.epsilon) * message_threshold(1000.0) / capacity(sinr_awgn(1.0, 1))
@@ -108,12 +115,12 @@ def _c2_single_user_identity(seed: int, scale: float) -> CriterionResult:
     return CriterionResult(
         2, "single_user_reduction",
         expected=_fmt(direct), observed=_fmt(ell),
-        tolerance=f"rel<={_fmt(1e-12 * scale)}",
-        passed=rel <= 1e-12 * scale,
+        tolerance=f"rel<={_fmt(1e-12)}",
+        passed=rel <= 1e-12,
     )
 
 
-def _c3_cancellation_gain(seed: int, scale: float) -> CriterionResult:
+def _c3_cancellation_gain(seed: int) -> CriterionResult:
     sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
     ell2 = awgn_vlsf_lengths(sc)[-1]
     baseline = message_threshold(1000.0) / capacity(sinr_awgn(1.0, 2))
@@ -122,12 +129,12 @@ def _c3_cancellation_gain(seed: int, scale: float) -> CriterionResult:
         3, "interference_cancellation_gain",
         expected=f"len2/baseline<=0.9 (baseline {_fmt(baseline)})",
         observed=_fmt(ratio),
-        tolerance=f"ratio<={_fmt(1.0 - 0.10 * scale)}",
-        passed=ratio <= 1.0 - 0.10 * scale,
+        tolerance=f"ratio<={_fmt(0.9)}",
+        passed=ratio <= 0.9,
     )
 
 
-def _c4_queue_consistency(seed: int, scale: float) -> CriterionResult:
+def _c4_queue_consistency(seed: int) -> CriterionResult:
     sc = AwgnScenario((300.0, 1000.0), 1.0, 1e-3)
     plain = awgn_vlsf_lengths(sc)
     raw_last = float(awgn_vlsf_lengths(AwgnScenario(sc.payload_bits, sc.power, 0.0))[-1])
@@ -143,17 +150,16 @@ def _c4_queue_consistency(seed: int, scale: float) -> CriterionResult:
         bound = queue_vlsf_lengths(qs).lengths
         outcome = simulate_queue(qs, TrialPlan(TRIALS_QUEUE, point_seed(seed, i)))
         sim_margin = max(sim_margin, float(np.max(outcome.mean / bound)))
-    ok = eq_rel <= 1e-12 * scale and sim_margin <= 1.0 + 0.05 * scale
     return CriterionResult(
         4, "queue_bound_consistency",
         expected="uncongested==plain; sim<=bound*1.05",
         observed=f"eq_rel={_fmt(eq_rel)}; sim/bound_max={_fmt(sim_margin)}",
-        tolerance=f"eq<={_fmt(1e-12 * scale)}; ratio<={_fmt(1.0 + 0.05 * scale)}",
-        passed=ok,
+        tolerance=f"eq<={_fmt(1e-12)}; ratio<={_fmt(1.05)}",
+        passed=eq_rel <= 1e-12 and sim_margin <= 1.05,
     )
 
 
-def _c5_fading_vs_simulation(seed: int, scale: float) -> CriterionResult:
+def _c5_fading_vs_simulation(seed: int) -> CriterionResult:
     gains = rayleigh_order_means(2)  # (1.5, 0.5)
     power, payload = 1.0, 1000.0
     expected = fading_vlsf_coeffs(gains, power) * message_threshold(payload)
@@ -163,74 +169,78 @@ def _c5_fading_vs_simulation(seed: int, scale: float) -> CriterionResult:
         5, "fading_lengths_vs_simulation",
         expected="; ".join(_fmt(v) for v in expected),
         observed="; ".join(_fmt(v) for v in outcome.mean),
-        tolerance=f"rel<={_fmt(0.05 * scale)}",
-        passed=bool((rel <= 0.05 * scale).all()) and not outcome.cap_flagged,
+        tolerance=f"rel<={_fmt(0.05)}",
+        passed=bool((rel <= 0.05).all()) and not outcome.cap_flagged,
     )
 
 
-def _c6_error_bound(seed: int, scale: float) -> CriterionResult:
+def _c6_error_bound(seed: int) -> CriterionResult:
     payload = 8.0
     kappa = payload * LN2
     bound = 1.0 / kappa  # equals 2^K * exp(-threshold) for this threshold
     est = simulate_error_probability(payload, 1.0, TrialPlan(TRIALS_ERROR, seed))
-    ok = est.upper95 <= bound * scale
     return CriterionResult(
         6, "union_bound_error_rate",
-        expected=f"upper95<={_fmt(bound * scale)}",
+        expected=f"upper95<={_fmt(bound)}",
         observed=f"rate={_fmt(est.rate)}; upper95={_fmt(est.upper95)}",
         tolerance="95% confidence",
-        passed=ok,
+        passed=est.upper95 <= bound,
     )
 
 
-def _c7_threshold_grid(seed: int, scale: float):
-    start = time.perf_counter()
-    max_residual = 0.0
-    min_gap = math.inf
-    points: list[tuple[float, FastFadingScenario]] = []  # (gamma_th, scenario)
-    failure = None
+def _threshold_searches() -> dict:
+    """`optimize_threshold` at every (power, S) point of the threshold grid,
+    keyed by scenario; a search that fails maps to its QuadratureError."""
+    searches = {}
     for power in THRESHOLD_POWERS:
         for s in THRESHOLD_USERS:
-            gamma_single = single_user_threshold(power, s)
-            residual = abs(gamma_single * math.exp(gamma_single) - (1.0 / power + s - 1.0))
-            max_residual = max(max_residual, residual)
             sc = FastFadingScenario(s, power)
             try:
-                res = optimize_threshold(sc)
+                searches[sc] = optimize_threshold(sc)
             except QuadratureError as exc:
-                failure = str(exc)
-                continue
-            min_gap = min(min_gap, res.cl_at_multi - res.cl_at_single)
-            points.append((res.gamma_single, sc))
-            points.append((res.gamma_multi, sc))
+                searches[sc] = exc
+    return searches
+
+
+def _c7_threshold_grid(seed: int) -> CriterionResult:
+    start = time.perf_counter()
+    searches = _threshold_searches()
+    max_residual = 0.0
+    for sc in searches:
+        gamma_single = single_user_threshold(sc.power, sc.s_count)
+        residual = abs(gamma_single * math.exp(gamma_single) - (1.0 / sc.power + sc.s_count - 1.0))
+        max_residual = max(max_residual, residual)
+    failures = [str(r) for r in searches.values() if isinstance(r, QuadratureError)]
+    min_gap = min((r.cl_at_multi - r.cl_at_single for r in searches.values()
+                   if not isinstance(r, QuadratureError)), default=math.inf)
 
     sep_sc = FastFadingScenario(4, 10.0)
-    sep = optimize_threshold(sep_sc)
+    sep = searches[sep_sc]
+    if isinstance(sep, QuadratureError):
+        raise sep
     mc_single = mc_capacity(sep.gamma_single, sep_sc,
                             TrialPlan(TRIALS_MC_CAPACITY, point_seed(seed, 0)))
     mc_multi = mc_capacity(sep.gamma_multi, sep_sc,
                            TrialPlan(TRIALS_MC_CAPACITY, point_seed(seed, 1)))
     separated = mc_multi.low > mc_single.high
     elapsed = time.perf_counter() - start
-    ok = (failure is None and max_residual < 1e-10 * scale and min_gap >= 0.0
+    ok = (not failures and max_residual < 1e-10 and min_gap >= 0.0
           and separated and elapsed < RUNTIME_CAP_THRESHOLD)
     observed = (f"residual_max={_fmt(max_residual)}; cl_gap_min={_fmt(min_gap)}; "
                 f"mc_multi={_fmt(mc_multi.mean)}+-{_fmt(mc_multi.ci95)}; "
                 f"mc_single={_fmt(mc_single.mean)}+-{_fmt(mc_single.ci95)}")
-    if failure is not None:
-        observed += f"; quadrature_failure={failure.split(':')[0]}"
-    result = CriterionResult(
+    if failures:
+        observed += f"; quadrature_failure={failures[-1].split(':')[0]}"
+    return CriterionResult(
         7, "waterfill_threshold_grid",
         expected="residual<1e-10; cl(multi)>=cl(single); mc CIs separated",
         observed=observed,
-        tolerance=f"residual<{_fmt(1e-10 * scale)}",
+        tolerance=f"residual<{_fmt(1e-10)}",
         passed=ok,
     )
-    return result, points
 
 
-def _c8_quadrature_oracle(seed: int, scale: float,
-                          points: list[tuple[float, FastFadingScenario]]) -> CriterionResult:
+def _c8_quadrature_oracle(seed: int) -> CriterionResult:
     closed_err = 0.0
     for power in THRESHOLD_POWERS:
         sc = FastFadingScenario(1, power)
@@ -238,35 +248,36 @@ def _c8_quadrature_oracle(seed: int, scale: float,
         exact = math.exp(1.0 / power) * float(exp1(1.0 / power))
         closed_err = max(closed_err, abs(cl - exact))
 
-    # re-check primary-vs-Simpson agreement at every threshold evaluated in c7
+    # primary-vs-Simpson agreement at both thresholds of every grid search
     disagreement = 0.0
-    for gamma_th, sc in points:
-        for _, denom, f in lower_bound_terms(gamma_th, sc):
-            primary = exp_tail_quadrature(f, gamma_th, scale=denom + gamma_th)
-            check = adaptive_simpson(lambda g: float(np.log1p(g / denom) * math.exp(-g)),
-                                     gamma_th, gamma_th + SIMPSON_SPAN, tol=1e-9)
-            disagreement = max(disagreement, abs(primary - check))
-    ok = closed_err <= 1e-6 * scale and disagreement <= 1e-6 * scale
+    for sc, res in _threshold_searches().items():
+        if isinstance(res, QuadratureError):
+            continue
+        for gamma_th in (res.gamma_single, res.gamma_multi):
+            for _, denom, f in lower_bound_terms(gamma_th, sc):
+                primary = exp_tail_quadrature(f, gamma_th, scale=denom + gamma_th)
+                check = adaptive_simpson(lambda g: float(np.log1p(g / denom) * math.exp(-g)),
+                                         gamma_th, gamma_th + SIMPSON_SPAN, tol=AGREE_TOL * 1e-3)
+                disagreement = max(disagreement, abs(primary - check))
     return CriterionResult(
         8, "quadrature_oracle",
         expected="closed-form and Simpson agreement",
         observed=f"closed_err={_fmt(closed_err)}; route_diff={_fmt(disagreement)}",
-        tolerance=f"<={_fmt(1e-6 * scale)}",
-        passed=ok,
+        tolerance=f"<={_fmt(AGREE_TOL)}",
+        passed=closed_err <= AGREE_TOL and disagreement <= AGREE_TOL,
     )
 
 
-def _c9_order_statistics(seed: int, scale: float) -> CriterionResult:
+def _c9_order_statistics(seed: int) -> CriterionResult:
     exact = rayleigh_order_means(3)
     est = sorted_exponential_means(3, TrialPlan(TRIALS_ORDER_STATS, seed))
     dev = np.abs(est.mean - exact) / est.se
-    ok = bool((dev <= 4.0 * scale).all())
     return CriterionResult(
         9, "exponential_order_statistics",
         expected="; ".join(_fmt(v) for v in exact),
         observed="; ".join(_fmt(v) for v in est.mean),
-        tolerance=f"<={_fmt(4.0 * scale)} standard errors",
-        passed=ok,
+        tolerance=f"<={_fmt(4.0)} standard errors",
+        passed=bool((dev <= 4.0).all()),
     )
 
 
@@ -277,38 +288,27 @@ _CRITERIA = {
     4: _c4_queue_consistency,
     5: _c5_fading_vs_simulation,
     6: _c6_error_bound,
+    7: _c7_threshold_grid,
+    8: _c8_quadrature_oracle,
     9: _c9_order_statistics,
 }
 
 
-def _run_once(seed: int, scale: float, selection) -> list[CriterionResult]:
-    results = []
-    for index in sorted(_CRITERIA):
-        if index not in selection:
-            continue
-        results.append(_CRITERIA[index](point_seed(seed, 100 + index), scale))
-    if 7 in selection or 8 in selection:
-        c7, points = _c7_threshold_grid(point_seed(seed, 107), scale)
-        if 7 in selection:
-            results.append(c7)
-        if 8 in selection:
-            results.append(_c8_quadrature_oracle(point_seed(seed, 108), scale, points))
-    results.sort(key=lambda r: r.index)
-    return results
+def _run_once(seed: int, selection) -> list[CriterionResult]:
+    return [_CRITERIA[index](point_seed(seed, 100 + index))
+            for index in sorted(_CRITERIA) if index in selection]
 
 
-def serialize_report(results: list[CriterionResult], seed: int, scale: float) -> str:
-    lines = [f"# cwf_version={__version__}", f"# kind=validate", f"# seed={seed}"]
-    if scale != 1.0:
-        lines.append(f"# tolerance_scale={_fmt(scale)}")
-    lines.append("criterion,name,expected,observed,tolerance,verdict")
+def serialize_report(results: list[CriterionResult], seed: int) -> str:
+    lines = [f"# cwf_version={__version__}", f"# kind=validate", f"# seed={seed}",
+             "criterion,name,expected,observed,tolerance,verdict"]
     for r in results:
         lines.append(f"{r.index},{r.name},{r.expected},{r.observed},{r.tolerance},{r.verdict}")
     return "\n".join(lines) + "\n"
 
 
 def run_validate(seed: int = DEFAULT_VALIDATE_SEED, out_path=None, *,
-                 tolerance_scale: float = 1.0, criteria=None, echo=print):
+                 criteria=None, echo=print):
     """Run the acceptance checks; returns (results, all_passed, report_text).
 
     Criteria 1-9 run twice under the same seed; the determinism criterion
@@ -320,16 +320,16 @@ def run_validate(seed: int = DEFAULT_VALIDATE_SEED, out_path=None, *,
     wanted = sorted(selection - {10})
 
     start = time.perf_counter()
-    first = _run_once(seed, tolerance_scale, wanted)
+    first = _run_once(seed, wanted)
     for r in first:
         echo(f"criterion {r.index:2d} [{r.verdict}] {r.name}: observed {r.observed} "
              f"(tolerance {r.tolerance})")
     results = list(first)
 
     if 10 in selection:
-        text_a = serialize_report(first, seed, tolerance_scale)
-        second = _run_once(seed, tolerance_scale, wanted)
-        text_b = serialize_report(second, seed, tolerance_scale)
+        text_a = serialize_report(first, seed)
+        second = _run_once(seed, wanted)
+        text_b = serialize_report(second, seed)
         identical = text_a.encode() == text_b.encode()
         digest_a = hashlib.sha256(text_a.encode()).hexdigest()[:12]
         digest_b = hashlib.sha256(text_b.encode()).hexdigest()[:12]
@@ -344,7 +344,7 @@ def run_validate(seed: int = DEFAULT_VALIDATE_SEED, out_path=None, *,
         results.append(c10)
 
     all_passed = all(r.passed for r in results)
-    text = serialize_report(results, seed, tolerance_scale)
+    text = serialize_report(results, seed)
     if out_path is not None:
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)

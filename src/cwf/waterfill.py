@@ -11,7 +11,7 @@ to pick the operating point, and `mc_capacity` checks it by simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,16 +118,20 @@ def capacity_lower_bound(gamma_th: float | np.ndarray, sc: FastFadingScenario, *
 
     with q = exp(-gamma_th).  Each integral runs through the primary
     exp-tail quadrature; with cross_check=True an adaptive Simpson
-    evaluation must agree to 1e-6 or QuadratureError is raised.  Without
-    the cross-check gamma_th may be an array, giving one bound per element.
+    evaluation must agree to `quadrature.AGREE_TOL` or QuadratureError is
+    raised.  Without the cross-check gamma_th may be an array, giving one
+    bound per element.
     """
     if np.any(np.less(gamma_th, 0.0)):
         raise ValueError(f"gamma_th must be non-negative, got {np.min(gamma_th)}")
+    if cross_check and np.ndim(gamma_th) > 0:
+        raise ValueError("the Simpson cross-check takes a scalar threshold; "
+                         "pass cross_check=False for an array")
     total = 0.0
     for weight, denom, f in lower_bound_terms(gamma_th, sc):
         scale = denom + gamma_th  # distance from gamma_th to the log branch point
         if cross_check:
-            integral = checked_exp_integral(f, gamma_th, scale=scale, agree_tol=1e-6)
+            integral = checked_exp_integral(f, gamma_th, scale=scale)
         else:
             integral = exp_tail_quadrature(f, gamma_th, scale=scale)
         total += weight * integral
@@ -223,11 +227,8 @@ def evaluate_thresholds(sc: FastFadingScenario, trials: int,
                         seed: int) -> ThresholdSearchResult:
     """Optimize the threshold and attach Monte Carlo capacity estimates."""
     base = optimize_threshold(sc)
-    return ThresholdSearchResult(
-        gamma_single=base.gamma_single,
-        gamma_multi=base.gamma_multi,
-        cl_at_single=base.cl_at_single,
-        cl_at_multi=base.cl_at_multi,
+    return replace(
+        base,
         mc_capacity_single=mc_capacity(base.gamma_single, sc, TrialPlan(trials, seed)),
         mc_capacity_multi=mc_capacity(base.gamma_multi, sc, TrialPlan(trials, seed + 1)),
     )

@@ -2,6 +2,7 @@ import json
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cwf.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
@@ -283,13 +284,15 @@ def test_run_all_sweeps_forwards_flags_and_first_failure(tmp_path, monkeypatch):
                         "--out", str(tmp_path / "thm1_sweep.csv")]
 
 
-def test_validate_subset_failure_reporting(tmp_path):
-    # tolerance forced to zero: the harness must report and exit non-zero
-    from cwf.validate import run_validate
+def test_validate_subset_failure_reporting(tmp_path, monkeypatch):
+    # order statistics forced far off: the harness must report and exit non-zero
+    from cwf import validate
+    from cwf.simulate import Estimate
 
-    results, ok, text = run_validate(
-        DEFAULT_VALIDATE_SEED, tmp_path / "r.csv", tolerance_scale=0.0,
-        criteria=[9], echo=lambda *_: None)
+    monkeypatch.setattr(validate, "sorted_exponential_means", lambda s, plan: Estimate(
+        mean=np.full(s, 100.0), se=np.full(s, 0.01), trials=plan.trials))
+    results, ok, text = validate.run_validate(
+        DEFAULT_VALIDATE_SEED, tmp_path / "r.csv", criteria=[9], echo=lambda *_: None)
     assert not ok
     assert results[0].verdict == "fail"
     assert (tmp_path / "r.csv").read_text().count("fail") == 1

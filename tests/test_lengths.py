@@ -176,6 +176,32 @@ def test_awgn_lengths_monotone_and_gain_bound(params):
             assert lengths[s - 1] < baseline
 
 
+@given(scenario_strategy, st.floats(min_value=1.0, max_value=20.0), st.data())
+@settings(max_examples=60, deadline=None)
+def test_awgn_lengths_monotone_in_power_and_payload(params, factor, data):
+    s_count, power, eps, salt = params
+    sc = _random_scenario(s_count, power, eps, salt)
+    lengths = awgn_vlsf_lengths(sc)
+    # more power raises every phase's SINR, so no length grows
+    stronger = awgn_vlsf_lengths(AwgnScenario(sc.payload_bits, power * factor, eps))
+    assert np.all(stronger <= lengths * (1.0 + 1e-12))
+    # a larger payload for user u, still below user u+1's, shortens nobody
+    u = data.draw(st.integers(min_value=0, max_value=s_count - 1))
+    k = sc.payload_bits
+    top = k[u + 1] if u + 1 < s_count else k[u] + 500.0
+    bigger = data.draw(st.floats(min_value=k[u], max_value=top, exclude_max=True))
+    grown = awgn_vlsf_lengths(AwgnScenario(k[:u] + (bigger,) + k[u + 1:], power, eps))
+    assert np.all(grown >= lengths * (1.0 - 1e-12))
+
+
+@given(st.floats(min_value=2.0, max_value=1e5), st.floats(min_value=0.05, max_value=50.0),
+       st.floats(min_value=0.0, max_value=0.9))
+@settings(max_examples=60, deadline=None)
+def test_awgn_single_user_reduction(k, power, eps):
+    want = (1.0 - eps) * message_threshold(k) / capacity(power)
+    assert awgn_vlsf_lengths(AwgnScenario((k,), power, eps))[0] == pytest.approx(want, rel=1e-12)
+
+
 def test_awgn_scenario_invariants():
     with pytest.raises(ValueError):
         AwgnScenario((1000.0, 300.0), 1.0, 0.0)  # not increasing
@@ -239,6 +265,22 @@ def test_queue_breakdown_invariants():
                 assert g[stage - 1] < br.leftover_nats[u]
             if stage < 2:
                 assert br.leftover_nats[u] <= g[stage] + 1e-9
+
+
+@given(scenario_strategy, st.floats(min_value=0.01, max_value=2.0))
+@settings(max_examples=60, deadline=None)
+def test_queue_breakdown_sums_to_thresholds(params, frac):
+    s_count, power, eps, salt = params
+    sc = _random_scenario(s_count, power, eps, salt)
+    raw_last = awgn_vlsf_lengths(AwgnScenario(sc.payload_bits, power, 0.0))[-1]
+    br = queue_vlsf_lengths(QueueScenario(sc, frac * raw_last))
+    for s, k in enumerate(sc.payload_bits, start=1):
+        g = message_threshold(k)
+        if s <= br.r:  # light users finish inside the first interval
+            assert br.full_intervals[s - 1] == 0 and br.leftover_nats[s - 1] == g
+        else:
+            total = br.full_intervals[s - 1] * br.info_per_interval + br.leftover_nats[s - 1]
+            assert total == pytest.approx(g, rel=1e-12)
 
 
 def test_queue_length_non_increasing_in_t_sub():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
+from cwf import quadrature
 from cwf.quadrature import (
     QuadratureError,
     adaptive_simpson,
@@ -55,12 +56,13 @@ def test_checked_exp_integral_accepts_agreeing_routes():
     assert value == pytest.approx(math.e * float(exp1(1.0)), rel=1e-9)
 
 
-def test_checked_exp_integral_raises_on_disagreement():
+def test_checked_exp_integral_raises_on_disagreement(monkeypatch):
     # a wrong `scale` hint cannot break agreement, but a discontinuous
     # integrand sampled differently by the two rules can; simulate the
     # failure by checking the raise path with an unachievable tolerance
+    monkeypatch.setattr(quadrature, "AGREE_TOL", 1e-16)
     with pytest.raises(QuadratureError):
-        checked_exp_integral(lambda g: np.log1p(g / 1e-7), 0.0, scale=1.0, agree_tol=1e-16)
+        checked_exp_integral(lambda g: np.log1p(g / 1e-7), 0.0, scale=1.0)
 
 
 def test_adaptive_simpson_depth_exhaustion_raises():

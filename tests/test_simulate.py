@@ -96,8 +96,6 @@ SC_PIN = AwgnScenario((100.0, 300.0), 1.0, 0.0)
 
 PINNED = pytest.mark.parametrize("run,stop_sums,cap_hits", [
     (lambda: simulate_awgn_multiuser(SC_PIN, TrialPlan(200, 1)), [73611, 152968], [0, 0]),
-    (lambda: simulate_awgn_multiuser(SC_PIN, TrialPlan(200, 2), interference_cancellation=False),
-     [72321, 212808], [0, 0]),
     (lambda: simulate_queue(QueueScenario(SC_PIN, 300.0), TrialPlan(200, 3)),
      [73260, 210190], [0, 0]),
     (lambda: simulate_queue(QueueScenario(SC_PIN, 40.0), TrialPlan(40, 4, max_symbols=300)),
@@ -106,7 +104,7 @@ PINNED = pytest.mark.parametrize("run,stop_sums,cap_hits", [
      [61050, 139152], [0, 0]),
     (lambda: simulate_rayleigh_block_fading(2, 200.0, 1.0, TrialPlan(100, 6)),
      [34812, 336701], [0, 0]),
-], ids=["awgn", "awgn_no_cancellation", "queue", "queue_capped", "block_fading", "rayleigh"])
+], ids=["awgn", "queue", "queue_capped", "block_fading", "rayleigh"])
 
 
 @PINNED
@@ -159,7 +157,7 @@ def test_wald_identity_and_single_user_mean():
     rng = np.random.default_rng(8)
     x = math.sqrt(snr) * rng.standard_normal((trials, horizon))
     y = x + rng.standard_normal((trials, horizon))
-    cum = np.cumsum(info_density_increment(x, y, snr, 1.0), axis=1)
+    cum = np.cumsum(info_density_increment(x, y, snr), axis=1)
     crossed = cum >= gamma
     assert crossed[:, -1].all(), "horizon too short for the oracle walk"
     idx = np.argmax(crossed, axis=1)
@@ -182,15 +180,10 @@ def test_wald_identity_and_single_user_mean():
 # ------------------------------------------------- interference cancellation
 
 def test_cancellation_strictly_shortens_second_user():
-    plan = TrialPlan(1500, 77)
-    with_ic = simulate_awgn_multiuser(SC2, plan)
-    control = simulate_awgn_multiuser(SC2, plan, interference_cancellation=False)
-    gap = control.mean[1] - with_ic.mean[1]
-    se = math.hypot(with_ic.se[1], control.se[1])
-    assert gap >= 3.0 * se
-    # control run sits near the full-interference closed form
+    # user 2 beats the length it would need under full interference throughout
+    with_ic = simulate_awgn_multiuser(SC2, TrialPlan(1500, 77))
     full = message_threshold(300.0) / capacity(sinr_awgn(1.0, 2))
-    assert control.mean[1] == pytest.approx(full, rel=0.05)
+    assert full - with_ic.mean[1] >= 3.0 * with_ic.se[1]
 
 
 def test_stopping_times_ordered_by_payload():
@@ -267,37 +260,30 @@ def test_error_rate_below_union_bound():
     assert est.errors > 0  # the event is not vanishingly rare at K=8
 
 
-def test_error_rate_zero_without_competitors():
-    est = simulate_error_probability(0.0, 1.0, TrialPlan(200, 52), threshold=5.0)
-    assert est.rate == 0.0
-
-
-def test_error_rate_vanishes_at_large_threshold():
-    est = simulate_error_probability(8.0, 1.0, TrialPlan(1500, 53), threshold=20.0)
-    assert est.rate <= 2.0 / 1500.0
-
-
-def test_error_rate_bound_positive_without_errors():
-    # a zero-error run still carries a 95% bound: Wilson's 1.96^2/(n + 1.96^2)
-    est = simulate_error_probability(8.0, 1.0, TrialPlan(300, 53), threshold=20.0)
-    assert est.errors == 0 and est.se == 0.0
-    assert est.upper95 == pytest.approx(1.96**2 / (300 + 1.96**2), rel=1e-12)
-    assert est.upper95 > 0.0
-
-
 def test_error_rate_upper95_is_wilson_limit():
-    est = ErrorRateEstimate(rate=0.25, se=math.sqrt(0.25 * 0.75 / 40), errors=10,
-                            trials=40, cap_hits=0)
     z = 1.96
+    est = ErrorRateEstimate(errors=10, trials=40, cap_hits=0)
+    assert est.rate == 0.25 and est.se == math.sqrt(0.25 * 0.75 / 40)
     centre = (0.25 + z * z / 80) / (1 + z * z / 40)
     half = z / (1 + z * z / 40) * math.sqrt(0.25 * 0.75 / 40 + z * z / (4 * 40 * 40))
     assert est.upper95 == pytest.approx(centre + half, rel=1e-12)
+    # a zero-error run still carries a positive bound: Wilson's z^2/(n + z^2)
+    est = ErrorRateEstimate(errors=0, trials=300, cap_hits=0)
+    assert est.rate == 0.0 and est.se == 0.0
+    assert est.upper95 == pytest.approx(z * z / (300 + z * z), rel=1e-12)
 
 
 def test_error_rate_decreases_with_threshold():
-    low = simulate_error_probability(8.0, 1.0, TrialPlan(2500, 54), threshold=5.0)
-    high = simulate_error_probability(8.0, 1.0, TrialPlan(2500, 54), threshold=9.0)
+    # a larger payload decodes at a higher threshold, whose union bound is lower
+    low = simulate_error_probability(2.0, 1.0, TrialPlan(2500, 54))
+    high = simulate_error_probability(12.0, 1.0, TrialPlan(2500, 54))
     assert high.rate < low.rate
+
+
+@pytest.mark.parametrize("payload", [1.5, 12.5])
+def test_error_rate_rejects_payload_outside_2_to_12_bits(payload):
+    with pytest.raises(ValueError, match=r"\[2, 12\]"):
+        simulate_error_probability(payload, 1.0, TrialPlan(10, 1))
 
 
 # ----------------------------------------------------------- order statistics

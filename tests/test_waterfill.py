@@ -84,6 +84,11 @@ def test_capacity_lower_bound_array_matches_scalar_calls(s_count, power, data):
     assert np.argmax(values) == np.argmax(scalars)
 
 
+def test_capacity_lower_bound_cross_check_rejects_array():
+    with pytest.raises(ValueError, match="cross-check takes a scalar threshold"):
+        capacity_lower_bound(np.array([0.5, 1.0]), FastFadingScenario(2, 1.0))
+
+
 def test_optimize_threshold_interior_maximum_and_ordering():
     sc = FastFadingScenario(2, 1.0)
     res = optimize_threshold(sc)
