@@ -267,10 +267,14 @@ def test_error_rate_upper95_is_wilson_limit():
     centre = (0.25 + z * z / 80) / (1 + z * z / 40)
     half = z / (1 + z * z / 40) * math.sqrt(0.25 * 0.75 / 40 + z * z / (4 * 40 * 40))
     assert est.upper95 == pytest.approx(centre + half, rel=1e-12)
-    # a zero-error run still carries a positive bound: Wilson's z^2/(n + z^2)
+
+
+def test_error_rate_bound_positive_without_errors():
+    # a zero-error run still carries a 95% bound: Wilson's 1.96^2/(n + 1.96^2)
     est = ErrorRateEstimate(errors=0, trials=300, cap_hits=0)
-    assert est.rate == 0.0 and est.se == 0.0
-    assert est.upper95 == pytest.approx(z * z / (300 + z * z), rel=1e-12)
+    assert est.errors == 0 and est.rate == 0.0 and est.se == 0.0
+    assert est.upper95 == pytest.approx(1.96**2 / (300 + 1.96**2), rel=1e-12)
+    assert est.upper95 > 0.0
 
 
 def test_error_rate_decreases_with_threshold():
