@@ -31,13 +31,7 @@ from .lengths import (
     queue_vlsf_lengths,
     rayleigh_order_means,
 )
-from .quadrature import (
-    AGREE_TOL,
-    SIMPSON_SPAN,
-    QuadratureError,
-    adaptive_simpson,
-    exp_tail_quadrature,
-)
+from .quadrature import AGREE_TOL, QuadratureError, exp_tail_routes
 from .simulate import (
     TrialPlan,
     simulate_awgn_multiuser,
@@ -49,6 +43,7 @@ from .simulate import (
 from .waterfill import (
     FastFadingScenario,
     capacity_lower_bound,
+    log_integrand,
     lower_bound_terms,
     mc_capacity,
     optimize_threshold,
@@ -254,11 +249,10 @@ def _c8_quadrature_oracle(seed: int) -> CriterionResult:
         if isinstance(res, QuadratureError):
             continue
         for gamma_th in (res.gamma_single, res.gamma_multi):
-            for _, denom, f in lower_bound_terms(gamma_th, sc):
-                primary = exp_tail_quadrature(f, gamma_th, scale=denom + gamma_th)
-                check = adaptive_simpson(lambda g: float(np.log1p(g / denom) * math.exp(-g)),
-                                         gamma_th, gamma_th + SIMPSON_SPAN, tol=AGREE_TOL * 1e-3)
-                disagreement = max(disagreement, abs(primary - check))
+            _, denoms = lower_bound_terms(gamma_th, sc)
+            primary, check = exp_tail_routes(log_integrand(denoms), gamma_th,
+                                             scale=denoms + gamma_th)
+            disagreement = max(disagreement, float(np.max(np.abs(primary - check))))
     return CriterionResult(
         8, "quadrature_oracle",
         expected="closed-form and Simpson agreement",

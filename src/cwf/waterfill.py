@@ -23,6 +23,7 @@ __all__ = [
     "ThresholdSearchResult",
     "single_user_threshold",
     "lower_bound_terms",
+    "log_integrand",
     "capacity_lower_bound",
     "optimize_threshold",
     "mc_capacity",
@@ -85,24 +86,29 @@ def single_user_threshold(power: float, s_count: int) -> float:
 def lower_bound_terms(gamma_th: float | np.ndarray, sc: FastFadingScenario):
     """Non-zero terms of `capacity_lower_bound`, one per interferer count t.
 
-    Yields (weight, denom, integrand): the binomial weight
-    C(S-1,t) (1-q)^(S-1-t) q^t, the noise-plus-mean-interference level
-    denom = q/p + t*(1+gamma_th) and the integrand g -> ln(1 + g/denom),
-    to be integrated against e^-g over [gamma_th, inf).  An array gamma_th
-    gives arrays of weights and levels, and an integrand taking one row of
-    nodes per element; a term is skipped only when every weight is 0.
+    Returns (weights, denoms): the binomial weights
+    C(S-1,t) (1-q)^(S-1-t) q^t and, stacked along a first axis, the
+    noise-plus-mean-interference levels denom = q/p + t*(1+gamma_th).  Each
+    term integrates `log_integrand(denom)` against e^-g over
+    [gamma_th, inf).  An array gamma_th gives arrays of weights and one row
+    of levels per term; a term is skipped only when every weight is 0.
     """
     s, p = sc.s_count, sc.power
-    grid = np.ndim(gamma_th) > 0
     # math.exp for scalars: np.exp may differ in the last bit
-    pon = np.exp(-gamma_th) if grid else math.exp(-gamma_th)
+    pon = np.exp(-gamma_th) if np.ndim(gamma_th) > 0 else math.exp(-gamma_th)
+    weights, denoms = [], []
     for t in range(s):
         weight = math.comb(s - 1, t) * (1.0 - pon) ** (s - 1 - t) * pon**t
-        if not np.any(weight):
-            continue
-        denom = pon / p + t * (1.0 + gamma_th)
-        d = denom[..., None] if grid else denom
-        yield weight, denom, lambda g, d=d: np.log1p(g / d)
+        if np.any(weight):
+            weights.append(weight)
+            denoms.append(pon / p + t * (1.0 + gamma_th))
+    return weights, np.array(denoms)
+
+
+def log_integrand(denom: np.ndarray):
+    """g -> ln(1 + g/denom) in the quadrature integrand contract: the rows of
+    g for elements k run against denom[k]."""
+    return lambda g, k: np.log1p(g / denom[k][..., None])
 
 
 def capacity_lower_bound(gamma_th: float | np.ndarray, sc: FastFadingScenario, *,
@@ -117,9 +123,9 @@ def capacity_lower_bound(gamma_th: float | np.ndarray, sc: FastFadingScenario, *
                int_gamma_th^inf ln(1 + g / (q/p + t*(1+gamma_th))) e^-g dg
 
     with q = exp(-gamma_th).  Each integral runs through the primary
-    exp-tail quadrature; with cross_check=True an adaptive Simpson
-    evaluation must agree to `quadrature.AGREE_TOL` or QuadratureError is
-    raised.  Without the cross-check gamma_th may be an array, giving one
+    exp-tail quadrature; with cross_check=True one adaptive Simpson pass
+    over all terms must agree to `quadrature.AGREE_TOL` or QuadratureError
+    is raised.  Without the cross-check gamma_th may be an array, giving one
     bound per element.
     """
     if np.any(np.less(gamma_th, 0.0)):
@@ -127,15 +133,17 @@ def capacity_lower_bound(gamma_th: float | np.ndarray, sc: FastFadingScenario, *
     if cross_check and np.ndim(gamma_th) > 0:
         raise ValueError("the Simpson cross-check takes a scalar threshold; "
                          "pass cross_check=False for an array")
+    weights, denoms = lower_bound_terms(gamma_th, sc)
+    scales = denoms + gamma_th  # distance from gamma_th to the log branch point
+    if cross_check:
+        integrals = checked_exp_integral(log_integrand(denoms), gamma_th, scale=scales)
+    else:
+        integrals = [exp_tail_quadrature(log_integrand(d), gamma_th, scale=s)
+                     for d, s in zip(denoms, scales)]
     total = 0.0
-    for weight, denom, f in lower_bound_terms(gamma_th, sc):
-        scale = denom + gamma_th  # distance from gamma_th to the log branch point
-        if cross_check:
-            integral = checked_exp_integral(f, gamma_th, scale=scale)
-        else:
-            integral = exp_tail_quadrature(f, gamma_th, scale=scale)
+    for weight, integral in zip(weights, integrals):
         total += weight * integral
-    return total
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -208,8 +216,8 @@ def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Est
     nats, else zero.  Trials are drawn in blocks of `BLOCK`, each from its
     own counter-based stream, so the estimate does not depend on scheduling.
     """
-    if gamma_th < 0.0:
-        raise ValueError(f"gamma_th must be non-negative, got {gamma_th}")
+    if not (math.isfinite(gamma_th) and gamma_th >= 0.0):
+        raise ValueError(f"gamma_th must be finite and non-negative, got {gamma_th}")
     pon = math.exp(-gamma_th)
     inv_p = 1.0 / sc.power
 

@@ -45,7 +45,7 @@ def test_capacity_lower_bound_single_user_closed_form():
 
 def test_capacity_lower_bound_binomial_weights_sum():
     # the binomial weights over the S-1 interferers form a distribution
-    weights = [w for w, _, _ in lower_bound_terms(0.7, FastFadingScenario(4, 1.0))]
+    weights, _ = lower_bound_terms(0.7, FastFadingScenario(4, 1.0))
     assert len(weights) == 4
     assert sum(weights) == pytest.approx(1.0, rel=1e-12)
 
@@ -164,6 +164,13 @@ def test_mc_capacity_deterministic_and_chunk_invariant():
     assert a.trials == 70_000
     assert a.mean == pytest.approx(values.mean(), rel=1e-12)
     assert a.se == pytest.approx(values.std(ddof=1) / math.sqrt(70_000), rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma_th", [math.nan, math.inf, -0.5])
+def test_mc_capacity_rejects_non_finite_or_negative_threshold(gamma_th):
+    # NaN passed a plain `< 0` guard and returned mean 0; inf computed inf*0
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        mc_capacity(gamma_th, FastFadingScenario(2, 1.0), TrialPlan(100, 1))
 
 
 def test_evaluate_thresholds_attaches_mc_fields():
