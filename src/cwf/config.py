@@ -71,6 +71,9 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be 0 or >= 2, got {self.trials}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        for name in ("snr_db", "payload_bits", "t_sub"):  # json accepts Infinity and NaN
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite, got {list(getattr(self, name))}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.trials > 0 and self.seed is None and self.kind != "validate":

@@ -12,9 +12,9 @@ with f a slowly growing log-type factor:
   branch point of f at distance `scale` below `a` never sits close to a
   panel relative to its width.  `a` and `scale` broadcast, so one call
   integrates a whole grid of lower limits; each panel integrates only the
-  elements whose head is still open.  An element of an array call may
-  differ from the same scalar call in the last bit: a matrix-vector product
-  may sum in another order than the scalar 1-D dot product.
+  elements whose head is still open.  Every element of an array call equals
+  the same scalar call bit for bit: each row of nodes is reduced by
+  `np.vecdot`, the same dot routine a scalar call runs on its one row.
 * `adaptive_simpson` - Simpson with Richardson extrapolation (Lyness,
   J. ACM 1969), used as the cross-check on a truncated interval.  It
   refines breadth-first: each level evaluates the two new nodes of every
@@ -25,10 +25,10 @@ with f a slowly growing log-type factor:
   integral has the bits of the classic depth-first recursion.
 
 Integrand contract, shared by both routes: `f(g, k)` gets an index `k` that
-selects elements of the call (`...` for all of them, a boolean mask, an
-integer or an integer array) and nodes `g` of shape `a[k].shape + (n,)`,
-one row of nodes per selected element.  A per-element parameter `p`
-therefore enters as `p[k][..., None]`.
+selects elements of the call (`...` for all, a boolean mask from
+`exp_tail_quadrature`, flat integer indices from `adaptive_simpson`) and
+nodes `g` of shape `a[k].shape + (n,)`, one row of nodes per selected
+element.  A per-element parameter `p` therefore enters as `p[k][..., None]`.
 
 Disagreement between the two routes beyond `AGREE_TOL` raises
 QuadratureError; callers treat that as a numeric failure, not a warning.
@@ -85,16 +85,15 @@ def exp_tail_quadrature(f: Integrand, a: float | np.ndarray,
     # geometric panels covering [a, a + HEAD], each over the still-open elements
     lo = np.zeros(a.shape)
     width = np.array(np.minimum(np.maximum(scale, 1e-300), HEAD))  # 0-d stays an array
-    while (open_ := lo < HEAD).any():
-        k = ... if open_.all() else open_
+    while (k := lo < HEAD).any():
         hi = np.minimum(lo[k] + width[k], HEAD)
         mid, half = a[k] + 0.5 * (lo[k] + hi), 0.5 * (hi - lo[k])
         g = mid[..., None] + half[..., None] * _LEG_X
-        total[k] += half * ((f(g, k) * np.exp(-g)) @ _LEG_W)
+        total[k] += half * np.vecdot(f(g, k) * np.exp(-g), _LEG_W)
         lo[k], width[k] = hi, 2.0 * width[k]
     # shifted Gauss-Laguerre on [a + HEAD, inf)
     shift = a + HEAD
-    total += np.exp(-shift) * (f(shift[..., None] + _LAG_X, ...) @ _LAG_W)
+    total += np.exp(-shift) * np.vecdot(f(shift[..., None] + _LAG_X, ...), _LAG_W)
     return float(total) if total.ndim == 0 else total
 
 
@@ -177,16 +176,15 @@ def exp_tail_routes(f: Integrand, a: float | np.ndarray,
     """Both routes of the exp-tail integral, as two arrays of the broadcast
     shape of `a` and `scale`.
 
-    Each primary value is its own scalar `exp_tail_quadrature` call, so it
-    has the scalar path's bits.  The check integrates f(g)*exp(-g) over
-    [a, a + SIMPSON_SPAN] for all elements in one `adaptive_simpson` call.
-    Both routes pass `f` flat element indices.
+    The primary is one array `exp_tail_quadrature` call; the check
+    integrates f(g)*exp(-g) over [a, a + SIMPSON_SPAN] in one
+    `adaptive_simpson` call.  For the scalar or 1-D inputs given here, the
+    primary's boolean masks select the same elements as Simpson's flat indices.
     """
     a, scale = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(scale, dtype=float))
-    primary = np.array([exp_tail_quadrature(lambda g, k, i=i: f(g, i), a.flat[i], scale.flat[i])
-                        for i in range(a.size)]).reshape(a.shape)
+    primary = exp_tail_quadrature(f, a, scale)
     check = adaptive_simpson(lambda g, k: f(g, k) * np.exp(-g), a, a + SIMPSON_SPAN)
-    return primary, np.asarray(check)
+    return np.asarray(primary), np.asarray(check)
 
 
 def checked_exp_integral(f: Integrand, a: float | np.ndarray,

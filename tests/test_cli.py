@@ -1,4 +1,5 @@
 import json
+import math
 import runpy
 from pathlib import Path
 
@@ -189,10 +190,19 @@ def test_cli_rejects_epsilon_outside_fixed_length_domain(tmp_path, sub, epsilon)
     ("thm1", {"payload_bits": [1000.0, 300.0]}),
     ("fading", {"payload_bits": [1.0]}),
     ("queue", {"t_sub": [-5.0]}),
+    ("thm1", {"snr_db": [math.inf]}),
+    ("queue", {"t_sub": [math.inf], "trials": 2, "seed": 1}),
+    ("fading", {"payload_bits": [math.inf]}),
+    ("thm1", {"payload_bits": [300.0, math.inf]}),
+    ("fading", {"snr_db": [math.inf]}),
+    ("waterfill", {"snr_db": [math.inf]}),
 ], ids=["waterfill_no_users", "thm1_decreasing_payloads", "fading_tiny_payload",
-        "queue_negative_interval"])
+        "queue_negative_interval", "thm1_infinite_snr", "queue_infinite_interval",
+        "fading_infinite_payload", "thm1_infinite_payload", "fading_infinite_snr",
+        "waterfill_infinite_snr"])
 def test_cli_rejects_out_of_domain_scenarios(tmp_path, sub, fields):
-    # the sweeps' own scenario checks run at config time: exit 2, no CSV
+    # the sweeps' own scenario checks run at config time: exit 2, no CSV;
+    # json writes math.inf as Infinity, which json.loads accepts
     cfg = {**default_config(f"{sub}_sweep").to_dict(), **fields}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import hypothesis.strategies as st
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.special import exp1, lambertw
 
-from cwf import waterfill
+from cwf import quadrature, waterfill
 from cwf.simulate import BLOCK, TrialPlan, trial_stream
 from cwf.waterfill import (
     GRID_STEP,
@@ -84,6 +85,31 @@ def test_capacity_lower_bound_array_matches_scalar_calls(s_count, power, data):
     assert np.argmax(values) == np.argmax(scalars)
 
 
+def test_capacity_lower_bound_one_quadrature_call_per_bound(monkeypatch):
+    # all S terms share one primary call, checked or not, and one Simpson pass
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(waterfill, "exp_tail_quadrature")
+    count(quadrature, "exp_tail_quadrature")
+    count(quadrature, "adaptive_simpson")
+    sc = FastFadingScenario(4, 1.0)
+    assert len(lower_bound_terms(0.7, sc)[0]) == 4
+    capacity_lower_bound(0.7, sc, cross_check=False)
+    assert calls == {"exp_tail_quadrature": 1}
+    calls.clear()
+    capacity_lower_bound(0.7, sc)
+    assert calls == {"exp_tail_quadrature": 1, "adaptive_simpson": 1}
+
+
 def test_capacity_lower_bound_cross_check_rejects_array():
     with pytest.raises(ValueError, match="cross-check takes a scalar threshold"):
         capacity_lower_bound(np.array([0.5, 1.0]), FastFadingScenario(2, 1.0))
@@ -119,8 +145,9 @@ def test_optimize_threshold_pinned(s_count, power, want):
     assert (res.gamma_multi, res.cl_at_multi, res.gamma_single) == pytest.approx(want, rel=1e-12)
 
 
-def test_optimize_threshold_evaluates_grid_in_one_call(monkeypatch):
-    # one array call for the ~850-point grid, then the scalar refinement
+def test_optimize_threshold_evaluates_grid_in_s_array_calls(monkeypatch):
+    # the ~850-point grid in S slices, each integrating no more node rows than
+    # one term over the whole grid, then the scalar refinement
     calls = []
     real = waterfill.capacity_lower_bound
 
@@ -130,6 +157,7 @@ def test_optimize_threshold_evaluates_grid_in_one_call(monkeypatch):
 
     monkeypatch.setattr(waterfill, "capacity_lower_bound", counting)
     optimize_threshold(FastFadingScenario(4, 1.0))
+    assert sum(np.ndim(g) > 0 for g in calls) == 4
     assert len(calls) < 100
 
 
@@ -171,6 +199,13 @@ def test_mc_capacity_rejects_non_finite_or_negative_threshold(gamma_th):
     # NaN passed a plain `< 0` guard and returned mean 0; inf computed inf*0
     with pytest.raises(ValueError, match="finite and non-negative"):
         mc_capacity(gamma_th, FastFadingScenario(2, 1.0), TrialPlan(100, 1))
+
+
+@pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
+def test_fast_fading_scenario_rejects_non_positive_or_non_finite_power(power):
+    # a non-finite power would make the bound's integrand NaN; sinr_awgn rejects it too
+    with pytest.raises(ValueError, match="positive and finite"):
+        FastFadingScenario(2, power)
 
 
 def test_evaluate_thresholds_attaches_mc_fields():
