@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ConfigError(f"s_counts must hold integers, got {list(self.s_counts)}")
         if self.trials < 0 or self.trials == 1:  # a standard error needs two trials
             raise ConfigError(f"trials must be 0 or >= 2, got {self.trials}")
+        if self.kind == "validate" and self.trials != 0:  # each check fixes its own budget
+            raise ConfigError(f"validate takes no trials, got {self.trials}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         for name in ("snr_db", "payload_bits", "t_sub"):  # json accepts Infinity and NaN
@@ -76,7 +78,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {list(getattr(self, name))}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.trials > 0 and self.seed is None and self.kind != "validate":
+        if self.trials > 0 and self.seed is None:
             raise ConfigError("a seed is required for any stochastic experiment")
         if self.kind in ("thm1_sweep", "fading_sweep", "waterfill_sweep", "queue_sweep"):
             if not self.snr_db:

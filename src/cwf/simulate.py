@@ -3,8 +3,12 @@ dynamic interference cancellation, the queued variant, and the empirical
 error-rate check of the random-coding union bound.
 
 One walk engine (`_walk_trial`) serves the AWGN, block-fading and queued
-simulators: every active user accumulates one information-density
-increment per symbol, drawn at the SINR implied by the current active set.
+simulators.  It takes each user's received power and applies one SINR
+rule: an active user hears its own power over unit noise plus the power of
+every other active user.  An AWGN cell is the unit-gain case of a
+block-fading cell, so the AWGN and queued walks pass S equal powers and the
+fading walks pass power times gain.  Every active user accumulates one
+unit-noise information-density increment per symbol, drawn at that SINR.
 A user whose running sum crosses its threshold stops transmitting from the
 next symbol on, which raises everyone else's SINR.  The queued variant is
 the same walk plus a boundary schedule and two reset rules: at every
@@ -12,8 +16,7 @@ packet-interval boundary the light users restart from zero, and a
 congested user that crosses resets its sum and stays active.  Only the
 true-codeword walk is tracked here; competing-codeword crossings are a
 separate, rarer event measured by `simulate_error_probability`, which
-decodes payloads of 2 to 12 bits at their `message_threshold`.  Every
-increment is the unit-noise information density at the symbol's SINR.
+decodes payloads of 2 to 12 bits at their `message_threshold`.
 
 One estimator serves every Monte Carlo mean: `streams` hands out the
 trials of a plan in blocks, stream (s, k) of a run seeded with s serving
@@ -31,8 +34,10 @@ the (M-1)*tau normals that follow the true walk's 2*tau.  Walks look ahead
 in chunks of at most `_MAX_CHUNK` symbols but keep every normal they did
 not use, so look-ahead never changes a result.
 
-Capped trials are never dropped silently: they enter the means at the cap
-value (a lower bound) and are counted in `cap_hits`.
+Each simulator caps its trials by its own rule, `CAP_FACTOR` times its
+analytic prediction (ten times that for fresh Rayleigh gains).  Capped
+trials are never dropped silently: they enter the means at the cap value
+(a lower bound) and are counted in `cap_hits`.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .lengths import AwgnScenario, QueueScenario, message_threshold
 
 _MASK64 = (1 << 64) - 1
 
-#: default per-trial symbol cap, as a multiple of the predicted mean length
+#: per-trial symbol cap, as a multiple of the predicted mean length
 CAP_FACTOR = 50.0
 
 #: longest look-ahead of any walk, in symbols; bounds memory, never results
@@ -66,22 +71,18 @@ def trial_stream(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """How many trials to run, under which seed, with which symbol cap.
+    """How many trials to run and under which seed.
 
-    max_symbols=None lets each simulator cap trials at CAP_FACTOR times its
-    own analytic prediction; cap hits are reported, never silently dropped.
-    At least two trials are needed for a standard error.
+    At least two trials are needed for a standard error.  The symbol cap is
+    not part of the plan: each simulator applies its own cap rule.
     """
 
     trials: int
     seed: int
-    max_symbols: int | None = None
 
     def __post_init__(self):
         if self.trials < 2:
             raise ValueError(f"trials must be >= 2, got {self.trials}")
-        if self.max_symbols is not None and self.max_symbols < 1:
-            raise ValueError(f"max_symbols must be >= 1, got {self.max_symbols}")
 
 
 def streams(plan: TrialPlan, block: int):
@@ -175,19 +176,22 @@ def _mean_rate(snr: float, dims: int) -> float:
     return dims * 0.5 * math.log1p(snr)
 
 
-def _walk_trial(rng, thresholds, snr_for, dims, max_symbols, t_sub=None, congested=None):
+def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
     """One trial of the coupled walk; returns per-user first-crossing times
     (or the cap) and which users never crossed.
 
-    `snr_for(active_mask)` yields each user's SINR under the current active
-    set.  Symbol t takes the next 2*dims normals of the stream for each
-    active user, in user order: the input, then the noise; a symbol spends
-    `dims` real dimensions (2 for a complex link) whose increments share the
-    symbol SINR, and crossings are checked once per symbol.  The walk looks
-    ahead in chunks, each a (chunk, active users, 2, dims) view of a buffer
-    of drawn normals; the earliest in-chunk crossing ends the chunk, because
-    it changes the interference felt by everyone else, and the normals after
-    it stay in the buffer for the next chunk.  Chunk sizes affect speed only.
+    `rx[u]` is user u's received power at unit noise.  While a set of users
+    is active, each hears its own power over unit noise plus the others'
+    power, `rx[u] / (1 + sum(rx[active]) - rx[u])`; equal powers give the
+    AWGN walk.  Symbol t takes the next 2*dims normals of the stream for
+    each active user, in user order: the input, then the noise; a symbol
+    spends `dims` real dimensions (2 for a complex link) whose increments
+    share the symbol SINR, and crossings are checked once per symbol.  The
+    walk looks ahead in chunks, each a (chunk, active users, 2, dims) view
+    of a buffer of drawn normals; the earliest in-chunk crossing ends the
+    chunk, because it changes the interference felt by everyone else, and
+    the normals after it stay in the buffer for the next chunk.  Chunk
+    sizes affect speed only.
 
     A crossing user resets its accumulation and stays active when it is
     `congested`; any other user goes silent until the next interval
@@ -200,23 +204,23 @@ def _walk_trial(rng, thresholds, snr_for, dims, max_symbols, t_sub=None, congest
     light = ~congested
     acc = np.zeros(s_total)
     active = np.ones(s_total, dtype=bool)
-    stop = np.full(s_total, max_symbols, dtype=np.int64)
+    stop = np.full(s_total, cap, dtype=np.int64)
     done = np.zeros(s_total, dtype=bool)
     spare = np.empty(0)  # drawn but unused normals, in stream order
     t = 0
     interval = 1
     boundary = math.inf if t_sub is None else int(round(t_sub))
-    while t < max_symbols and not done.all():
+    while t < cap and not done.all():
         while boundary <= t:  # guard against sub-symbol intervals
             interval += 1
             boundary = int(round(interval * t_sub))
-        snr = snr_for(active)
         users = np.flatnonzero(active)
-        need = min(
-            (thresholds[u] - acc[u]) / _mean_rate(snr[u], dims) for u in users
-        )
+        heard = rx[users]
+        snr = heard / (1.0 + (heard.sum() - heard))  # one SINR per active user
+        need = min((thresholds[u] - acc[u]) / _mean_rate(snr[i], dims)
+                   for i, u in enumerate(users))
         chunk = int(min(max(16.0, 1.25 * need + 8.0), float(boundary - t),
-                        float(max_symbols - t), _MAX_CHUNK))
+                        float(cap - t), _MAX_CHUNK))
         width = len(users) * 2 * dims  # normals per symbol
         if spare.size < chunk * width:
             spare = np.concatenate([spare, rng.standard_normal(chunk * width - spare.size)])
@@ -224,8 +228,8 @@ def _walk_trial(rng, thresholds, snr_for, dims, max_symbols, t_sub=None, congest
         used = chunk
         cums = []
         for i, u in enumerate(users):
-            x = math.sqrt(snr[u]) * z[:, i, 0]
-            inc = info_density_increment(x, x + z[:, i, 1], snr[u])
+            x = math.sqrt(snr[i]) * z[:, i, 0]
+            inc = info_density_increment(x, x + z[:, i, 1], snr[i])
             inc[0, 0] += acc[u]  # the running sum is the same float whatever the chunking
             cums.append(np.cumsum(inc)[dims - 1::dims])  # summed over dims, per symbol
             hit = cums[-1][:used] >= thresholds[u]
@@ -259,14 +263,6 @@ def _run_trials(plan: TrialPlan, s_total: int, trial) -> StoppingOutcome:
     return StoppingOutcome(est.mean, est.se, est.trials, cap_hits=capped.sum(axis=0))
 
 
-def _awgn_snr_for(power: float, s_total: int):
-    def snr_for(active):
-        count = int(active.sum())
-        return np.full(s_total, power / (1.0 + (count - 1) * power))
-
-    return snr_for
-
-
 def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcome:
     """Coupled stopping times of S equal-power AWGN users.
 
@@ -276,24 +272,10 @@ def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcom
     """
     s_total = sc.s_count
     thresholds = np.array([message_threshold(k) for k in sc.payload_bits])
-    snr_for = _awgn_snr_for(sc.power, s_total)
-
+    rx = np.full(s_total, sc.power)
     base = AwgnScenario(sc.payload_bits, sc.power, 0.0)
-    cap = plan.max_symbols or int(CAP_FACTOR * _lengths.awgn_vlsf_lengths(base)[-1])
-    return _run_trials(plan, s_total,
-                       lambda rng: _walk_trial(rng, thresholds, snr_for, 1, cap))
-
-
-def _fading_snr_for(gains: np.ndarray, power: float):
-    pg = power * gains
-
-    def snr_for(active):
-        total = pg[active].sum()
-        out = np.zeros(len(gains))
-        out[active] = pg[active] / (1.0 + (total - pg[active]))
-        return out
-
-    return snr_for
+    cap = int(CAP_FACTOR * _lengths.awgn_vlsf_lengths(base)[-1])
+    return _run_trials(plan, s_total, lambda rng: _walk_trial(rng, thresholds, rx, 1, cap))
 
 
 def simulate_block_fading(gains, payload_bits: float, power: float,
@@ -309,13 +291,10 @@ def simulate_block_fading(gains, payload_bits: float, power: float,
     s_total = gains.shape[0]
     gamma = message_threshold(payload_bits)
     thresholds = np.full(s_total, gamma)
-    snr_for = _fading_snr_for(gains, power)
-
-    sorted_gains = np.sort(gains)[::-1]
-    coeffs = _lengths.fading_vlsf_coeffs(sorted_gains, power)
-    cap = plan.max_symbols or int(CAP_FACTOR * coeffs.max() * gamma)
-    return _run_trials(plan, s_total,
-                       lambda rng: _walk_trial(rng, thresholds, snr_for, 2, cap))
+    rx = power * gains
+    coeffs = _lengths.fading_vlsf_coeffs(np.sort(gains)[::-1], power)
+    cap = int(CAP_FACTOR * coeffs.max() * gamma)
+    return _run_trials(plan, s_total, lambda rng: _walk_trial(rng, thresholds, rx, 2, cap))
 
 
 def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: float,
@@ -331,11 +310,11 @@ def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: flo
     thresholds = np.full(s_count, gamma)
     typical = _lengths.fading_vlsf_coeffs(_lengths.rayleigh_order_means(s_count), power)
     # random draws can be much slower than the typical-gain prediction
-    cap = plan.max_symbols or int(10.0 * CAP_FACTOR * typical.max() * gamma)
+    cap = int(10.0 * CAP_FACTOR * typical.max() * gamma)
 
     def trial(rng):
-        gains = np.sort(rng.standard_exponential(s_count))[::-1]
-        return _walk_trial(rng, thresholds, _fading_snr_for(gains, power), 2, cap)
+        rx = power * np.sort(rng.standard_exponential(s_count))[::-1]
+        return _walk_trial(rng, thresholds, rx, 2, cap)
 
     return _run_trials(plan, s_count, trial)
 
@@ -355,10 +334,10 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     thresholds = np.array([message_threshold(k) for k in sc.payload_bits])
     breakdown = _lengths.queue_vlsf_lengths(QueueScenario(AwgnScenario(sc.payload_bits, p, 0.0), qs.t_sub))
     congested = np.arange(s_total) >= breakdown.r  # users r+1..S carry accumulation
-    cap = plan.max_symbols or int(CAP_FACTOR * max(breakdown.lengths.max(), qs.t_sub))
-    snr_for = _awgn_snr_for(p, s_total)
+    cap = int(CAP_FACTOR * max(breakdown.lengths.max(), qs.t_sub))
+    rx = np.full(s_total, p)
     return _run_trials(plan, s_total, lambda rng: _walk_trial(
-        rng, thresholds, snr_for, 1, cap, qs.t_sub, congested))
+        rng, thresholds, rx, 1, cap, qs.t_sub, congested))
 
 
 def simulate_error_probability(payload_bits: float, snr: float,
@@ -378,7 +357,7 @@ def simulate_error_probability(payload_bits: float, snr: float,
     m_codewords = int(round(2.0**payload_bits))
     threshold = message_threshold(payload_bits)
     rate = _mean_rate(snr, 1)
-    cap = plan.max_symbols or int(CAP_FACTOR * max(threshold, rate) / rate)
+    cap = int(CAP_FACTOR * max(threshold, rate) / rate)
     sqrt_snr = math.sqrt(snr)
 
     errors = 0

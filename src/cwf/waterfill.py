@@ -11,6 +11,7 @@ to pick the operating point, and `mc_capacity` checks it by simulation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +42,11 @@ class FastFadingScenario:
     def __post_init__(self):
         if self.s_count < 1:
             raise ValueError(f"s_count must be >= 1, got {self.s_count}")
+        n = self.s_count - 1  # the largest weight of lower_bound_terms must be a float
+        if (math.lgamma(n + 1) - math.lgamma(n // 2 + 1) - math.lgamma(n - n // 2 + 1)
+                > math.log(sys.float_info.max)):
+            raise ValueError(f"s_count must be <= 1030, got {self.s_count}: "
+                             f"C({n}, {n // 2}) overflows a float")
         if not (self.power > 0.0 and math.isfinite(self.power)):
             raise ValueError(f"power must be positive and finite, got {self.power}")
 

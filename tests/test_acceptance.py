@@ -3,7 +3,8 @@ asserts every criterion at its pinned tolerance, one test per criterion.
 
 Run with `pytest -v tests/test_acceptance.py` (or `-s` to watch the live
 progress lines).  The same checks are reachable from the shell via
-`cwf validate`.
+`cwf validate`.  Every test here carries the `acceptance` marker, so
+`pytest -m "not acceptance"` runs the rest of the suite without them.
 """
 
 import csv
@@ -12,6 +13,8 @@ import io
 import pytest
 
 from cwf.cli import EXIT_OK, main
+
+pytestmark = pytest.mark.acceptance
 
 CRITERIA = {
     1: "awgn_lengths_vs_simulation",

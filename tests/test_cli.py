@@ -196,10 +196,11 @@ def test_cli_rejects_epsilon_outside_fixed_length_domain(tmp_path, sub, epsilon)
     ("thm1", {"payload_bits": [300.0, math.inf]}),
     ("fading", {"snr_db": [math.inf]}),
     ("waterfill", {"snr_db": [math.inf]}),
+    ("waterfill", {"s_counts": [1031]}),
 ], ids=["waterfill_no_users", "thm1_decreasing_payloads", "fading_tiny_payload",
         "queue_negative_interval", "thm1_infinite_snr", "queue_infinite_interval",
         "fading_infinite_payload", "thm1_infinite_payload", "fading_infinite_snr",
-        "waterfill_infinite_snr"])
+        "waterfill_infinite_snr", "waterfill_binomial_overflow"])
 def test_cli_rejects_out_of_domain_scenarios(tmp_path, sub, fields):
     # the sweeps' own scenario checks run at config time: exit 2, no CSV;
     # json writes math.inf as Infinity, which json.loads accepts
@@ -223,6 +224,13 @@ def test_cli_rejects_non_integer_counts(tmp_path, cfg):
     out = tmp_path / "x.csv"
     assert main([cfg["kind"].split("_")[0], "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_config_rejects_validate_trials():
+    # each criterion fixes its own trial budget; a budget here would be ignored
+    assert default_config("validate").override(trials=0).trials == 0
+    with pytest.raises(ConfigError, match="validate takes no trials"):
+        default_config("validate").override(trials=5)
 
 
 def test_config_rejects_bool_and_float_integer_fields():

@@ -94,17 +94,36 @@ def test_estimate_merges_blocks_like_two_pass(n, k, seed, fractions):
 SC_PIN = AwgnScenario((100.0, 300.0), 1.0, 0.0)
 
 
+def _capped(cap, predicted, simulator, *args):
+    """`simulator(*args)` with its cap rule, CAP_FACTOR x `predicted`, at `cap` symbols."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "CAP_FACTOR", (cap + 0.5) / predicted)
+        return simulator(*args)
+
+
+def _queue_prediction(qs):
+    """The length `simulate_queue` multiplies by CAP_FACTOR for its cap."""
+    return max(queue_vlsf_lengths(qs).lengths.max(), qs.t_sub)
+
+
+QS_STARVED = QueueScenario(SC_PIN, 40.0)
+
+
 PINNED = pytest.mark.parametrize("run,stop_sums,cap_hits", [
     (lambda: simulate_awgn_multiuser(SC_PIN, TrialPlan(200, 1)), [73611, 152968], [0, 0]),
     (lambda: simulate_queue(QueueScenario(SC_PIN, 300.0), TrialPlan(200, 3)),
      [73260, 210190], [0, 0]),
-    (lambda: simulate_queue(QueueScenario(SC_PIN, 40.0), TrialPlan(40, 4, max_symbols=300)),
-     [11974, 12000], [36, 40]),
+    (lambda: _capped(300, _queue_prediction(QS_STARVED), simulate_queue, QS_STARVED,
+                     TrialPlan(40, 4)), [11974, 12000], [36, 40]),
     (lambda: simulate_block_fading([1.5, 0.5], 300.0, 1.0, TrialPlan(200, 5)),
      [61050, 139152], [0, 0]),
     (lambda: simulate_rayleigh_block_fading(2, 200.0, 1.0, TrialPlan(100, 6)),
      [34812, 336701], [0, 0]),
-], ids=["awgn", "queue", "queue_capped", "block_fading", "rayleigh"])
+    # three equal powers at -5 dB, where p/(1+2p) and the engine's p/(1+(3p-p)) differ in
+    # the last bit: this pins the engine's form
+    (lambda: simulate_awgn_multiuser(AwgnScenario((60.0, 150.0, 300.0), 10**-0.5, 0.0),
+                                     TrialPlan(200, 7)), [101735, 219502, 374186], [0, 0, 0]),
+], ids=["awgn", "queue", "queue_capped", "block_fading", "rayleigh", "awgn_three_users"])
 
 
 @PINNED
@@ -140,7 +159,7 @@ def test_error_rate_does_not_depend_on_look_ahead(monkeypatch):
 
 def test_queue_reduces_to_plain_walk_without_congestion():
     # huge interval: identical draws, identical stopping times, bit for bit
-    plan = TrialPlan(150, 2024, max_symbols=60_000)
+    plan = TrialPlan(150, 2024)
     plain = simulate_awgn_multiuser(SC2, plan)
     queued = simulate_queue(QueueScenario(SC2, 1e8), plan)
     assert np.array_equal(plain.mean, queued.mean)
@@ -195,7 +214,7 @@ def test_stopping_times_ordered_by_payload():
 
 
 def test_cap_hits_are_counted_not_hidden():
-    out = simulate_awgn_multiuser(SC2, TrialPlan(60, 5, max_symbols=50))
+    out = _capped(50, awgn_vlsf_lengths(SC2)[-1], simulate_awgn_multiuser, SC2, TrialPlan(60, 5))
     assert out.cap_hits[1] == 60  # nobody finishes 300 bits in 50 symbols
     assert out.cap_flagged
     assert out.mean[1] == pytest.approx(50.0)
@@ -245,7 +264,8 @@ def test_queue_simulation_respects_analytic_bound():
 
 def test_queue_divergence_flag_on_starved_cap():
     sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
-    out = simulate_queue(QueueScenario(sc, 40.0), TrialPlan(40, 43, max_symbols=300))
+    qs = QueueScenario(sc, 40.0)
+    out = _capped(300, _queue_prediction(qs), simulate_queue, qs, TrialPlan(40, 43))
     assert out.cap_flagged
     assert out.cap_hits[1] == 40
 

@@ -208,6 +208,16 @@ def test_fast_fading_scenario_rejects_non_positive_or_non_finite_power(power):
         FastFadingScenario(2, power)
 
 
+def test_fast_fading_scenario_rejects_binomial_overflow():
+    # lower_bound_terms weighs C(S-1, t) as a float; C(1030, 515) is the first to overflow,
+    # and a huge S is rejected from lgamma without building the integer
+    weights, _ = lower_bound_terms(1.0, FastFadingScenario(1030, 1.0))
+    assert all(math.isfinite(w) for w in weights)
+    for s_count in (1031, 10**9):
+        with pytest.raises(ValueError, match="overflows a float"):
+            FastFadingScenario(s_count, 1.0)
+
+
 def test_evaluate_thresholds_attaches_mc_fields():
     res = evaluate_thresholds(FastFadingScenario(2, 1.0), 50_000, seed=9)
     assert res.mc_capacity_single is not None
