@@ -3,6 +3,8 @@ per-symbol information density increments.
 
 Every link has unit noise variance, so SINRs are powers over 1 plus the
 interference, and the information density takes the SINR as its power.
+The walks, the closed-form lengths and `sinr_fading` share one SINR rule on
+received powers, `active_sinrs`.
 
 All information quantities are in nats.  Payload sizes given in bits are
 converted at the boundary via kappa = K * ln(2).
@@ -17,11 +19,18 @@ import numpy as np
 LN2 = math.log(2.0)
 
 
+def active_sinrs(rx):
+    """SINRs of the active users from their received powers: each hears its
+    own power over unit noise plus the others', rx / (1 + sum(rx) - rx)."""
+    return rx / (1.0 + (rx.sum() - rx))
+
+
 def sinr_awgn(power: float, active_users: int) -> float:
     """SINR of one user when `active_users` equal-power users share the band.
 
     All interferers transmit i.i.d. Gaussian codewords at `power`, so the
-    interference-plus-noise is Gaussian with variance 1 + (s-1)*power.
+    interference-plus-noise is Gaussian with variance 1 + (s-1)*power: the
+    equal-power case of `active_sinrs`, without building the s powers.
     """
     if not power > 0.0 or not math.isfinite(power):
         raise ValueError(f"power must be positive and finite, got {power}")
@@ -47,8 +56,7 @@ def sinr_fading(power: float, gains, active_from: int, j: int) -> float:
         raise ValueError(f"user {j} is not active (active set {active_from}..{s_total})")
     if not power > 0.0:
         raise ValueError(f"power must be positive, got {power}")
-    others = [power * gains[t - 1] for t in range(active_from, s_total + 1) if t != j]
-    return power * gains[j - 1] / (1.0 + math.fsum(others))
+    return float(active_sinrs(power * gains[active_from - 1:])[j - active_from])
 
 
 def capacity(snr, dims: int = 1):

@@ -1,12 +1,12 @@
 """Closed-form average-length formulas for variable-length stop-feedback
 transmission with progressive interference cancellation.
 
-The model: S equal-power users in S cells, decoded in ascending payload
-order.  When a user's accumulated information density crosses its decoding
-threshold it stops transmitting, which raises the SINR of everyone still
-active.  Average lengths follow from Wald's identity applied phase by phase,
-with the log-order remainder folded into the thresholds and otherwise
-dropped.
+The model: when a user's accumulated information density crosses its
+decoding threshold it stops transmitting, which raises the SINR of everyone
+still active.  One solver, `phase_lengths`, applies Wald's identity phase by
+phase on received powers with the walks' SINR rule (`channel.active_sinrs`),
+the log-order remainder folded into the thresholds and otherwise dropped.
+Callers guarantee the stopping order: ascending payloads, descending gains.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .channel import LN2, capacity, dispersion, sinr_awgn, sinr_fading
+from .channel import LN2, active_sinrs, capacity, dispersion
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,11 @@ class AwgnScenario:
     def s_count(self) -> int:
         return len(self.payload_bits)
 
+    @property
+    def thresholds(self) -> np.ndarray:
+        """Decoding thresholds of users 1..S in nats, ascending."""
+        return np.array([message_threshold(k) for k in self.payload_bits])
+
 
 @dataclass(frozen=True)
 class QueueScenario:
@@ -59,8 +64,8 @@ class QueueScenario:
     t_sub: float
 
     def __post_init__(self):
-        if not self.t_sub > 0.0:
-            raise ValueError(f"t_sub must be positive, got {self.t_sub}")
+        if not 0.0 < self.t_sub < math.inf:
+            raise ValueError(f"t_sub must be positive and finite, got {self.t_sub}")
 
 
 @dataclass(frozen=True)
@@ -127,25 +132,22 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
     return n
 
 
-def _awgn_thresholds(sc: AwgnScenario) -> np.ndarray:
-    return np.array([message_threshold(k) for k in sc.payload_bits])
+def phase_lengths(thresholds, rx, dims: int):
+    """Wald's identity phase by phase: each user's stop time in symbols, and
+    the rate of the user that stops in each phase.
 
-
-def _awgn_phase_capacities(sc: AwgnScenario) -> np.ndarray:
-    """caps[t-1] = capacity during phase t, when S-t+1 users are active."""
-    s = sc.s_count
-    return np.array(
-        [capacity(sinr_awgn(sc.power, s - t + 1)) for t in range(1, s + 1)]
-    )
-
-
-def _raw_length_prefix(sc: AwgnScenario) -> np.ndarray:
-    """Cumulative sums l'_s = sum_{t<=s} (g_t - g_{t-1}) / C_{S-t+1}, with
-    l'_0 = 0 prepended.  These are the epsilon-free average lengths."""
-    g = _awgn_thresholds(sc)
-    caps = _awgn_phase_capacities(sc)
-    steps = np.diff(g, prepend=0.0) / caps
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    Phase k ends when user k's nats reach thresholds[k]; users k..S-1 send
+    during it, at capacity(active_sinrs(rx[k:]), dims) nats per symbol.
+    Nothing is sorted: callers guarantee that users stop in index order.
+    """
+    acc = np.zeros(len(rx))  # nats gathered so far
+    steps, leader_rate = np.empty(len(rx)), np.empty(len(rx))
+    for k in range(len(rx)):
+        rate = capacity(active_sinrs(rx[k:]), dims)
+        steps[k] = (thresholds[k] - acc[k]) / rate[0]
+        acc[k:] += steps[k] * rate
+        leader_rate[k] = rate[0]
+    return np.cumsum(steps), leader_rate
 
 
 def awgn_vlsf_lengths(sc: AwgnScenario) -> np.ndarray:
@@ -156,7 +158,7 @@ def awgn_vlsf_lengths(sc: AwgnScenario) -> np.ndarray:
     active users.  User s spends each phase t at the capacity set by the
     S-t+1 users still transmitting.
     """
-    return (1.0 - sc.epsilon) * _raw_length_prefix(sc)[1:]
+    return (1.0 - sc.epsilon) * phase_lengths(sc.thresholds, np.full(sc.s_count, sc.power), 1)[0]
 
 
 def queue_vlsf_lengths(qs: QueueScenario) -> QueueBreakdown:
@@ -170,9 +172,9 @@ def queue_vlsf_lengths(qs: QueueScenario) -> QueueBreakdown:
     """
     sc = qs.base
     s_total = sc.s_count
-    g = _awgn_thresholds(sc)
-    caps = _awgn_phase_capacities(sc)
-    prefix = _raw_length_prefix(sc)
+    g = sc.thresholds
+    stops, caps = phase_lengths(g, np.full(s_total, sc.power), 1)
+    prefix = np.concatenate([[0.0], stops])  # epsilon-free lengths, l'_0 = 0
 
     r = int(np.searchsorted(prefix[1:], qs.t_sub, side="left"))  # largest s with l'_s < t_sub
     if r == s_total:
@@ -204,8 +206,9 @@ def fading_vlsf_coeffs(gains, power: float) -> np.ndarray:
     """Symbols-per-nat coefficients a_j for block fading with common payload.
 
     Decoding order follows descending gain; user j's average length is
-    a_j * (1-eps) * threshold.  The recursion charges each earlier user's
-    termination with the capacity jump it causes for user j:
+    a_j * (1-eps) * threshold, so a_j is its stop time under unit thresholds.
+    Unrolled, the phases charge each earlier user's termination with the
+    capacity jump it causes for user j:
 
         a_1 = 1 / C(S users active, user 1)
         a_k = (1 + sum_{t<k} a_t * (C_{S-t,k} - C_{S-t+1,k})) / C_{S-k+1,k}
@@ -216,19 +219,7 @@ def fading_vlsf_coeffs(gains, power: float) -> np.ndarray:
         raise ValueError("all gains must be positive")
     if np.any(np.diff(gains) > 0.0):
         raise ValueError("gains must be sorted descending (decoding order)")
-
-    def cap_sj(s: int, j: int) -> float:
-        # s users active means users S-s+1..S are still transmitting
-        return capacity(sinr_fading(power, gains, s_total - s + 1, j), dims=2)
-
-    a = np.empty(s_total)
-    a[0] = 1.0 / cap_sj(s_total, 1)
-    for k in range(2, s_total + 1):
-        acc = 1.0
-        for t in range(1, k):
-            acc += a[t - 1] * (cap_sj(s_total - t, k) - cap_sj(s_total - t + 1, k))
-        a[k - 1] = acc / cap_sj(s_total - k + 1, k)
-    return a
+    return phase_lengths(np.ones(s_total), power * gains, 2)[0]
 
 
 def rayleigh_order_means(s_count: int) -> np.ndarray:

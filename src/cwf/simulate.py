@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lengths as _lengths
-from .channel import info_density_increment
-from .lengths import AwgnScenario, QueueScenario, message_threshold
+from .channel import active_sinrs, info_density_increment
+from .lengths import (AwgnScenario, QueueScenario, message_threshold, phase_lengths,
+                      queue_vlsf_lengths, rayleigh_order_means)
 
 _MASK64 = (1 << 64) - 1
 
@@ -182,16 +182,16 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
 
     `rx[u]` is user u's received power at unit noise.  While a set of users
     is active, each hears its own power over unit noise plus the others'
-    power, `rx[u] / (1 + sum(rx[active]) - rx[u])`; equal powers give the
-    AWGN walk.  Symbol t takes the next 2*dims normals of the stream for
-    each active user, in user order: the input, then the noise; a symbol
-    spends `dims` real dimensions (2 for a complex link) whose increments
-    share the symbol SINR, and crossings are checked once per symbol.  The
-    walk looks ahead in chunks, each a (chunk, active users, 2, dims) view
-    of a buffer of drawn normals; the earliest in-chunk crossing ends the
-    chunk, because it changes the interference felt by everyone else, and
-    the normals after it stay in the buffer for the next chunk.  Chunk
-    sizes affect speed only.
+    power (`channel.active_sinrs`); equal powers give the AWGN walk.  Symbol
+    t takes the next 2*dims normals of the stream for each active user, in
+    user order: the input, then the noise; a symbol spends `dims` real
+    dimensions (2 for a complex link) whose increments share the symbol
+    SINR, and crossings are checked once per symbol.  The walk looks ahead
+    in chunks, each a (chunk, active users, 2, dims) view of a buffer of
+    drawn normals; the earliest in-chunk crossing ends the chunk, because it
+    changes the interference felt by everyone else, and the normals after
+    it stay in the buffer for the next chunk.  Chunk sizes affect speed
+    only.
 
     A crossing user resets its accumulation and stays active when it is
     `congested`; any other user goes silent until the next interval
@@ -215,8 +215,7 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
             interval += 1
             boundary = int(round(interval * t_sub))
         users = np.flatnonzero(active)
-        heard = rx[users]
-        snr = heard / (1.0 + (heard.sum() - heard))  # one SINR per active user
+        snr = active_sinrs(rx[users])
         need = min((thresholds[u] - acc[u]) / _mean_rate(snr[i], dims)
                    for i, u in enumerate(users))
         chunk = int(min(max(16.0, 1.25 * need + 8.0), float(boundary - t),
@@ -271,10 +270,9 @@ def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcom
     applied, so means compare against the epsilon-free analytic lengths.
     """
     s_total = sc.s_count
-    thresholds = np.array([message_threshold(k) for k in sc.payload_bits])
+    thresholds = sc.thresholds
     rx = np.full(s_total, sc.power)
-    base = AwgnScenario(sc.payload_bits, sc.power, 0.0)
-    cap = int(CAP_FACTOR * _lengths.awgn_vlsf_lengths(base)[-1])
+    cap = int(CAP_FACTOR * phase_lengths(thresholds, rx, 1)[0][-1])
     return _run_trials(plan, s_total, lambda rng: _walk_trial(rng, thresholds, rx, 1, cap))
 
 
@@ -289,11 +287,9 @@ def simulate_block_fading(gains, payload_bits: float, power: float,
     if np.any(gains <= 0.0):
         raise ValueError("all gains must be positive")
     s_total = gains.shape[0]
-    gamma = message_threshold(payload_bits)
-    thresholds = np.full(s_total, gamma)
+    thresholds = np.full(s_total, message_threshold(payload_bits))
     rx = power * gains
-    coeffs = _lengths.fading_vlsf_coeffs(np.sort(gains)[::-1], power)
-    cap = int(CAP_FACTOR * coeffs.max() * gamma)
+    cap = int(CAP_FACTOR * phase_lengths(thresholds, np.sort(rx)[::-1], 2)[0][-1])
     return _run_trials(plan, s_total, lambda rng: _walk_trial(rng, thresholds, rx, 2, cap))
 
 
@@ -306,11 +302,10 @@ def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: flo
     """
     if s_count < 1:
         raise ValueError(f"s_count must be >= 1, got {s_count}")
-    gamma = message_threshold(payload_bits)
-    thresholds = np.full(s_count, gamma)
-    typical = _lengths.fading_vlsf_coeffs(_lengths.rayleigh_order_means(s_count), power)
+    thresholds = np.full(s_count, message_threshold(payload_bits))
+    typical = phase_lengths(thresholds, power * rayleigh_order_means(s_count), 2)[0][-1]
     # random draws can be much slower than the typical-gain prediction
-    cap = int(10.0 * CAP_FACTOR * typical.max() * gamma)
+    cap = int(10.0 * CAP_FACTOR * typical)
 
     def trial(rng):
         rx = power * np.sort(rng.standard_exponential(s_count))[::-1]
@@ -330,12 +325,12 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     """
     sc = qs.base
     s_total = sc.s_count
-    p = sc.power
-    thresholds = np.array([message_threshold(k) for k in sc.payload_bits])
-    breakdown = _lengths.queue_vlsf_lengths(QueueScenario(AwgnScenario(sc.payload_bits, p, 0.0), qs.t_sub))
+    thresholds = sc.thresholds
+    base = AwgnScenario(sc.payload_bits, sc.power, 0.0)
+    breakdown = queue_vlsf_lengths(QueueScenario(base, qs.t_sub))
     congested = np.arange(s_total) >= breakdown.r  # users r+1..S carry accumulation
     cap = int(CAP_FACTOR * max(breakdown.lengths.max(), qs.t_sub))
-    rx = np.full(s_total, p)
+    rx = np.full(s_total, sc.power)
     return _run_trials(plan, s_total, lambda rng: _walk_trial(
         rng, thresholds, rx, 1, cap, qs.t_sub, congested))
 

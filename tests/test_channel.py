@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cwf.channel import (
+    active_sinrs,
     capacity,
     dispersion,
     info_density_increment,
@@ -36,6 +37,12 @@ def test_sinr_fading_known_values():
     # single active user: interference sum is empty
     assert sinr_fading(1.0, [0.3, 0.7], 2, 2) == pytest.approx(0.7)
     assert sinr_fading(1.0, [1.5, 0.5], 1, 1) == pytest.approx(1.0)
+
+
+def test_active_sinrs_known_values_and_closed_forms():
+    assert active_sinrs(np.array([1.0, 2.0, 3.0])) == pytest.approx([1 / 6, 2 / 5, 3 / 4])
+    assert active_sinrs(np.full(3, 2.0)) == pytest.approx(sinr_awgn(2.0, 3), rel=1e-15)
+    assert sinr_fading(2.0, [3.0, 1.5, 0.5], 2, 3) == active_sinrs(np.array([3.0, 1.0]))[1]
 
 
 def test_sinr_fading_inactive_user_rejected():

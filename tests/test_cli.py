@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import runpy
@@ -148,6 +149,51 @@ def test_waterfill_sweep_ordering_columns():
 
 
 # ------------------------------------------------------------------------ CLI
+
+_GOLDEN_CONFIGS = {
+    "thm1_seed3": {"kind": "thm1_sweep", "snr_db": [-5, 0, 5, 10], "payload_bits": [60, 150, 300],
+                   "epsilon": 1e-3, "trials": 300, "seed": 3},
+    "fading_seed5": {"kind": "fading_sweep", "snr_db": [0.0, 5.0], "payload_bits": [200],
+                     "s_count": 3, "epsilon": 1e-3, "trials": 30, "seed": 5},
+    "fading5": {"kind": "fading_sweep", "snr_db": [-5, -2, 0, 3, 5, 8, 10, 15],
+                "payload_bits": [700], "s_count": 6, "epsilon": 1e-3, "trials": 0},
+    "thm1big": {"kind": "thm1_sweep", "snr_db": [-10, -7, -5, -3, 0, 2, 5, 7, 10, 15, 20],
+                "payload_bits": [40, 80, 150, 300, 600, 1000, 2000], "epsilon": 1e-3, "trials": 0},
+    "queuebig": {"kind": "queue_sweep", "snr_db": [-5, 0, 5, 10],
+                 "payload_bits": [60, 150, 300, 500, 700, 1200],
+                 "t_sub": [100, 200, 400, 600, 800, 1000, 1500, 2000, 3000, 5000],
+                 "epsilon": 1e-3, "trials": 0},
+}
+
+
+@pytest.mark.parametrize("run,digest", [
+    ("thm1", "9478d2357c6cccfb"),
+    ("queue", "56583564fee4e7eb"),
+    ("fading", "8e948aed5e98dc41"),
+    ("waterfill", "d981c9b884ef84c0"),
+    ("thm1 --seed 7 --trials 50", "fd5ce271155a33ff"),
+    ("queue --seed 7 --trials 50", "c5399ff8f12eccb7"),
+    ("fading --seed 7 --trials 4", "419a1c51e3bbd529"),
+    ("thm1_seed3", "b66a4dcccb9208ac"),
+    ("fading_seed5", "0b34110db282bd5e"),
+    ("fading5", "bb72d28af83110f3"),
+    ("thm1big", "8ef7dc5103dbaf97"),
+    ("queuebig", "9b32c29d60e45bec"),
+])
+def test_cli_csv_bytes_are_pinned(tmp_path, run, digest):
+    """Golden bytes: the sha256 prefix of each CSV, so a refactor that claims
+    byte-identical outputs is checked here.  The CSV header carries
+    `__version__`, so a version bump must re-pin these hashes, and so must a
+    platform whose libm rounds differently."""
+    argv = run.split()
+    if run in _GOLDEN_CONFIGS:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_GOLDEN_CONFIGS[run]))
+        argv = [_GOLDEN_CONFIGS[run]["kind"].split("_")[0], "--config", str(path)]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
 
 def test_cli_thm1_runs_and_writes(tmp_path, capsys):
     out = tmp_path / "thm1.csv"
@@ -314,6 +360,19 @@ def test_validate_subset_failure_reporting(tmp_path, monkeypatch):
     assert not ok
     assert results[0].verdict == "fail"
     assert (tmp_path / "r.csv").read_text().count("fail") == 1
+
+
+def test_validate_runtime_cap_fails_run_not_row(monkeypatch):
+    # the wall clock never enters the report that criterion 10 compares
+    from cwf import validate
+
+    monkeypatch.setattr(validate, "RUNTIME_CAPS", {2: 0.0})
+    lines = []
+    results, ok, text = validate.run_validate(
+        DEFAULT_VALIDATE_SEED, None, criteria=[2], echo=lines.append)
+    assert not ok
+    assert results[0].verdict == "pass" and text.endswith(",pass\n")
+    assert any("criterion  2 over its runtime cap" in line for line in lines)
 
 
 def test_validate_seed_change_moves_observations_not_verdicts(tmp_path):

@@ -14,6 +14,7 @@ from cwf.lengths import (
     fading_vlsf_coeffs,
     fixed_length_blocklength,
     message_threshold,
+    phase_lengths,
     queue_vlsf_lengths,
     rayleigh_order_means,
 )
@@ -116,6 +117,26 @@ def _oracle_awgn_lengths(payloads, p, eps):
             prev = gammas[t - 1]
         out.append((1 - mp.mpf(eps)) * total)
     return [float(v) for v in out]
+
+
+def _oracle_fading_coeffs(gains, power):
+    """The capacity-jump recursion over users in decoding order, with
+    50-digit arithmetic: a_k = (1 + sum_{t<k} a_t (C_{t+1,k} - C_{t,k})) / C_{k,k}
+    where C_{f,j} is user j's complex-link capacity while users f..S send."""
+    mp.mp.dps = 50
+    rx = [mp.mpf(power) * mp.mpf(g) for g in gains]
+
+    def cap(first, j):
+        others = mp.fsum(rx[first - 1:]) - rx[j - 1]
+        return mp.log(1 + rx[j - 1] / (1 + others))
+
+    a = []
+    for k in range(1, len(gains) + 1):
+        acc = mp.mpf(1)
+        for t in range(1, k):
+            acc += a[t - 1] * (cap(t + 1, k) - cap(t, k))
+        a.append(acc / cap(k, k))
+    return [float(v) for v in a]
 
 
 def test_awgn_lengths_match_high_precision_oracle():
@@ -309,6 +330,12 @@ def test_queue_rejects_bad_interval():
         QueueScenario(sc, 0.0)
 
 
+def test_queue_rejects_infinite_interval():
+    # an endless interval would make 0 * t_sub a NaN length
+    with pytest.raises(ValueError, match="finite"):
+        QueueScenario(AwgnScenario((300.0, 1000.0), 1.0, 0.0), math.inf)
+
+
 # ------------------------------------------------------------- fading coeffs
 
 def test_fading_coeffs_frozen_values():
@@ -350,6 +377,37 @@ def test_fading_coeffs_scale_invariance(s_count, power, scale, salt):
     assert np.all(a > 0.0)
     a_scaled = fading_vlsf_coeffs(gains * scale, power / scale)
     assert a == pytest.approx(a_scaled, rel=1e-9)
+
+
+@given(
+    st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=8),
+    st.floats(min_value=0.01, max_value=100.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_fading_coeffs_match_high_precision_oracle(gains, power):
+    gains = sorted(gains, reverse=True)
+    assert fading_vlsf_coeffs(gains, power) == pytest.approx(
+        _oracle_fading_coeffs(gains, power), rel=1e-12)
+
+
+@given(st.integers(min_value=1, max_value=8), st.floats(min_value=0.01, max_value=100.0),
+       st.sampled_from([1, 2]), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_phase_lengths_stops_non_decreasing(s_count, power, dims, common, data):
+    # the callers' order: thresholds ascending, received powers descending
+    if common:  # block fading: one payload, strictly weaker users later
+        thresholds = np.full(s_count, data.draw(st.floats(min_value=1.0, max_value=1e4)))
+        ratios = st.floats(min_value=0.1, max_value=0.99)
+    else:  # cells with ascending payloads and non-increasing powers
+        gaps = st.lists(st.floats(min_value=0.01, max_value=1e3), min_size=s_count,
+                        max_size=s_count)
+        thresholds = np.cumsum(data.draw(gaps))
+        ratios = st.floats(min_value=0.1, max_value=1.0)
+    steps = data.draw(st.lists(ratios, min_size=s_count - 1, max_size=s_count - 1))
+    rx = power * np.cumprod([1.0, *steps])
+    stops, leader_rate = phase_lengths(thresholds, rx, dims)
+    assert stops[0] > 0.0 and np.all(np.diff(stops) >= 0.0)
+    assert np.all(leader_rate > 0.0)
 
 
 def test_fading_coeffs_reject_unsorted_or_zero():
