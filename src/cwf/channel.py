@@ -13,6 +13,7 @@ converted at the boundary via kappa = K * ln(2).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -25,6 +26,17 @@ def active_sinrs(rx):
     return rx / (1.0 + (rx.sum() - rx))
 
 
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ValueError unless every entry of `value` is positive and finite."""
+    v = np.asarray(value, dtype=float)
+    if not ((v > 0.0) & (v < math.inf)).all():
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def sinr_awgn(power: float, active_users: int) -> float:
     """SINR of one user when `active_users` equal-power users share the band.
 
@@ -32,8 +44,7 @@ def sinr_awgn(power: float, active_users: int) -> float:
     interference-plus-noise is Gaussian with variance 1 + (s-1)*power: the
     equal-power case of `active_sinrs`, without building the s powers.
     """
-    if not power > 0.0 or not math.isfinite(power):
-        raise ValueError(f"power must be positive and finite, got {power}")
+    check_positive("power", power)
     if active_users < 1:
         raise ValueError(f"active_users must be >= 1, got {active_users}")
     return power / (1.0 + (active_users - 1) * power)
@@ -54,8 +65,7 @@ def sinr_fading(power: float, gains, active_from: int, j: int) -> float:
         raise ValueError(f"active_from {active_from} outside 1..{s_total}")
     if not (active_from <= j <= s_total):
         raise ValueError(f"user {j} is not active (active set {active_from}..{s_total})")
-    if not power > 0.0:
-        raise ValueError(f"power must be positive, got {power}")
+    check_positive("power", power)
     return float(active_sinrs(power * gains[active_from - 1:])[j - active_from])
 
 

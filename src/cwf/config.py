@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .channel import is_int
 from .lengths import AwgnScenario, QueueScenario, message_threshold, rayleigh_order_means
+from .simulate import point_seed  # noqa: F401  (re-exported)
 from .waterfill import FastFadingScenario
 
 KINDS = ("thm1_sweep", "queue_sweep", "fading_sweep", "waterfill_sweep", "validate")
@@ -30,10 +31,6 @@ class ConfigError(ValueError):
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -63,9 +60,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         for name in ("trials", "seed", "s_count"):
             value = getattr(self, name)
-            if not (_is_int(value) or (name == "seed" and value is None)):
+            if not (is_int(value) or (name == "seed" and value is None)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not all(map(_is_int, self.s_counts)):
+        if not all(map(is_int, self.s_counts)):
             raise ConfigError(f"s_counts must hold integers, got {list(self.s_counts)}")
         if self.trials < 0 or self.trials == 1:  # a standard error needs two trials
             raise ConfigError(f"trials must be 0 or >= 2, got {self.trials}")
@@ -160,11 +157,6 @@ class ExperimentConfig:
         d = self.to_dict()
         d.update({k: v for k, v in kwargs.items() if v is not None})
         return ExperimentConfig.from_dict(d)
-
-
-def point_seed(root_seed: int, grid_index: int) -> int:
-    """Derived per-grid-point seed; stable across runs and platforms."""
-    return int(np.random.SeedSequence([root_seed, grid_index]).generate_state(1)[0])
 
 
 def default_config(kind: str) -> ExperimentConfig:

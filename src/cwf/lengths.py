@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .channel import LN2, active_sinrs, capacity, dispersion
+from .channel import LN2, active_sinrs, capacity, check_positive, dispersion, is_int
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,11 @@ class AwgnScenario:
         object.__setattr__(self, "payload_bits", tuple(float(k) for k in self.payload_bits))
         if len(self.payload_bits) < 1:
             raise ValueError("at least one user required")
-        if any(k < 2.0 for k in self.payload_bits):
-            raise ValueError("payloads below 2 bits are not supported")
+        if not all(2.0 <= k < math.inf for k in self.payload_bits):
+            raise ValueError(f"payloads must be finite and >= 2 bits, got {self.payload_bits}")
         if any(b >= a for b, a in zip(self.payload_bits, self.payload_bits[1:])):
             raise ValueError("payload_bits must be strictly increasing")
-        if not self.power > 0.0:
-            raise ValueError(f"power must be positive, got {self.power}")
+        check_positive("power", self.power)
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
 
@@ -95,8 +94,8 @@ def message_threshold(payload_bits: float) -> float:
     over the 2^K - 1 wrong codewords equal 1/kappa:
     exp(kappa) * exp(-threshold) = 1/kappa.
     """
-    if payload_bits < 2.0:
-        raise ValueError(f"payload must be >= 2 bits, got {payload_bits}")
+    if not 2.0 <= payload_bits < math.inf:
+        raise ValueError(f"payload must be finite and >= 2 bits, got {payload_bits}")
     kappa = payload_bits * LN2
     return kappa + math.log(kappa)
 
@@ -109,8 +108,7 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
     the real-AWGN capacity and dispersion at `snr`, where each of the n
     symbols spends d = `dims` real dimensions (2 for a complex symbol).
     """
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr}")
+    check_positive("snr", snr)
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 0.5], got {epsilon}")
     kappa = payload_bits * LN2
@@ -215,8 +213,8 @@ def fading_vlsf_coeffs(gains, power: float) -> np.ndarray:
     """
     gains = np.asarray(gains, dtype=float)
     s_total = gains.shape[0]
-    if np.any(gains <= 0.0):
-        raise ValueError("all gains must be positive")
+    check_positive("gains", gains)
+    check_positive("power", power)
     if np.any(np.diff(gains) > 0.0):
         raise ValueError("gains must be sorted descending (decoding order)")
     return phase_lengths(np.ones(s_total), power * gains, 2)[0]
@@ -228,7 +226,7 @@ def rayleigh_order_means(s_count: int) -> np.ndarray:
     The j-th largest of S i.i.d. Exp(1) draws has mean sum_{u=j..S} 1/u;
     returned descending.  The list sums to S.
     """
-    if s_count < 1:
-        raise ValueError(f"s_count must be >= 1, got {s_count}")
+    if not is_int(s_count) or s_count < 1:
+        raise ValueError(f"s_count must be an integer >= 1, got {s_count}")
     tail = np.cumsum(1.0 / np.arange(s_count, 0, -1.0))
     return tail[::-1].copy()

@@ -11,9 +11,9 @@ with f a slowly growing log-type factor:
   Gauss-Legendre panels whose widths grow geometrically from `scale`, so a
   branch point of f at distance `scale` below `a` never sits close to a
   panel relative to its width.  `a` and `scale` broadcast, so one call
-  integrates a whole grid of lower limits; each panel integrates only the
-  elements whose head is still open.  Every element of an array call equals
-  the same scalar call bit for bit: each row of nodes is reduced by
+  integrates a whole grid of lower limits, at most `_MAX_ROWS` per pass;
+  each panel integrates only the elements whose head is still open.  Each
+  element has its scalar call's bits: every row of nodes is reduced by
   `np.vecdot`, the same dot routine a scalar call runs on its one row.
 * `adaptive_simpson` - Simpson with Richardson extrapolation (Lyness,
   J. ACM 1969), used as the cross-check on a truncated interval.  It
@@ -24,11 +24,11 @@ with f a slowly growing log-type factor:
   (a split interval is its left half plus its right half), so every
   integral has the bits of the classic depth-first recursion.
 
-Integrand contract, shared by both routes: `f(g, k)` gets an index `k` that
-selects elements of the call (`...` for all, a boolean mask from
-`exp_tail_quadrature`, flat integer indices from `adaptive_simpson`) and
-nodes `g` of shape `a[k].shape + (n,)`, one row of nodes per selected
-element.  A per-element parameter `p` therefore enters as `p[k][..., None]`.
+Integrand contract, shared by both routes: `f(g, k)` gets flat integer
+indices `k` of elements of the call (its broadcast limits, flattened) and
+nodes `g` of shape `(len(k), n)`, one row of nodes per selected element.
+A per-element parameter `p` of the call's shape therefore enters as
+`p.ravel()[k][:, None]`.
 
 Disagreement between the two routes beyond `AGREE_TOL` raises
 QuadratureError; callers treat that as a numeric failure, not a warning.
@@ -63,6 +63,8 @@ SIMPSON_MAX_DEPTH = 48
 #: open intervals per level beyond which Simpson gives up; bounds the memory
 #: of the breadth-first pass as the depth bounds the recursion's stack
 SIMPSON_MAX_OPEN = 1 << 16
+#: elements one pass of `exp_tail_quadrature` integrates; bounds its node arrays
+_MAX_ROWS = 1024
 
 #: f(g, k): integrand rows g for the elements k of the call (module docstring)
 Integrand = Callable[[np.ndarray, object], np.ndarray]
@@ -76,25 +78,28 @@ def exp_tail_quadrature(f: Integrand, a: float | np.ndarray,
     arrays an array of their broadcast shape.  `scale` should bound the
     distance from `a` to the nearest singularity of f below `a` (use 1.0 for
     smooth integrands).  `f` follows the module's integrand contract and is
-    called on 64 nodes per element.
+    called on 64 nodes per element, for at most `_MAX_ROWS` elements at once.
     """
     a, scale = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(scale, dtype=float))
     if not (np.isfinite(a).all() and np.isfinite(scale).all()):
         raise QuadratureError(f"non-finite lower limit or scale: a={a}, scale={scale}")
-    total = np.zeros(a.shape)
-    # geometric panels covering [a, a + HEAD], each over the still-open elements
-    lo = np.zeros(a.shape)
-    width = np.array(np.minimum(np.maximum(scale, 1e-300), HEAD))  # 0-d stays an array
-    while (k := lo < HEAD).any():
-        hi = np.minimum(lo[k] + width[k], HEAD)
-        mid, half = a[k] + 0.5 * (lo[k] + hi), 0.5 * (hi - lo[k])
-        g = mid[..., None] + half[..., None] * _LEG_X
-        total[k] += half * np.vecdot(f(g, k) * np.exp(-g), _LEG_W)
-        lo[k], width[k] = hi, 2.0 * width[k]
-    # shifted Gauss-Laguerre on [a + HEAD, inf)
-    shift = a + HEAD
-    total += np.exp(-shift) * np.vecdot(f(shift[..., None] + _LAG_X, ...), _LAG_W)
-    return float(total) if total.ndim == 0 else total
+    total = np.zeros(a.size)
+    for start in range(0, a.size, _MAX_ROWS):
+        index = np.arange(start, min(start + _MAX_ROWS, a.size))
+        x, out = a.flat[index], total[start:start + _MAX_ROWS]
+        # geometric panels covering [x, x + HEAD], each over the still-open elements
+        lo = np.zeros(x.size)
+        width = np.minimum(np.maximum(scale.flat[index], 1e-300), HEAD)
+        while (k := lo < HEAD).any():
+            hi = np.minimum(lo[k] + width[k], HEAD)
+            mid, half = x[k] + 0.5 * (lo[k] + hi), 0.5 * (hi - lo[k])
+            g = mid[:, None] + half[:, None] * _LEG_X
+            out[k] += half * np.vecdot(f(g, index[k]) * np.exp(-g), _LEG_W)
+            lo[k], width[k] = hi, 2.0 * width[k]
+        # shifted Gauss-Laguerre on [x + HEAD, inf)
+        shift = x + HEAD
+        out += np.exp(-shift) * np.vecdot(f(shift[:, None] + _LAG_X, index), _LAG_W)
+    return float(total[0]) if a.ndim == 0 else total.reshape(a.shape)
 
 
 #: node columns of the left and right half of an interval sampled at 5 nodes
@@ -120,7 +125,7 @@ def adaptive_simpson(f: Integrand, a: float | np.ndarray,
 
     `a` and `b` broadcast; scalars give a float, arrays an array with one
     integral per element (0.0 where b <= a).  `f` follows the module's
-    integrand contract, with `k` indexing the flattened broadcast limits.
+    integrand contract.
     Raises QuadratureError for non-finite limits, a non-finite integrand
     value, or an interval still open after `SIMPSON_MAX_DEPTH` halvings.
     """
@@ -178,8 +183,7 @@ def exp_tail_routes(f: Integrand, a: float | np.ndarray,
 
     The primary is one array `exp_tail_quadrature` call; the check
     integrates f(g)*exp(-g) over [a, a + SIMPSON_SPAN] in one
-    `adaptive_simpson` call.  For the scalar or 1-D inputs given here, the
-    primary's boolean masks select the same elements as Simpson's flat indices.
+    `adaptive_simpson` call.
     """
     a, scale = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(scale, dtype=float))
     primary = exp_tail_quadrature(f, a, scale)

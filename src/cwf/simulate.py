@@ -25,7 +25,7 @@ its k-th block, and `estimate` merges the per-block moments into an
 for the walks and the error-rate check and `BLOCK` = 2^16 trials for the
 bulk samplers; block sizes are part of the output contract, so results do
 not depend on execution order, and identical (scenario, plan) pairs
-produce bit-identical outcomes.
+produce bit-identical outcomes.  Every derived seed is `point_seed(parent, i)`.
 
 One draw rule serves every walk: symbol t takes the next 2*dims normals
 of its trial's stream for each active user, in user order, the input and
@@ -47,11 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import active_sinrs, info_density_increment
+from .channel import active_sinrs, check_positive, info_density_increment, is_int
 from .lengths import (AwgnScenario, QueueScenario, message_threshold, phase_lengths,
                       queue_vlsf_lengths, rayleigh_order_means)
-
-_MASK64 = (1 << 64) - 1
 
 #: per-trial symbol cap, as a multiple of the predicted mean length
 CAP_FACTOR = 50.0
@@ -63,9 +61,14 @@ _MAX_CHUNK = 1 << 15
 BLOCK = 1 << 16
 
 
+def point_seed(parent: int, index: int) -> int:
+    """Seed of child `index` of a run seeded `parent`, in [0, 2^64) on every platform."""
+    return int(np.random.SeedSequence([parent, index]).generate_state(1)[0])
+
+
 def trial_stream(seed: int, index: int) -> np.random.Generator:
     """Independent counter-based stream for one block of one experiment."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -73,16 +76,20 @@ def trial_stream(seed: int, index: int) -> np.random.Generator:
 class TrialPlan:
     """How many trials to run and under which seed.
 
-    At least two trials are needed for a standard error.  The symbol cap is
-    not part of the plan: each simulator applies its own cap rule.
+    At least two trials give a standard error; the seed is a 64-bit Philox key.
+    The symbol cap is not part of the plan: each simulator applies its own cap rule.
     """
 
     trials: int
     seed: int
 
     def __post_init__(self):
+        if not (is_int(self.trials) and is_int(self.seed)):
+            raise ValueError(f"trials and seed must be integers: {self.trials!r}, {self.seed!r}")
         if self.trials < 2:
             raise ValueError(f"trials must be >= 2, got {self.trials}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def streams(plan: TrialPlan, block: int):
@@ -284,8 +291,8 @@ def simulate_block_fading(gains, payload_bits: float, power: float,
     and crossings are checked once per complex symbol.
     """
     gains = np.asarray(gains, dtype=float)
-    if np.any(gains <= 0.0):
-        raise ValueError("all gains must be positive")
+    check_positive("gains", gains)
+    check_positive("power", power)
     s_total = gains.shape[0]
     thresholds = np.full(s_total, message_threshold(payload_bits))
     rx = power * gains
@@ -297,13 +304,14 @@ def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: flo
                                    plan: TrialPlan) -> StoppingOutcome:
     """Block-fading walk with fresh sorted Rayleigh gains drawn per trial.
 
-    Per-user means are reported in decoding order (largest gain first), so
-    entry j averages the stopping time of the j-th best channel.
+    A trial draws its S exponential gains from its stream, then the walk's
+    normals.  Per-user means are reported in decoding order (largest gain
+    first), so entry j averages the stopping time of the j-th best channel.
     """
-    if s_count < 1:
-        raise ValueError(f"s_count must be >= 1, got {s_count}")
+    check_positive("power", power)
+    rx_typical = power * rayleigh_order_means(s_count)  # rejects a bad s_count first
     thresholds = np.full(s_count, message_threshold(payload_bits))
-    typical = phase_lengths(thresholds, power * rayleigh_order_means(s_count), 2)[0][-1]
+    typical = phase_lengths(thresholds, rx_typical, 2)[0][-1]
     # random draws can be much slower than the typical-gain prediction
     cap = int(10.0 * CAP_FACTOR * typical)
 
@@ -347,8 +355,7 @@ def simulate_error_probability(payload_bits: float, snr: float,
     """
     if not 2 <= payload_bits <= 12:
         raise ValueError(f"payload_bits must lie in [2, 12], got {payload_bits}")
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr}")
+    check_positive("snr", snr)
     m_codewords = int(round(2.0**payload_bits))
     threshold = message_threshold(payload_bits)
     rate = _mean_rate(snr, 1)

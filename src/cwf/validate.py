@@ -44,9 +44,9 @@ from .simulate import (
 from .waterfill import (
     FastFadingScenario,
     capacity_lower_bound,
+    evaluate_thresholds,
     log_integrand,
     lower_bound_terms,
-    mc_capacity,
     optimize_threshold,
     single_user_threshold,
 )
@@ -205,14 +205,8 @@ def _c7_threshold_grid(seed: int) -> CriterionResult:
     min_gap = min((r.cl_at_multi - r.cl_at_single for r in searches.values()
                    if not isinstance(r, QuadratureError)), default=math.inf)
 
-    sep_sc = FastFadingScenario(4, 10.0)
-    sep = searches[sep_sc]
-    if isinstance(sep, QuadratureError):
-        raise sep
-    mc_single = mc_capacity(sep.gamma_single, sep_sc,
-                            TrialPlan(TRIALS_MC_CAPACITY, point_seed(seed, 0)))
-    mc_multi = mc_capacity(sep.gamma_multi, sep_sc,
-                           TrialPlan(TRIALS_MC_CAPACITY, point_seed(seed, 1)))
+    sep = evaluate_thresholds(FastFadingScenario(4, 10.0), TRIALS_MC_CAPACITY, seed)
+    mc_single, mc_multi = sep.mc_capacity_single, sep.mc_capacity_multi
     separated = mc_multi.low > mc_single.high
     observed = (f"residual_max={_fmt(max_residual)}; cl_gap_min={_fmt(min_gap)}; "
                 f"mc_multi={_fmt(mc_multi.mean)}+-{_fmt(mc_multi.ci95)}; "
@@ -301,8 +295,7 @@ def serialize_report(results: list[CriterionResult], seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_validate(seed: int = DEFAULT_VALIDATE_SEED, out_path=None, *,
-                 criteria=None, echo=print):
+def run_validate(seed: int = DEFAULT_VALIDATE_SEED, out_path=None, *, criteria=None):
     """Run the acceptance checks; returns (results, all_passed, report_text).
 
     Criteria 1-9 run twice under the same seed; the determinism criterion
@@ -318,8 +311,8 @@ def run_validate(seed: int = DEFAULT_VALIDATE_SEED, out_path=None, *,
     start = time.perf_counter()
     first, overruns = _run_once(seed, wanted)
     for r in first:
-        echo(f"criterion {r.index:2d} [{r.verdict}] {r.name}: observed {r.observed} "
-             f"(tolerance {r.tolerance})")
+        print(f"criterion {r.index:2d} [{r.verdict}] {r.name}: observed {r.observed} "
+              f"(tolerance {r.tolerance})")
     results = list(first)
 
     if 10 in selection:
@@ -337,17 +330,17 @@ def run_validate(seed: int = DEFAULT_VALIDATE_SEED, out_path=None, *,
             tolerance="exact",
             passed=identical,
         )
-        echo(f"criterion 10 [{c10.verdict}] {c10.name}: observed {c10.observed}")
+        print(f"criterion 10 [{c10.verdict}] {c10.name}: observed {c10.observed}")
         results.append(c10)
 
     for line in overruns:
-        echo(line)  # the verdicts stay in the report; the run fails
+        print(line)  # the verdicts stay in the report; the run fails
     all_passed = all(r.passed for r in results) and not overruns
     text = serialize_report(results, seed)
     if out_path is not None:
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(text.encode())
-    echo(f"validate: {sum(r.passed for r in results)}/{len(results)} criteria passed "
-         f"in {time.perf_counter() - start:.1f}s")
+    print(f"validate: {sum(r.passed for r in results)}/{len(results)} criteria passed "
+          f"in {time.perf_counter() - start:.1f}s")
     return results, all_passed, text

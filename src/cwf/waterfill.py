@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import check_positive
 from .quadrature import QuadratureError, checked_exp_integral, exp_tail_quadrature
-from .simulate import BLOCK, Estimate, TrialPlan, estimate, streams
+from .simulate import BLOCK, Estimate, TrialPlan, estimate, point_seed, streams
 
 __all__ = [
     "FastFadingScenario",
@@ -47,8 +48,7 @@ class FastFadingScenario:
                 > math.log(sys.float_info.max)):
             raise ValueError(f"s_count must be <= 1030, got {self.s_count}: "
                              f"C({n}, {n // 2}) overflows a float")
-        if not (self.power > 0.0 and math.isfinite(self.power)):
-            raise ValueError(f"power must be positive and finite, got {self.power}")
+        check_positive("power", self.power)
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,8 @@ def lower_bound_terms(gamma_th: float | np.ndarray, sc: FastFadingScenario):
 
 def log_integrand(denom: np.ndarray):
     """g -> ln(1 + g/denom) in the quadrature integrand contract: the rows of
-    g for elements k run against denom[k]."""
-    return lambda g, k: np.log1p(g / denom[k][..., None])
+    g for the flat elements k run against denom.ravel()[k]."""
+    return lambda g, k: np.log1p(g / denom.ravel()[k][:, None])
 
 
 def capacity_lower_bound(gamma_th: float | np.ndarray, sc: FastFadingScenario, *,
@@ -181,16 +181,14 @@ REFINE_TOL = 1e-6
 def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
     """Maximize the capacity lower bound over the on-off threshold.
 
-    Coarse grid (step 0.01) over [0, ln(1000*S)] in S slices, which keeps
-    each call's node arrays at the size of one term over the whole grid,
-    then golden-section refinement; the interference-blind threshold is
-    also evaluated so the reported pair satisfies cl_at_multi >= cl_at_single.
+    Coarse grid (step 0.01) over [0, ln(1000*S)] in one array call, then
+    golden-section refinement; the interference-blind threshold is also
+    evaluated so the reported pair satisfies cl_at_multi >= cl_at_single.
     """
     cap = _threshold_cap(sc.s_count)
     grid = np.arange(0.0, cap + GRID_STEP, GRID_STEP)
     objective = lambda g: capacity_lower_bound(float(g), sc, cross_check=False)
-    values = np.concatenate([capacity_lower_bound(part, sc, cross_check=False)
-                             for part in np.array_split(grid, sc.s_count)])
+    values = capacity_lower_bound(grid, sc, cross_check=False)
     if not np.isfinite(values).all():
         raise QuadratureError("non-finite objective on the threshold grid")
     best = int(np.argmax(values))
@@ -237,10 +235,9 @@ def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Est
 
 def evaluate_thresholds(sc: FastFadingScenario, trials: int,
                         seed: int) -> ThresholdSearchResult:
-    """Optimize the threshold and attach Monte Carlo capacity estimates."""
+    """Optimize the threshold and attach Monte Carlo capacity estimates:
+    seed `point_seed(seed, 0)` at gamma_single, `point_seed(seed, 1)` at gamma_multi."""
     base = optimize_threshold(sc)
-    return replace(
-        base,
-        mc_capacity_single=mc_capacity(base.gamma_single, sc, TrialPlan(trials, seed)),
-        mc_capacity_multi=mc_capacity(base.gamma_multi, sc, TrialPlan(trials, seed + 1)),
-    )
+    single, multi = (TrialPlan(trials, point_seed(seed, i)) for i in (0, 1))
+    return replace(base, mc_capacity_single=mc_capacity(base.gamma_single, sc, single),
+                   mc_capacity_multi=mc_capacity(base.gamma_multi, sc, multi))

@@ -45,6 +45,13 @@ def test_active_sinrs_known_values_and_closed_forms():
     assert sinr_fading(2.0, [3.0, 1.5, 0.5], 2, 3) == active_sinrs(np.array([3.0, 1.0]))[1]
 
 
+@pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
+def test_sinr_fading_rejects_non_finite_or_zero_power(power):
+    # an infinite power warned and returned NaN
+    with pytest.raises(ValueError, match="power must be positive and finite"):
+        sinr_fading(power, [1.0, 0.5], 1, 1)
+
+
 def test_sinr_fading_inactive_user_rejected():
     with pytest.raises(ValueError):
         sinr_fading(1.0, [1.0, 1.0], 2, 1)

@@ -174,6 +174,7 @@ _GOLDEN_CONFIGS = {
     ("thm1 --seed 7 --trials 50", "fd5ce271155a33ff"),
     ("queue --seed 7 --trials 50", "c5399ff8f12eccb7"),
     ("fading --seed 7 --trials 4", "419a1c51e3bbd529"),
+    ("waterfill --seed 7 --trials 50", "dc1f9d8dc18b2fca"),
     ("thm1_seed3", "b66a4dcccb9208ac"),
     ("fading_seed5", "0b34110db282bd5e"),
     ("fading5", "bb72d28af83110f3"),
@@ -355,30 +356,39 @@ def test_validate_subset_failure_reporting(tmp_path, monkeypatch):
 
     monkeypatch.setattr(validate, "sorted_exponential_means", lambda s, plan: Estimate(
         mean=np.full(s, 100.0), se=np.full(s, 0.01), trials=plan.trials))
-    results, ok, text = validate.run_validate(
-        DEFAULT_VALIDATE_SEED, tmp_path / "r.csv", criteria=[9], echo=lambda *_: None)
+    results, ok, text = validate.run_validate(DEFAULT_VALIDATE_SEED, tmp_path / "r.csv",
+                                              criteria=[9])
     assert not ok
     assert results[0].verdict == "fail"
     assert (tmp_path / "r.csv").read_text().count("fail") == 1
 
 
-def test_validate_runtime_cap_fails_run_not_row(monkeypatch):
+def test_validate_runtime_cap_fails_run_not_row(monkeypatch, capsys):
     # the wall clock never enters the report that criterion 10 compares
     from cwf import validate
 
     monkeypatch.setattr(validate, "RUNTIME_CAPS", {2: 0.0})
-    lines = []
-    results, ok, text = validate.run_validate(
-        DEFAULT_VALIDATE_SEED, None, criteria=[2], echo=lines.append)
+    results, ok, text = validate.run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[2])
     assert not ok
     assert results[0].verdict == "pass" and text.endswith(",pass\n")
+    lines = capsys.readouterr().out.splitlines()
     assert any("criterion  2 over its runtime cap" in line for line in lines)
 
 
 def test_validate_seed_change_moves_observations_not_verdicts(tmp_path):
     from cwf.validate import run_validate
 
-    r1, ok1, _ = run_validate(1, None, criteria=[9], echo=lambda *_: None)
-    r2, ok2, _ = run_validate(2, None, criteria=[9], echo=lambda *_: None)
+    r1, ok1, _ = run_validate(1, None, criteria=[9])
+    r2, ok2, _ = run_validate(2, None, criteria=[9])
     assert ok1 and ok2
     assert r1[0].observed != r2[0].observed
+
+
+def test_validate_threshold_criteria_report_is_pinned():
+    # golden bytes of c7 and c8 at the default seed: the threshold pair's
+    # Monte Carlo columns and the quadrature routes stay bit for bit
+    from cwf.validate import run_validate
+
+    results, ok, text = run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[7, 8])
+    assert ok and [r.index for r in results] == [7, 8]
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "9a43e84e3c052d66"

@@ -100,6 +100,13 @@ def test_fixed_length_blocklength_rejects_zero_snr():
         fixed_length_blocklength(1000.0, 0.0, 1e-3)
 
 
+@pytest.mark.parametrize("snr", [math.inf, math.nan])
+def test_fixed_length_blocklength_rejects_non_finite_snr(snr):
+    # an infinite snr warned and returned a length from NaN arithmetic
+    with pytest.raises(ValueError, match="snr must be positive and finite"):
+        fixed_length_blocklength(100.0, snr, 1e-3)
+
+
 # ------------------------------------------------------- cancellation lengths
 
 def _oracle_awgn_lengths(payloads, p, eps):
@@ -230,6 +237,15 @@ def test_awgn_scenario_invariants():
         AwgnScenario((300.0, 1000.0), 0.0, 0.0)  # bad power
     with pytest.raises(ValueError):
         AwgnScenario((300.0, 1000.0), 1.0, 1.0)  # epsilon at 1
+
+
+@pytest.mark.parametrize("payloads,power", [
+    ((10.0, math.inf), 1.0), ((10.0, math.nan), 1.0), ((10.0,), math.inf), ((10.0,), math.nan),
+], ids=["inf_payload", "nan_payload", "inf_power", "nan_power"])
+def test_awgn_scenario_rejects_non_finite_inputs(payloads, power):
+    # these were accepted and gave infinite or NaN lengths
+    with pytest.raises(ValueError, match="finite"):
+        AwgnScenario(payloads, power)
 
 
 # ------------------------------------------------------------------- queuing
@@ -417,7 +433,23 @@ def test_fading_coeffs_reject_unsorted_or_zero():
         fading_vlsf_coeffs([1.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("gains,power", [
+    ([1.0, 0.5], math.nan), ([math.nan, 0.5], 1.0), ([1.0, 0.5], 0.0), ([1.0, 0.5], math.inf),
+], ids=["nan_power", "nan_gain", "zero_power", "inf_power"])
+def test_fading_coeffs_reject_non_finite_or_zero_power_and_gains(gains, power):
+    # NaN inputs returned [nan, nan]; power 0 divided by zero
+    with pytest.raises(ValueError, match="positive and finite"):
+        fading_vlsf_coeffs(gains, power)
+
+
 # ------------------------------------------------------------ order statistics
+
+@pytest.mark.parametrize("s_count", [2.5, 0])
+def test_rayleigh_order_means_rejects_non_integer_or_empty_count(s_count):
+    # 2.5 returned three means
+    with pytest.raises(ValueError, match="s_count must be an integer >= 1"):
+        rayleigh_order_means(s_count)
+
 
 def test_rayleigh_order_means_small_cases():
     assert rayleigh_order_means(1) == pytest.approx([1.0])

@@ -69,8 +69,9 @@ def test_exp_tail_polynomial_moment():
 def test_exp_tail_log_integrand_vs_closed_form(a, d):
     # int_a^inf ln(1+g/d) e^-g dg = e^-a ln(1+a/d) + e^d E1(d+a); arrays
     # broadcast, one integral per element, with one row of nodes per element
+    # and k its flat element indices
     d = np.asarray(d)
-    got = exp_tail_quadrature(lambda g, k: np.log1p(g / d[k][..., None]), a, scale=d + a)
+    got = exp_tail_quadrature(lambda g, k: np.log1p(g / d.ravel()[k][:, None]), a, scale=d + a)
     want = np.exp(-a) * np.log1p(a / d) + np.exp(d) * exp1(d + a)
     assert isinstance(got, float if np.ndim(a) == 0 else np.ndarray)
     assert np.shape(got) == np.shape(a)
@@ -103,10 +104,31 @@ def test_exp_tail_array_elements_equal_scalar_calls(elements):
     # tiny scales keep some rows open for many more panels than others
     a, log_scale, log_d = (np.array(col) for col in zip(*elements))
     scale, d = 10.0**log_scale, 10.0**log_d
-    got = exp_tail_quadrature(lambda g, k: np.log1p(g / d[k][..., None]), a, scale=scale)
+    f = lambda g, k: np.log1p(g / d[k][..., None])
+    got = exp_tail_quadrature(f, a, scale=scale)
     want = [exp_tail_quadrature(lambda g, k, i=i: np.log1p(g / d[i]), a[i], scale=scale[i])
             for i in range(len(a))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_MAX_ROWS", 5)  # up to 12 elements: passes of 5, 5 and 2
+        sliced = exp_tail_quadrature(f, a, scale=scale)
     assert got.tolist() == want
+    assert sliced.tolist() == want
+
+
+def test_exp_tail_integrand_never_gets_more_than_max_rows():
+    # one call over 5000 elements runs in passes; each matches its own elements
+    a = np.linspace(0.0, 8.0, 5000)
+    d = np.geomspace(1e-6, 10.0, 5000)
+    rows = []
+
+    def f(g, k):
+        rows.append(len(g))
+        return np.log1p(g / d[k][..., None])
+
+    got = exp_tail_quadrature(f, a, scale=d + a)
+    assert max(rows) <= quadrature._MAX_ROWS
+    want = np.exp(-a) * np.log1p(a / d) + np.exp(d) * exp1(d + a)
+    assert got == pytest.approx(want, abs=1e-11, rel=1e-10)
 
 
 @pytest.mark.parametrize("a,scale", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),

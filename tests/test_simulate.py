@@ -19,6 +19,7 @@ from cwf.simulate import (
     ErrorRateEstimate,
     TrialPlan,
     estimate,
+    point_seed,
     simulate_awgn_multiuser,
     simulate_block_fading,
     simulate_error_probability,
@@ -55,6 +56,20 @@ def test_trial_streams_are_schedule_independent():
     other = trial_stream(99, 4).standard_normal(8)
     assert np.array_equal(first, again)
     assert not np.array_equal(first, other)
+
+
+@pytest.mark.parametrize("trials,seed", [(50, -1), (50, 2**64), (2.5, 1), (50, 1.0), (50, True)])
+def test_trial_plan_rejects_non_integer_or_out_of_range_seed(trials, seed):
+    # a Philox key is 64 bits: -1 used to replay seed 2**64 - 1 bit for bit
+    with pytest.raises(ValueError, match="integer|2\\*\\*64"):
+        TrialPlan(trials, seed)
+
+
+def test_point_seed_gives_valid_plan_seeds_at_the_key_bounds():
+    assert TrialPlan(2, 2**64 - 1).seed == 2**64 - 1
+    assert trial_stream(2**64 - 1, 0).standard_normal(2).shape == (2,)
+    for parent in (0, 2**64 - 1, 2**80):
+        assert 0 <= point_seed(parent, 3) < 2**64
 
 
 def test_streams_serve_consecutive_blocks():
@@ -244,6 +259,24 @@ def test_block_fading_single_user_complex_rate():
     assert out.mean[0] == pytest.approx(want, rel=0.05)
 
 
+@pytest.mark.parametrize("gains,power", [
+    ([1.0, 0.5], 0.0), ([1.0, 0.5], math.inf), ([1.0, 0.5], math.nan), ([math.nan, 0.5], 1.0),
+], ids=["zero_power", "inf_power", "nan_power", "nan_gain"])
+def test_block_fading_rejects_non_finite_or_zero_power_and_gains(gains, power):
+    # these warned or died converting a NaN cap to an integer
+    with pytest.raises(ValueError, match="positive and finite"):
+        simulate_block_fading(gains, 100.0, power, TrialPlan(2, 1))
+
+
+@pytest.mark.parametrize("s_count,power,match", [
+    (2, 0.0, "positive and finite"), (2, math.inf, "positive and finite"),
+    (2, math.nan, "positive and finite"), (2.5, 1.0, "an integer"),
+], ids=["zero_power", "inf_power", "nan_power", "fractional_users"])
+def test_rayleigh_block_fading_rejects_bad_power_or_count(s_count, power, match):
+    with pytest.raises(ValueError, match=match):
+        simulate_rayleigh_block_fading(s_count, 100.0, power, TrialPlan(2, 1))
+
+
 def test_rayleigh_block_fading_ordering_and_reproducibility():
     a = simulate_rayleigh_block_fading(2, 200.0, 1.0, TrialPlan(300, 31))
     b = simulate_rayleigh_block_fading(2, 200.0, 1.0, TrialPlan(300, 31))
@@ -308,6 +341,13 @@ def test_error_rate_decreases_with_threshold():
 def test_error_rate_rejects_payload_outside_2_to_12_bits(payload):
     with pytest.raises(ValueError, match=r"\[2, 12\]"):
         simulate_error_probability(payload, 1.0, TrialPlan(10, 1))
+
+
+@pytest.mark.parametrize("snr", [math.inf, math.nan])
+def test_error_rate_rejects_non_finite_snr(snr):
+    # an infinite snr died converting a NaN cap to an integer
+    with pytest.raises(ValueError, match="snr must be positive and finite"):
+        simulate_error_probability(8.0, snr, TrialPlan(10, 1))
 
 
 # ----------------------------------------------------------- order statistics

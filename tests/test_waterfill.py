@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from scipy.special import exp1, lambertw
 
 from cwf import quadrature, waterfill
-from cwf.simulate import BLOCK, TrialPlan, trial_stream
+from cwf.simulate import BLOCK, TrialPlan, point_seed, trial_stream
 from cwf.waterfill import (
     GRID_STEP,
     FastFadingScenario,
@@ -145,9 +145,9 @@ def test_optimize_threshold_pinned(s_count, power, want):
     assert (res.gamma_multi, res.cl_at_multi, res.gamma_single) == pytest.approx(want, rel=1e-12)
 
 
-def test_optimize_threshold_evaluates_grid_in_s_array_calls(monkeypatch):
-    # the ~850-point grid in S slices, each integrating no more node rows than
-    # one term over the whole grid, then the scalar refinement
+def test_optimize_threshold_evaluates_grid_in_one_array_call(monkeypatch):
+    # the ~850-point grid in one call (the quadrature bounds its own passes),
+    # then the scalar refinement
     calls = []
     real = waterfill.capacity_lower_bound
 
@@ -157,7 +157,7 @@ def test_optimize_threshold_evaluates_grid_in_s_array_calls(monkeypatch):
 
     monkeypatch.setattr(waterfill, "capacity_lower_bound", counting)
     optimize_threshold(FastFadingScenario(4, 1.0))
-    assert sum(np.ndim(g) > 0 for g in calls) == 4
+    assert sum(np.ndim(g) > 0 for g in calls) == 1
     assert len(calls) < 100
 
 
@@ -216,6 +216,16 @@ def test_fast_fading_scenario_rejects_binomial_overflow():
     for s_count in (1031, 10**9):
         with pytest.raises(ValueError, match="overflows a float"):
             FastFadingScenario(s_count, 1.0)
+
+
+def test_evaluate_thresholds_seeds_each_threshold_by_point_seed():
+    # the threshold pair's MC columns are children 0 and 1 of the given seed
+    sc = FastFadingScenario(2, 1.0)
+    res = evaluate_thresholds(sc, 1000, seed=9)
+    assert res.mc_capacity_single == mc_capacity(res.gamma_single, sc,
+                                                 TrialPlan(1000, point_seed(9, 0)))
+    assert res.mc_capacity_multi == mc_capacity(res.gamma_multi, sc,
+                                                TrialPlan(1000, point_seed(9, 1)))
 
 
 def test_evaluate_thresholds_attaches_mc_fields():
