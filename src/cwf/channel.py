@@ -59,8 +59,8 @@ def sinr_fading(power: float, gains, active_from: int, j: int) -> float:
     """
     gains = np.asarray(gains, dtype=float)
     s_total = gains.shape[0]
-    if np.any(gains < 0.0):
-        raise ValueError("gains must be non-negative")
+    if not ((gains >= 0.0) & (gains < math.inf)).all():  # zero gains are legal, NaN is not
+        raise ValueError(f"gains must be non-negative and finite, got {gains}")
     if not (1 <= active_from <= s_total):
         raise ValueError(f"active_from {active_from} outside 1..{s_total}")
     if not (active_from <= j <= s_total):
@@ -76,8 +76,8 @@ def capacity(snr, dims: int = 1):
     1 for a real AWGN link, 2 for a complex (fading) link.
     """
     snr = np.asarray(snr, dtype=float)
-    if np.any(snr < 0.0):
-        raise ValueError("snr must be non-negative")
+    if not (snr >= 0.0).all():
+        raise ValueError(f"snr must be non-negative, got {snr}")
     c = dims * 0.5 * np.log1p(snr)
     return c if c.ndim else float(c)
 
@@ -89,8 +89,8 @@ def dispersion(snr):
     approximation to the maximal code size.
     """
     snr = np.asarray(snr, dtype=float)
-    if np.any(snr < 0.0):
-        raise ValueError("snr must be non-negative")
+    if not ((snr >= 0.0) & (snr < math.inf)).all():
+        raise ValueError(f"snr must be non-negative and finite, got {snr}")
     v = snr * (snr + 2.0) / (2.0 * (snr + 1.0) ** 2)
     return v if v.ndim else float(v)
 

@@ -34,6 +34,15 @@ the (M-1)*tau normals that follow the true walk's 2*tau.  Walks look ahead
 in chunks of at most `_MAX_CHUNK` symbols but keep every normal they did
 not use, so look-ahead never changes a result.
 
+The walks and the error-rate check run their trials on every CPU the
+process may use (`WORKERS`): `_fan_out` splits the trials into contiguous
+ranges, builds every trial's stream in the calling process, runs all ranges
+but the last in forked children and the last itself, and merges the
+results in trial order.  Per-trial rows are averaged as one block and
+error counts are summed, so results never depend on the worker count.
+Every child is reaped before the call returns.  Where POSIX fork is
+missing, `WORKERS` is 1 and the trials run in the caller.
+
 Each simulator caps its trials by its own rule, `CAP_FACTOR` times its
 analytic prediction (ten times that for fresh Rayleigh gains).  Capped
 trials are never dropped silently: they enter the means at the cap value
@@ -42,7 +51,12 @@ trials are never dropped silently: they enter the means at the cap value
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +73,10 @@ _MAX_CHUNK = 1 << 15
 
 #: trials per stream in the bulk samplers (`mc_capacity`, order statistics)
 BLOCK = 1 << 16
+
+#: trial ranges a walk runs at once, one per usable CPU; 1 without POSIX fork
+WORKERS = (len(os.sched_getaffinity(0))
+           if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
 
 
 def point_seed(parent: int, index: int) -> int:
@@ -259,12 +277,93 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
     return stop, ~done
 
 
-def _run_trials(plan: TrialPlan, s_total: int, trial) -> StoppingOutcome:
-    """Run `trial(rng)` on each trial's own stream and average the outcomes."""
-    stops = np.empty((plan.trials, s_total), dtype=np.int64)
-    capped = np.empty((plan.trials, s_total), dtype=bool)
-    for i, (rng, _) in enumerate(streams(plan, 1)):
-        stops[i], capped[i] = trial(rng)
+def _fork(work, rngs):
+    """Start a child that runs `work(rngs)`, pickles the result (or the
+    exception it raised) into a pipe and exits; returns (pid, read end)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    try:  # child: never returns to the caller's stack
+        os.close(read)
+        try:
+            outcome = (True, work(rngs))
+        except BaseException as exc:  # handed to the parent, which re-raises it
+            if hasattr(exc, "add_note"):  # Python >= 3.11
+                exc.add_note(f"raised in trial worker {os.getpid()}:\n{traceback.format_exc()}")
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception:  # an unpicklable result or exception
+            data = pickle.dumps((False, RuntimeError(
+                f"trial worker {os.getpid()}: unpicklable outcome {outcome[1]!r}")))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _fan_out(plan: TrialPlan, work) -> list:
+    """Run `work(rngs)` on contiguous ranges of the plan's trial streams and
+    return the results in trial order, one per range.
+
+    The trials split into min(WORKERS, trials) ranges.  The caller builds
+    every stream through `streams(plan, 1)`, so trial i runs on the same
+    stream whoever runs it.  Each range but the last is built, handed to a
+    forked child and dropped; the caller then runs the last range on
+    streams built as it goes, and reads the children's pipes in order.  A
+    child's exception is re-raised here with its own type.  Every child is
+    reaped before this returns or raises, so no process outlives the call.
+    """
+    ranges = min(WORKERS, plan.trials)
+    bounds = [plan.trials * r // ranges for r in range(ranges + 1)]
+    rngs = (rng for rng, _ in streams(plan, 1))
+    children = []  # (pid, read end) of every unreaped child, in trial order
+    try:
+        for lo, hi in zip(bounds[:-2], bounds[1:-1]):
+            children.append(_fork(work, list(itertools.islice(rngs, hi - lo))))
+        last = work(rngs)
+        results = []
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            pipe.close()
+            if not data:
+                raise ChildProcessError(f"trial worker {pid} died (wait status {status})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results + [last]
+    finally:
+        for pid, pipe in children:  # only after a failure
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_trials(plan: TrialPlan, trial) -> StoppingOutcome:
+    """Run `trial(rng)` on each trial's own stream and average the outcomes.
+
+    The trial ranges run in parallel (`_fan_out`); their per-trial stop and
+    cap rows are concatenated in trial order and averaged as one block, so
+    the result does not depend on the worker count.
+    """
+    def work(rngs):
+        stops, capped = zip(*[trial(rng) for rng in rngs])
+        return np.array(stops), np.array(capped)
+
+    parts = _fan_out(plan, work)
+    stops = np.concatenate([stops for stops, _ in parts])
+    capped = np.concatenate([capped for _, capped in parts])
     est = estimate([stops])
     return StoppingOutcome(est.mean, est.se, est.trials, cap_hits=capped.sum(axis=0))
 
@@ -280,7 +379,7 @@ def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcom
     thresholds = sc.thresholds
     rx = np.full(s_total, sc.power)
     cap = int(CAP_FACTOR * phase_lengths(thresholds, rx, 1)[0][-1])
-    return _run_trials(plan, s_total, lambda rng: _walk_trial(rng, thresholds, rx, 1, cap))
+    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, 1, cap))
 
 
 def simulate_block_fading(gains, payload_bits: float, power: float,
@@ -297,7 +396,7 @@ def simulate_block_fading(gains, payload_bits: float, power: float,
     thresholds = np.full(s_total, message_threshold(payload_bits))
     rx = power * gains
     cap = int(CAP_FACTOR * phase_lengths(thresholds, np.sort(rx)[::-1], 2)[0][-1])
-    return _run_trials(plan, s_total, lambda rng: _walk_trial(rng, thresholds, rx, 2, cap))
+    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, 2, cap))
 
 
 def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: float,
@@ -319,7 +418,7 @@ def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: flo
         rx = power * np.sort(rng.standard_exponential(s_count))[::-1]
         return _walk_trial(rng, thresholds, rx, 2, cap)
 
-    return _run_trials(plan, s_count, trial)
+    return _run_trials(plan, trial)
 
 
 def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
@@ -339,7 +438,7 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     congested = np.arange(s_total) >= breakdown.r  # users r+1..S carry accumulation
     cap = int(CAP_FACTOR * max(breakdown.lengths.max(), qs.t_sub))
     rx = np.full(s_total, sc.power)
-    return _run_trials(plan, s_total, lambda rng: _walk_trial(
+    return _run_trials(plan, lambda rng: _walk_trial(
         rng, thresholds, rx, 1, cap, qs.t_sub, congested))
 
 
@@ -362,32 +461,38 @@ def simulate_error_probability(payload_bits: float, snr: float,
     cap = int(CAP_FACTOR * max(threshold, rate) / rate)
     sqrt_snr = math.sqrt(snr)
 
-    errors = 0
-    cap_hits = 0
-    for rng, _ in streams(plan, 1):
-        # symbol t reads row t: the input, then the noise; the window doubles
-        z = rng.standard_normal((min(int(2.0 * threshold / rate) + 32, cap, _MAX_CHUNK), 2))
-        while True:
-            x = sqrt_snr * z[:, 0]
-            received = x + z[:, 1]
-            crossed = np.cumsum(info_density_increment(x, received, snr)) >= threshold
-            if crossed.any() or len(z) == cap:
-                break
-            z = np.concatenate([z, rng.standard_normal((min(len(z), cap - len(z), _MAX_CHUNK), 2))])
-        if crossed.any():
-            tau = int(np.argmax(crossed)) + 1
-        else:
-            tau = cap
-            cap_hits += 1  # undecided truth; competitors may still cross
-        # competitors take the (M-1)*tau normals after the truth walk's 2*tau
-        count = (m_codewords - 1) * tau
-        spare = z[tau:].ravel()
-        false_z = np.concatenate([spare, rng.standard_normal(max(count - spare.size, 0))])
-        false_x = sqrt_snr * false_z[:count].reshape(m_codewords - 1, tau)
-        false_inc = info_density_increment(false_x, received[None, :tau], snr)
-        if (np.cumsum(false_inc, axis=1) >= threshold).any():
-            errors += 1
-    return ErrorRateEstimate(errors=errors, trials=plan.trials, cap_hits=cap_hits)
+    def work(rngs):
+        errors = 0
+        cap_hits = 0
+        for rng in rngs:
+            # symbol t reads row t: the input, then the noise; the window doubles
+            z = rng.standard_normal((min(int(2.0 * threshold / rate) + 32, cap, _MAX_CHUNK), 2))
+            while True:
+                x = sqrt_snr * z[:, 0]
+                received = x + z[:, 1]
+                crossed = np.cumsum(info_density_increment(x, received, snr)) >= threshold
+                if crossed.any() or len(z) == cap:
+                    break
+                more = min(len(z), cap - len(z), _MAX_CHUNK)
+                z = np.concatenate([z, rng.standard_normal((more, 2))])
+            if crossed.any():
+                tau = int(np.argmax(crossed)) + 1
+            else:
+                tau = cap
+                cap_hits += 1  # undecided truth; competitors may still cross
+            # competitors take the (M-1)*tau normals after the truth walk's 2*tau
+            count = (m_codewords - 1) * tau
+            spare = z[tau:].ravel()
+            false_z = np.concatenate([spare, rng.standard_normal(max(count - spare.size, 0))])
+            false_x = sqrt_snr * false_z[:count].reshape(m_codewords - 1, tau)
+            false_inc = info_density_increment(false_x, received[None, :tau], snr)
+            if (np.cumsum(false_inc, axis=1) >= threshold).any():
+                errors += 1
+        return errors, cap_hits
+
+    parts = _fan_out(plan, work)
+    return ErrorRateEstimate(errors=sum(e for e, _ in parts), trials=plan.trials,
+                             cap_hits=sum(c for _, c in parts))
 
 
 def sorted_exponential_means(s_count: int, plan: TrialPlan) -> Estimate:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import check_positive
+from .channel import check_positive, is_int
 from .quadrature import QuadratureError, checked_exp_integral, exp_tail_quadrature
 from .simulate import BLOCK, Estimate, TrialPlan, estimate, point_seed, streams
 
@@ -72,8 +72,8 @@ def single_user_threshold(power: float, s_count: int) -> float:
     """
     if not power > 0.0:
         raise ValueError(f"power must be positive, got {power}")
-    if s_count < 1:
-        raise ValueError(f"s_count must be >= 1, got {s_count}")
+    if not (is_int(s_count) and s_count >= 1):
+        raise ValueError(f"s_count must be an integer >= 1, got {s_count}")
     target = 1.0 / power + s_count - 1.0
     lo, hi = 0.0, 1.0
     while hi * math.exp(hi) < target:

@@ -52,6 +52,13 @@ def test_sinr_fading_rejects_non_finite_or_zero_power(power):
         sinr_fading(power, [1.0, 0.5], 1, 1)
 
 
+def test_sinr_fading_rejects_nan_gain_but_keeps_zero_gains_legal():
+    # a NaN gain passed the old `gains < 0` check and returned nan
+    with pytest.raises(ValueError, match="gains must be non-negative and finite"):
+        sinr_fading(1.0, [math.nan, 0.5], 1, 1)
+    assert sinr_fading(1.0, [1.0, 0.0], 1, 1) == 1.0
+
+
 def test_sinr_fading_inactive_user_rejected():
     with pytest.raises(ValueError):
         sinr_fading(1.0, [1.0, 1.0], 2, 1)
@@ -76,6 +83,11 @@ def test_capacity_rejects_negative_snr():
         capacity(-0.1)
 
 
+def test_capacity_rejects_nan_snr():
+    with pytest.raises(ValueError, match="snr must be non-negative"):
+        capacity(math.nan)
+
+
 def test_capacity_monotone_and_concave_on_grid():
     snr = np.linspace(0.0, 20.0, 400)
     c = capacity(snr)
@@ -88,6 +100,13 @@ def test_dispersion_known_values():
     assert dispersion(0.0) == 0.0
     assert dispersion(1.0) == pytest.approx(3.0 / 8.0)
     assert dispersion(1e9) == pytest.approx(0.5, rel=1e-6)
+
+
+@pytest.mark.parametrize("snr", [math.inf, math.nan])
+def test_dispersion_rejects_non_finite_snr(snr):
+    # an infinite SNR gave inf/inf with a RuntimeWarning
+    with pytest.raises(ValueError, match="snr must be non-negative and finite"):
+        dispersion(snr)
 
 
 def test_info_density_zero_symbols():

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import hypothesis.strategies as st
 import numpy as np
@@ -170,6 +172,113 @@ def test_error_rate_does_not_depend_on_look_ahead(monkeypatch):
         monkeypatch.setattr(simulate, "_MAX_CHUNK", max_chunk)
         outs.append(simulate_error_probability(8.0, 1.0, TrialPlan(300, 51)))
     assert outs[0] == outs[1]
+
+
+@PINNED
+def test_walk_outcomes_do_not_depend_on_worker_count(monkeypatch, run, stop_sums, cap_hits):
+    # per-trial rows are merged in trial order and averaged as one block
+    outs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "WORKERS", workers)
+        outs.append(run())
+    for out in outs[1:]:
+        assert np.array_equal(out.mean, outs[0].mean) and np.array_equal(out.se, outs[0].se)
+        assert np.array_equal(out.cap_hits, outs[0].cap_hits)
+    assert [int(round(m * outs[0].trials)) for m in outs[0].mean] == stop_sums
+    assert outs[0].cap_hits.tolist() == cap_hits
+
+
+def test_error_rate_does_not_depend_on_worker_count(monkeypatch):
+    outs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "WORKERS", workers)
+        outs.append(simulate_error_probability(8.0, 1.0, TrialPlan(300, 51)))
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0].errors > 0
+
+
+def test_every_trial_stream_is_built_once_in_the_caller(monkeypatch):
+    built = []
+
+    def spy(seed, index):
+        built.append((os.getpid(), index))
+        return trial_stream(seed, index)
+
+    monkeypatch.setattr(simulate, "WORKERS", 3)
+    monkeypatch.setattr(simulate, "trial_stream", spy)
+    plan = TrialPlan(50, 8)
+    simulate_awgn_multiuser(SC2, plan)
+    simulate_error_probability(4.0, 1.0, plan)
+    assert built == [(os.getpid(), k) for k in range(plan.trials)] * 2
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def indexed_fan_out(monkeypatch):
+    """`_fan_out` over three workers, each stream replaced by its trial index."""
+    monkeypatch.setattr(simulate, "WORKERS", 3)
+    monkeypatch.setattr(simulate, "trial_stream", lambda seed, index: index)
+    return lambda trials, work: simulate._fan_out(TrialPlan(trials, 1), work)
+
+
+def test_fan_out_splits_contiguous_ranges_in_trial_order(indexed_fan_out):
+    assert indexed_fan_out(7, list) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert indexed_fan_out(2, list) == [[0], [1]]  # never more ranges than trials
+    _no_child_left()
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+def test_fan_out_reraises_a_worker_exception_with_its_type(indexed_fan_out):
+    def work(indices):
+        indices = list(indices)
+        if indices[0] == 2:  # the second range, run by the second child
+            raise WorkerFailure(f"range from trial {indices[0]}")
+        return indices
+
+    with pytest.raises(WorkerFailure) as failure:
+        indexed_fan_out(6, work)
+    assert str(failure.value) == "range from trial 2"
+    _no_child_left()
+
+
+def test_fan_out_kills_every_child_when_the_caller_fails(indexed_fan_out):
+    def work(indices):
+        indices = list(indices)
+        if indices[0] == 4:  # the caller's own range
+            raise WorkerFailure("caller")
+        time.sleep(60)  # the children would outlive the call unless killed
+
+    start = time.monotonic()
+    with pytest.raises(WorkerFailure, match="caller"):
+        indexed_fan_out(6, work)
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_fan_out_reports_a_worker_that_died(indexed_fan_out):
+    def work(indices):
+        indices = list(indices)
+        if indices[0] == 0:
+            os._exit(3)  # dies without sending a result
+        return indices
+
+    with pytest.raises(ChildProcessError, match="died"):
+        indexed_fan_out(6, work)
+    _no_child_left()
+
+
+def test_simulators_leave_no_child_process(monkeypatch):
+    monkeypatch.setattr(simulate, "WORKERS", 3)
+    simulate_queue(QueueScenario(SC2, 300.0), TrialPlan(20, 2))
+    simulate_error_probability(4.0, 1.0, TrialPlan(20, 2))
+    _no_child_left()
 
 
 def test_queue_reduces_to_plain_walk_without_congestion():

@@ -37,6 +37,11 @@ def test_single_user_threshold_monotonicity():
     assert single_user_threshold(2.0, 2) < single_user_threshold(1.0, 2)
 
 
+def test_single_user_threshold_rejects_fractional_user_count():
+    with pytest.raises(ValueError, match="s_count must be an integer >= 1"):
+        single_user_threshold(1.0, 2.5)
+
+
 def test_capacity_lower_bound_single_user_closed_form():
     for p in (0.5, 1.0, 10.0):
         got = capacity_lower_bound(0.0, FastFadingScenario(1, p))
