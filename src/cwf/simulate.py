@@ -40,8 +40,11 @@ ranges, builds every trial's stream in the calling process, runs all ranges
 but the last in forked children and the last itself, and merges the
 results in trial order.  Per-trial rows are averaged as one block and
 error counts are summed, so results never depend on the worker count.
-Every child is reaped before the call returns.  Where POSIX fork is
-missing, `WORKERS` is 1 and the trials run in the caller.
+Every child is reaped before the call returns.  A call whose trials are
+expected to draw fewer than `_MIN_SHARED_NORMALS` normals (each simulator
+predicts its draws from its analytic lengths) runs in the caller alone.
+Where POSIX fork is missing, `WORKERS` is 1 and the trials run in the
+caller.
 
 Each simulator caps its trials by its own rule, `CAP_FACTOR` times its
 analytic prediction (ten times that for fresh Rayleigh gains).  Capped
@@ -77,6 +80,11 @@ BLOCK = 1 << 16
 #: trial ranges a walk runs at once, one per usable CPU; 1 without POSIX fork
 WORKERS = (len(os.sched_getaffinity(0))
            if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
+
+#: a call forks only when its trials are expected to draw at least this many
+#: normals (about 0.1 s of walks on a 2-vCPU Xeon VM); below that the fork, the
+#: child's copy-on-write faults and the reap are a large and unsteady share
+_MIN_SHARED_NORMALS = 4_000_000
 
 
 def point_seed(parent: int, index: int) -> int:
@@ -309,19 +317,23 @@ def _fork(work, rngs):
         os._exit(0)
 
 
-def _fan_out(plan: TrialPlan, work) -> list:
+def _fan_out(plan: TrialPlan, work, normals: float) -> list:
     """Run `work(rngs)` on contiguous ranges of the plan's trial streams and
     return the results in trial order, one per range.
 
-    The trials split into min(WORKERS, trials) ranges.  The caller builds
-    every stream through `streams(plan, 1)`, so trial i runs on the same
-    stream whoever runs it.  Each range but the last is built, handed to a
-    forked child and dropped; the caller then runs the last range on
-    streams built as it goes, and reads the children's pipes in order.  A
-    child's exception is re-raised here with its own type.  Every child is
-    reaped before this returns or raises, so no process outlives the call.
+    A trial is expected to draw `normals` normals.  A call expected to draw
+    fewer than `_MIN_SHARED_NORMALS` runs as one range in the caller; any
+    other splits into min(WORKERS, trials) ranges.  The split depends on
+    the call alone, never on timing, so which trials the caller runs is
+    the same on every run.  The caller builds every stream through
+    `streams(plan, 1)`, so trial i runs on the same stream whoever runs it.
+    Each range but the last is built, handed to a forked child and dropped;
+    the caller then runs the last range on streams built as it goes, and
+    reads the children's pipes in order.  A child's exception is re-raised
+    here with its own type.  Every child is reaped before this returns or
+    raises, so no process outlives the call.
     """
-    ranges = min(WORKERS, plan.trials)
+    ranges = min(WORKERS, plan.trials) if plan.trials * normals >= _MIN_SHARED_NORMALS else 1
     bounds = [plan.trials * r // ranges for r in range(ranges + 1)]
     rngs = (rng for rng, _ in streams(plan, 1))
     children = []  # (pid, read end) of every unreaped child, in trial order
@@ -350,21 +362,23 @@ def _fan_out(plan: TrialPlan, work) -> list:
             os.waitpid(pid, 0)
 
 
-def _run_trials(plan: TrialPlan, trial) -> StoppingOutcome:
+def _run_trials(plan: TrialPlan, trial, lengths, dims: int) -> StoppingOutcome:
     """Run `trial(rng)` on each trial's own stream and average the outcomes.
 
-    The trial ranges run in parallel (`_fan_out`); their per-trial stop and
-    cap rows are concatenated in trial order and averaged as one block, so
-    the result does not depend on the worker count.
+    `lengths` are the users' predicted stopping times in symbols of `dims`
+    real dimensions; a walk draws 2 normals per active user and dimension,
+    so they predict its work.  The trial ranges run in parallel
+    (`_fan_out`); their per-trial stop and cap rows are concatenated in
+    trial order and averaged as one block, so the result does not depend
+    on the worker count.
     """
     def work(rngs):
         stops, capped = zip(*[trial(rng) for rng in rngs])
         return np.array(stops), np.array(capped)
 
-    parts = _fan_out(plan, work)
-    stops = np.concatenate([stops for stops, _ in parts])
+    parts = _fan_out(plan, work, 2.0 * dims * np.sum(lengths))
+    est = estimate([np.concatenate([stops for stops, _ in parts])])
     capped = np.concatenate([capped for _, capped in parts])
-    est = estimate([stops])
     return StoppingOutcome(est.mean, est.se, est.trials, cap_hits=capped.sum(axis=0))
 
 
@@ -378,8 +392,9 @@ def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcom
     s_total = sc.s_count
     thresholds = sc.thresholds
     rx = np.full(s_total, sc.power)
-    cap = int(CAP_FACTOR * phase_lengths(thresholds, rx, 1)[0][-1])
-    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, 1, cap))
+    stops = phase_lengths(thresholds, rx, 1)[0]
+    cap = int(CAP_FACTOR * stops[-1])
+    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, 1, cap), stops, 1)
 
 
 def simulate_block_fading(gains, payload_bits: float, power: float,
@@ -395,8 +410,9 @@ def simulate_block_fading(gains, payload_bits: float, power: float,
     s_total = gains.shape[0]
     thresholds = np.full(s_total, message_threshold(payload_bits))
     rx = power * gains
-    cap = int(CAP_FACTOR * phase_lengths(thresholds, np.sort(rx)[::-1], 2)[0][-1])
-    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, 2, cap))
+    stops = phase_lengths(thresholds, np.sort(rx)[::-1], 2)[0]
+    cap = int(CAP_FACTOR * stops[-1])
+    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, 2, cap), stops, 2)
 
 
 def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: float,
@@ -410,15 +426,15 @@ def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: flo
     check_positive("power", power)
     rx_typical = power * rayleigh_order_means(s_count)  # rejects a bad s_count first
     thresholds = np.full(s_count, message_threshold(payload_bits))
-    typical = phase_lengths(thresholds, rx_typical, 2)[0][-1]
+    typical = phase_lengths(thresholds, rx_typical, 2)[0]
     # random draws can be much slower than the typical-gain prediction
-    cap = int(10.0 * CAP_FACTOR * typical)
+    cap = int(10.0 * CAP_FACTOR * typical[-1])
 
     def trial(rng):
         rx = power * np.sort(rng.standard_exponential(s_count))[::-1]
         return _walk_trial(rng, thresholds, rx, 2, cap)
 
-    return _run_trials(plan, trial)
+    return _run_trials(plan, trial, typical, 2)
 
 
 def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
@@ -438,8 +454,10 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     congested = np.arange(s_total) >= breakdown.r  # users r+1..S carry accumulation
     cap = int(CAP_FACTOR * max(breakdown.lengths.max(), qs.t_sub))
     rx = np.full(s_total, sc.power)
+    # light users restart every interval, so every user may draw until the last stops
+    stops = np.full(s_total, breakdown.lengths.max())
     return _run_trials(plan, lambda rng: _walk_trial(
-        rng, thresholds, rx, 1, cap, qs.t_sub, congested))
+        rng, thresholds, rx, 1, cap, qs.t_sub, congested), stops, 1)
 
 
 def simulate_error_probability(payload_bits: float, snr: float,
@@ -490,7 +508,9 @@ def simulate_error_probability(payload_bits: float, snr: float,
                 errors += 1
         return errors, cap_hits
 
-    parts = _fan_out(plan, work)
+    # the truth draws 2 normals per symbol and each competitor 1, for about
+    # threshold / rate symbols
+    parts = _fan_out(plan, work, (m_codewords + 1) * threshold / rate)
     return ErrorRateEstimate(errors=sum(e for e, _ in parts), trials=plan.trials,
                              cap_hits=sum(c for _, c in parts))
 

@@ -174,12 +174,19 @@ def test_error_rate_does_not_depend_on_look_ahead(monkeypatch):
     assert outs[0] == outs[1]
 
 
+@pytest.fixture
+def shared(monkeypatch):
+    """Set the worker count and fork however little work a call has."""
+    monkeypatch.setattr(simulate, "_MIN_SHARED_NORMALS", 0)
+    return lambda workers: monkeypatch.setattr(simulate, "WORKERS", workers)
+
+
 @PINNED
-def test_walk_outcomes_do_not_depend_on_worker_count(monkeypatch, run, stop_sums, cap_hits):
+def test_walk_outcomes_do_not_depend_on_worker_count(shared, run, stop_sums, cap_hits):
     # per-trial rows are merged in trial order and averaged as one block
     outs = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(simulate, "WORKERS", workers)
+        shared(workers)
         outs.append(run())
     for out in outs[1:]:
         assert np.array_equal(out.mean, outs[0].mean) and np.array_equal(out.se, outs[0].se)
@@ -188,23 +195,23 @@ def test_walk_outcomes_do_not_depend_on_worker_count(monkeypatch, run, stop_sums
     assert outs[0].cap_hits.tolist() == cap_hits
 
 
-def test_error_rate_does_not_depend_on_worker_count(monkeypatch):
+def test_error_rate_does_not_depend_on_worker_count(shared):
     outs = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(simulate, "WORKERS", workers)
+        shared(workers)
         outs.append(simulate_error_probability(8.0, 1.0, TrialPlan(300, 51)))
     assert outs[0] == outs[1] == outs[2]
     assert outs[0].errors > 0
 
 
-def test_every_trial_stream_is_built_once_in_the_caller(monkeypatch):
+def test_every_trial_stream_is_built_once_in_the_caller(monkeypatch, shared):
     built = []
 
     def spy(seed, index):
         built.append((os.getpid(), index))
         return trial_stream(seed, index)
 
-    monkeypatch.setattr(simulate, "WORKERS", 3)
+    shared(3)
     monkeypatch.setattr(simulate, "trial_stream", spy)
     plan = TrialPlan(50, 8)
     simulate_awgn_multiuser(SC2, plan)
@@ -219,16 +226,40 @@ def _no_child_left():
 
 @pytest.fixture
 def indexed_fan_out(monkeypatch):
-    """`_fan_out` over three workers, each stream replaced by its trial index."""
+    """`_fan_out` over three workers, each stream replaced by its trial index,
+    each trial expected to draw ten million normals."""
     monkeypatch.setattr(simulate, "WORKERS", 3)
     monkeypatch.setattr(simulate, "trial_stream", lambda seed, index: index)
-    return lambda trials, work: simulate._fan_out(TrialPlan(trials, 1), work)
+    return lambda trials, work: simulate._fan_out(TrialPlan(trials, 1), work, 1e7)
 
 
 def test_fan_out_splits_contiguous_ranges_in_trial_order(indexed_fan_out):
     assert indexed_fan_out(7, list) == [[0, 1], [2, 3], [4, 5, 6]]
     assert indexed_fan_out(2, list) == [[0], [1]]  # never more ranges than trials
     _no_child_left()
+
+
+def test_fan_out_runs_a_light_call_in_the_caller(monkeypatch):
+    # one normal short of the work that pays for a fork: no child
+    monkeypatch.setattr(simulate, "WORKERS", 3)
+    monkeypatch.setattr(simulate, "trial_stream", lambda seed, index: index)
+    pids = simulate._fan_out(TrialPlan(4, 1), lambda indices: [os.getpid() for _ in indices],
+                             simulate._MIN_SHARED_NORMALS / 4 - 1)
+    assert pids == [[os.getpid()] * 4]
+    assert len(simulate._fan_out(TrialPlan(4, 1), list, simulate._MIN_SHARED_NORMALS / 4)) == 3
+
+
+def test_simulators_fork_only_for_heavy_calls(monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(simulate, "WORKERS", 2)
+    light = simulate_awgn_multiuser(SC2, TrialPlan(50, 8))  # about 0.1 M normals
+    assert forks == []
+    monkeypatch.setattr(simulate, "_MIN_SHARED_NORMALS", 0)
+    shared = simulate_awgn_multiuser(SC2, TrialPlan(50, 8))
+    assert forks == [1]
+    assert np.array_equal(shared.mean, light.mean) and np.array_equal(shared.se, light.se)
 
 
 class WorkerFailure(Exception):
@@ -274,8 +305,8 @@ def test_fan_out_reports_a_worker_that_died(indexed_fan_out):
     _no_child_left()
 
 
-def test_simulators_leave_no_child_process(monkeypatch):
-    monkeypatch.setattr(simulate, "WORKERS", 3)
+def test_simulators_leave_no_child_process(shared):
+    shared(3)
     simulate_queue(QueueScenario(SC2, 300.0), TrialPlan(20, 2))
     simulate_error_probability(4.0, 1.0, TrialPlan(20, 2))
     _no_child_left()
