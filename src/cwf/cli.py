@@ -1,10 +1,12 @@
 """Command line entry point.
 
     cwf <subcommand> [--config path.json] [--seed N] [--trials N] [--out path]
+    cwf validate [--criteria 2,3] ...
 
 Subcommands: thm1, queue, fading, waterfill (CSV sweeps) and validate (the
 oracle suite).  Flags override config-file fields; without a config the
-built-in defaults for the subcommand are used.
+built-in defaults for the subcommand are used.  `--criteria` runs a subset
+of the validate criteria, by index (10 is the determinism rerun).
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric error.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .config import ConfigError, ExperimentConfig, default_config
@@ -40,7 +43,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="root RNG seed (overrides config)")
         p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
         p.add_argument("--out", help="output CSV path")
+        if name == "validate":
+            p.add_argument("--criteria", help="comma-separated criterion indices in 1..10")
     return parser
+
+
+def _parse_criteria(text: str) -> list[int]:
+    if not re.fullmatch(r"(10|[1-9])(,(10|[1-9]))*", text):
+        raise ConfigError(f"--criteria takes comma-separated indices in 1..10, got {text!r}")
+    return [int(i) for i in text.split(",")]
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -64,10 +75,11 @@ def main(argv=None) -> int:
 
     try:
         if cfg.kind == "validate":
+            criteria = None if args.criteria is None else _parse_criteria(args.criteria)
             from .validate import run_validate
 
             out = cfg.out or "validate_report.csv"
-            _, all_passed, _ = run_validate(cfg.resolved_seed, out)
+            _, all_passed, _ = run_validate(cfg.resolved_seed, out, criteria=criteria)
             print(f"report written to {out}")
             return EXIT_OK if all_passed else EXIT_VALIDATION
 

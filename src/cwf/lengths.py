@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import scipy  # scipy.special loads on first attribute access, not at import
 
 from .channel import LN2, active_sinrs, capacity, check_positive, dispersion, is_int
 
@@ -114,7 +114,7 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
     kappa = payload_bits * LN2
     c = capacity(snr)
     v = dispersion(snr)
-    qinv = float(ndtri(1.0 - epsilon))
+    qinv = float(scipy.special.ndtri(1.0 - epsilon))
     # largest real root of kappa = x*c - sqrt(x*v)*qinv in real dimensions x
     b = qinv * math.sqrt(v)
     root = (b + math.sqrt(b * b + 4.0 * c * kappa)) / (2.0 * c)

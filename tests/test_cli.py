@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +351,29 @@ def test_run_all_sweeps_forwards_flags_and_first_failure(tmp_path, monkeypatch):
                         "--out", str(tmp_path / "thm1_sweep.csv")]
 
 
+def test_cli_validate_criteria_subset(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["validate", "--criteria", "3,2", "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",")[0] for line in out.read_text().splitlines()[4:]]
+    assert rows == ["2", "3"]  # run in index order, once: no determinism rerun
+    assert "validate: 2/2 criteria passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "11", "2,,3", "2, 3", "02", "2-3", "x", ""])
+def test_cli_validate_rejects_bad_criteria(tmp_path, capsys, value):
+    out = tmp_path / "r.csv"
+    assert main(["validate", "--criteria", value, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --criteria")
+    assert not out.exists()
+
+
+def test_cli_criteria_flag_is_validate_only():
+    with pytest.raises(SystemExit) as exc:
+        main(["thm1", "--criteria", "2"])
+    assert exc.value.code == 2  # argparse's usage error
+
+
 def test_validate_subset_failure_reporting(tmp_path, monkeypatch):
     # order statistics forced far off: the harness must report and exit non-zero
     from cwf import validate
@@ -392,3 +417,31 @@ def test_validate_threshold_criteria_report_is_pinned():
     results, ok, text = run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[7, 8])
     assert ok and [r.index for r in results] == [7, 8]
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "9a43e84e3c052d66"
+
+
+# ---------------------------------------------------------------- import path
+
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import cwf, cwf.cli, cwf.sweeps, cwf.validate
+print("scipy" in sys.modules, "scipy.special" in sys.modules)
+from cwf.channel import sinr_awgn
+from cwf.lengths import fixed_length_blocklength
+n = fixed_length_blocklength(1000.0, sinr_awgn(1.0, 2), 1e-3)
+print("scipy.special" in sys.modules, n)
+"""
+
+
+def test_import_leaves_scipy_special_until_first_use():
+    # scipy.special is about half of a cold start; only the fixed-length
+    # column and c8 need it, so importing cwf must not load it
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, str(src)],
+                          capture_output=True, text=True, check=True)
+    after_import, after_call = (line.split() for line in done.stdout.splitlines())
+    # scipy itself stays imported: the benchmark's result line reads its
+    # version from sys.modules["scipy"]
+    assert after_import == ["True", "False"]
+    # first use loads it; 3923 is the value test_lengths pins for this call
+    assert after_call == ["True", "3923"]
