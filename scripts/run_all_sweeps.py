@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Reproduce the four default sweeps with simulation columns into results/.
+"""Reproduce every default sweep with simulation columns into results/.
 
 Usage: python scripts/run_all_sweeps.py [--trials N] [--seed N] [--outdir D]
 
-Each sweep runs through the `cwf` CLI on its built-in default grid: two-user
-payloads (300, 1000) over -5..10 dB, the packet-interval sweep at 0 dB, the
-two-user block-fading sweep at K=1000, and the threshold-optimization grid.
-Every sweep runs even when an earlier one fails; the exit code is the first
+Each sweep kind of the kind table (`cwf.config.DEFAULTS`) runs through the
+`cwf` CLI on its built-in grid, in table order: two-user payloads
+(300, 1000) over -5..10 dB, the packet-interval sweep at 0 dB, the two-user
+block-fading sweep at K=1000, and the threshold-optimization grid.  Every
+sweep runs even when an earlier one fails; the exit code is the first
 non-zero CLI exit code, or 0.
 """
 
@@ -26,8 +27,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     status = 0
-    for sub in ("thm1", "queue", "fading", "waterfill"):
-        out = Path(args.outdir) / f"{cli.SUBCOMMAND_KINDS[sub]}.csv"
+    for sub, kind in cli.SUBCOMMAND_KINDS.items():
+        if not kind.endswith("_sweep"):  # validate writes a report, not a sweep
+            continue
+        out = Path(args.outdir) / f"{kind}.csv"
         start = time.time()
         code = cli.main([sub, "--trials", str(args.trials), "--seed", str(args.seed),
                          "--out", str(out)])

@@ -3,10 +3,12 @@
     cwf <subcommand> [--config path.json] [--seed N] [--trials N] [--out path]
     cwf validate [--criteria 2,3] ...
 
-Subcommands: thm1, queue, fading, waterfill (CSV sweeps) and validate (the
-oracle suite).  Flags override config-file fields; without a config the
-built-in defaults for the subcommand are used.  `--criteria` runs a subset
-of the validate criteria, by index (10 is the determinism rerun).
+Subcommands are the kinds of the `config.DEFAULTS` table without their
+`_sweep` suffix: thm1, queue, fading, waterfill (CSV sweeps, each run by
+`sweeps.run_<kind>`) and validate (the oracle suite).  Flags override
+config-file fields; without a config the kind's built-in fields are used.
+`--criteria` runs a subset of the validate criteria, by index (10 is the
+determinism rerun).
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric error.
 """
@@ -17,16 +19,10 @@ import argparse
 import re
 import sys
 
-from .config import ConfigError, ExperimentConfig, default_config
+from .config import KINDS, ConfigError, ExperimentConfig, default_config
 from .quadrature import QuadratureError
 
-SUBCOMMAND_KINDS = {
-    "thm1": "thm1_sweep",
-    "queue": "queue_sweep",
-    "fading": "fading_sweep",
-    "waterfill": "waterfill_sweep",
-    "validate": "validate",
-}
+SUBCOMMAND_KINDS = {kind.removesuffix("_sweep"): kind for kind in KINDS}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -69,11 +65,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if cfg.kind == "validate":
             criteria = None if args.criteria is None else _parse_criteria(args.criteria)
             from .validate import run_validate
@@ -86,18 +77,12 @@ def main(argv=None) -> int:
         from . import sweeps
 
         out = cfg.out or f"{cfg.kind}.csv"
-        if cfg.kind == "thm1_sweep":
-            sweeps.run_thm1_sweep(cfg, out)
-        elif cfg.kind == "queue_sweep":
-            sweeps.run_queue_sweep(cfg, out)
-        elif cfg.kind == "fading_sweep":
-            sweeps.run_fading_sweep(cfg, out)
-        else:
-            _, failures = sweeps.run_waterfill_sweep(cfg, out)
-            if failures:
-                print(f"{failures} grid point(s) aborted on numeric errors", file=sys.stderr)
-                print(f"partial results written to {out}")
-                return EXIT_NUMERIC
+        # looked up per call, so a runner rebound on the module is the one run
+        _, failures = getattr(sweeps, f"run_{cfg.kind}")(cfg, out)
+        if failures:
+            print(f"{failures} grid point(s) aborted on numeric errors", file=sys.stderr)
+            print(f"partial results written to {out}")
+            return EXIT_NUMERIC
         print(f"results written to {out}")
         return EXIT_OK
     except QuadratureError as exc:

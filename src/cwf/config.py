@@ -19,10 +19,20 @@ from .lengths import AwgnScenario, QueueScenario, message_threshold, rayleigh_or
 from .simulate import point_seed  # noqa: F401  (re-exported)
 from .waterfill import FastFadingScenario
 
-KINDS = ("thm1_sweep", "queue_sweep", "fading_sweep", "waterfill_sweep", "validate")
-
 #: fixed seed used by `cwf validate` when none is given
 DEFAULT_VALIDATE_SEED = 123456789
+
+#: the experiment kinds and their built-in fields; sweeps default to the
+#: analytic-only columns.  The CLI subcommands and sweep runners follow it.
+DEFAULTS = {
+    "thm1_sweep": dict(snr_db=range(-5, 11), payload_bits=(300.0, 1000.0)),
+    "queue_sweep": dict(snr_db=(0.0,), payload_bits=(300.0, 1000.0),
+                        t_sub=range(600, 2801, 200)),
+    "fading_sweep": dict(snr_db=range(-5, 11), payload_bits=(1000.0,), s_count=2),
+    "waterfill_sweep": dict(snr_db=(-3.0, 0.0, 10.0), s_counts=(1, 2, 4)),
+    "validate": dict(seed=DEFAULT_VALIDATE_SEED),
+}
+KINDS = tuple(DEFAULTS)
 
 
 class ConfigError(ValueError):
@@ -77,9 +87,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.trials > 0 and self.seed is None:
             raise ConfigError("a seed is required for any stochastic experiment")
-        if self.kind in ("thm1_sweep", "fading_sweep", "waterfill_sweep", "queue_sweep"):
-            if not self.snr_db:
-                raise ConfigError(f"{self.kind} needs a non-empty snr_db grid")
+        if self.kind != "validate" and not self.snr_db:
+            raise ConfigError(f"{self.kind} needs a non-empty snr_db grid")
         if self.kind in ("thm1_sweep", "queue_sweep", "fading_sweep"):
             if not 0.0 < self.epsilon <= 0.5:  # the fixed_n baseline column
                 raise ConfigError(f"{self.kind} needs epsilon in (0, 0.5], got {self.epsilon}")
@@ -160,23 +169,5 @@ class ExperimentConfig:
 
 
 def default_config(kind: str) -> ExperimentConfig:
-    """Built-in configs; sweeps default to the analytic-only columns."""
-    if kind == "thm1_sweep":
-        return ExperimentConfig(
-            kind=kind, snr_db=tuple(range(-5, 11)), payload_bits=(300.0, 1000.0),
-            epsilon=1e-3, trials=0)
-    if kind == "queue_sweep":
-        return ExperimentConfig(
-            kind=kind, snr_db=(0.0,), payload_bits=(300.0, 1000.0),
-            t_sub=tuple(float(t) for t in range(600, 2801, 200)),
-            epsilon=1e-3, trials=0)
-    if kind == "fading_sweep":
-        return ExperimentConfig(
-            kind=kind, snr_db=tuple(range(-5, 11)), payload_bits=(1000.0,),
-            s_count=2, epsilon=1e-3, trials=0)
-    if kind == "waterfill_sweep":
-        return ExperimentConfig(
-            kind=kind, snr_db=(-3.0, 0.0, 10.0), s_counts=(1, 2, 4), trials=0)
-    if kind == "validate":
-        return ExperimentConfig(kind=kind, seed=DEFAULT_VALIDATE_SEED)
-    raise ConfigError(f"unknown kind {kind!r}")
+    """The built-in config of `kind`, from `DEFAULTS`; ConfigError if unknown."""
+    return ExperimentConfig(kind=kind, **DEFAULTS.get(kind, {}))

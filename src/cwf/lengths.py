@@ -108,7 +108,10 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
     the real-AWGN capacity and dispersion at `snr`, where each of the n
     symbols spends d = `dims` real dimensions (2 for a complex symbol).
     """
+    check_positive("payload_bits", payload_bits)
     check_positive("snr", snr)
+    if not (is_int(dims) and dims >= 1):
+        raise ValueError(f"dims must be an integer >= 1, got {dims}")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 0.5], got {epsilon}")
     kappa = payload_bits * LN2

@@ -517,7 +517,7 @@ def simulate_error_probability(payload_bits: float, snr: float,
 
 def sorted_exponential_means(s_count: int, plan: TrialPlan) -> Estimate:
     """Empirical means of descending-sorted unit exponentials."""
-    if s_count < 1:
-        raise ValueError(f"s_count must be >= 1, got {s_count}")
+    if not (is_int(s_count) and s_count >= 1):
+        raise ValueError(f"s_count must be an integer >= 1, got {s_count}")
     return estimate(np.sort(rng.standard_exponential((n, s_count)), axis=1)[:, ::-1]
                     for rng, n in streams(plan, BLOCK))

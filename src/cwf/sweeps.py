@@ -1,9 +1,12 @@
 """Figure-style parameter sweeps emitted as deterministic CSV.
 
-Every output starts with '#'-prefixed metadata (tool version, config hash,
-seed), then a fixed header, then one row per grid point in grid order.
-Numbers are formatted with 9 significant digits, so re-running a config with
-the same seed reproduces the file byte for byte.
+Each sweep kind of `config.DEFAULTS` has a runner `run_<kind>(cfg, out)`
+returning the CSV text and the number of grid points aborted on numeric
+errors (0 for the walk sweeps).  Every output, the validate report too,
+starts with '#'-prefixed metadata (tool version, config hash, seed), then a
+fixed header, then one row per grid point in grid order.  Numbers are
+formatted with 9 significant digits, so re-running a config with the same
+seed reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def format_value(v) -> str:
 
 
 def write_csv(path, metadata: dict, header: list[str], rows: list[list]) -> str:
-    """Serialize and (optionally) write one sweep; returns the CSV text."""
+    """Serialize and (optionally) write one CSV; returns its text."""
     buf = io.StringIO()
     for key, value in metadata.items():
         buf.write(f"# {key}={value}\n")
@@ -117,7 +120,7 @@ def run_thm1_sweep(cfg: ExperimentConfig, out=None):
         rows.append([snr_db, p, cfg.epsilon, *cfg.payload_bits, *ell, *raw,
                      fixed_n, 1.0 - ell[-1] / fixed_n,
                      *_sim_cells(cfg, s, i, lambda plan: simulate_awgn_multiuser(sc, plan))])
-    return write_csv(out, _metadata(cfg), header, rows)
+    return write_csv(out, _metadata(cfg), header, rows), 0
 
 
 def run_queue_sweep(cfg: ExperimentConfig, out=None):
@@ -146,7 +149,7 @@ def run_queue_sweep(cfg: ExperimentConfig, out=None):
                     *_sim_cells(cfg, s, index, lambda plan: simulate_queue(qs, plan))]
             rows.append(row)
             index += 1
-    return write_csv(out, _metadata(cfg), header, rows)
+    return write_csv(out, _metadata(cfg), header, rows), 0
 
 
 def run_fading_sweep(cfg: ExperimentConfig, out=None):
@@ -171,7 +174,7 @@ def run_fading_sweep(cfg: ExperimentConfig, out=None):
                      fixed_n, 1.0 - typical[-1] / fixed_n,
                      *_sim_cells(cfg, s, i, lambda plan: simulate_rayleigh_block_fading(
                          s, payload, p, plan))])
-    return write_csv(out, _metadata(cfg), header, rows)
+    return write_csv(out, _metadata(cfg), header, rows), 0
 
 
 def run_waterfill_sweep(cfg: ExperimentConfig, out=None):
@@ -208,5 +211,4 @@ def run_waterfill_sweep(cfg: ExperimentConfig, out=None):
                       file=sys.stderr)
                 rows.append([snr_db, p, s] + [None] * 10 + [f"error: {type(exc).__name__}"])
             index += 1
-    text = write_csv(out, _metadata(cfg), header, rows)
-    return text, failures
+    return write_csv(out, _metadata(cfg), header, rows), failures

@@ -7,6 +7,8 @@ the two serialized reports match byte for byte (the determinism check),
 then writes the report CSV.  Each check prints one summary line; the CSV
 holds name, expected, observed, tolerance and verdict per criterion.
 A criterion over its runtime cap fails the run but leaves the report alone.
+The report goes through the sweeps' CSV writer, `sweeps.write_csv`, and its
+numbers through `sweeps.format_value`, so it shares their format.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy  # scipy.special loads on first attribute access, not at import
@@ -41,6 +42,7 @@ from .simulate import (
     simulate_queue,
     sorted_exponential_means,
 )
+from .sweeps import format_value, write_csv
 from .waterfill import (
     FastFadingScenario,
     capacity_lower_bound,
@@ -81,10 +83,6 @@ class CriterionResult:
         return "pass" if self.passed else "fail"
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
-
-
 def _c1_awgn_vs_simulation(seed: int) -> CriterionResult:
     sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
     expected = awgn_vlsf_lengths(sc)
@@ -92,9 +90,9 @@ def _c1_awgn_vs_simulation(seed: int) -> CriterionResult:
     rel = np.abs(outcome.mean - expected) / expected
     return CriterionResult(
         1, "awgn_lengths_vs_simulation",
-        expected="; ".join(_fmt(v) for v in expected),
-        observed="; ".join(_fmt(v) for v in outcome.mean),
-        tolerance=f"rel<={_fmt(0.05)}",
+        expected="; ".join(format_value(v) for v in expected),
+        observed="; ".join(format_value(v) for v in outcome.mean),
+        tolerance=f"rel<={format_value(0.05)}",
         passed=bool((rel <= 0.05).all()) and not outcome.cap_flagged,
     )
 
@@ -106,8 +104,8 @@ def _c2_single_user_identity(seed: int) -> CriterionResult:
     rel = abs(ell - direct) / direct
     return CriterionResult(
         2, "single_user_reduction",
-        expected=_fmt(direct), observed=_fmt(ell),
-        tolerance=f"rel<={_fmt(1e-12)}",
+        expected=format_value(direct), observed=format_value(ell),
+        tolerance=f"rel<={format_value(1e-12)}",
         passed=rel <= 1e-12,
     )
 
@@ -119,9 +117,9 @@ def _c3_cancellation_gain(seed: int) -> CriterionResult:
     ratio = ell2 / baseline
     return CriterionResult(
         3, "interference_cancellation_gain",
-        expected=f"len2/baseline<=0.9 (baseline {_fmt(baseline)})",
-        observed=_fmt(ratio),
-        tolerance=f"ratio<={_fmt(0.9)}",
+        expected=f"len2/baseline<=0.9 (baseline {format_value(baseline)})",
+        observed=format_value(ratio),
+        tolerance=f"ratio<={format_value(0.9)}",
         passed=ratio <= 0.9,
     )
 
@@ -145,8 +143,8 @@ def _c4_queue_consistency(seed: int) -> CriterionResult:
     return CriterionResult(
         4, "queue_bound_consistency",
         expected="uncongested==plain; sim<=bound*1.05",
-        observed=f"eq_rel={_fmt(eq_rel)}; sim/bound_max={_fmt(sim_margin)}",
-        tolerance=f"eq<={_fmt(1e-12)}; ratio<={_fmt(1.05)}",
+        observed=f"eq_rel={format_value(eq_rel)}; sim/bound_max={format_value(sim_margin)}",
+        tolerance=f"eq<={format_value(1e-12)}; ratio<={format_value(1.05)}",
         passed=eq_rel <= 1e-12 and sim_margin <= 1.05,
     )
 
@@ -159,9 +157,9 @@ def _c5_fading_vs_simulation(seed: int) -> CriterionResult:
     rel = np.abs(outcome.mean - expected) / expected
     return CriterionResult(
         5, "fading_lengths_vs_simulation",
-        expected="; ".join(_fmt(v) for v in expected),
-        observed="; ".join(_fmt(v) for v in outcome.mean),
-        tolerance=f"rel<={_fmt(0.05)}",
+        expected="; ".join(format_value(v) for v in expected),
+        observed="; ".join(format_value(v) for v in outcome.mean),
+        tolerance=f"rel<={format_value(0.05)}",
         passed=bool((rel <= 0.05).all()) and not outcome.cap_flagged,
     )
 
@@ -173,8 +171,8 @@ def _c6_error_bound(seed: int) -> CriterionResult:
     est = simulate_error_probability(payload, 1.0, TrialPlan(TRIALS_ERROR, seed))
     return CriterionResult(
         6, "union_bound_error_rate",
-        expected=f"upper95<={_fmt(bound)}",
-        observed=f"rate={_fmt(est.rate)}; upper95={_fmt(est.upper95)}",
+        expected=f"upper95<={format_value(bound)}",
+        observed=f"rate={format_value(est.rate)}; upper95={format_value(est.upper95)}",
         tolerance="95% confidence",
         passed=est.upper95 <= bound,
     )
@@ -208,16 +206,16 @@ def _c7_threshold_grid(seed: int) -> CriterionResult:
     sep = evaluate_thresholds(FastFadingScenario(4, 10.0), TRIALS_MC_CAPACITY, seed)
     mc_single, mc_multi = sep.mc_capacity_single, sep.mc_capacity_multi
     separated = mc_multi.low > mc_single.high
-    observed = (f"residual_max={_fmt(max_residual)}; cl_gap_min={_fmt(min_gap)}; "
-                f"mc_multi={_fmt(mc_multi.mean)}+-{_fmt(mc_multi.ci95)}; "
-                f"mc_single={_fmt(mc_single.mean)}+-{_fmt(mc_single.ci95)}")
+    observed = (f"residual_max={format_value(max_residual)}; cl_gap_min={format_value(min_gap)}; "
+                f"mc_multi={format_value(mc_multi.mean)}+-{format_value(mc_multi.ci95)}; "
+                f"mc_single={format_value(mc_single.mean)}+-{format_value(mc_single.ci95)}")
     if failures:
         observed += f"; quadrature_failure={failures[-1].split(':')[0]}"
     return CriterionResult(
         7, "waterfill_threshold_grid",
         expected="residual<1e-10; cl(multi)>=cl(single); mc CIs separated",
         observed=observed,
-        tolerance=f"residual<{_fmt(1e-10)}",
+        tolerance=f"residual<{format_value(1e-10)}",
         passed=not failures and max_residual < 1e-10 and min_gap >= 0.0 and separated,
     )
 
@@ -243,8 +241,8 @@ def _c8_quadrature_oracle(seed: int) -> CriterionResult:
     return CriterionResult(
         8, "quadrature_oracle",
         expected="closed-form and Simpson agreement",
-        observed=f"closed_err={_fmt(closed_err)}; route_diff={_fmt(disagreement)}",
-        tolerance=f"<={_fmt(AGREE_TOL)}",
+        observed=f"closed_err={format_value(closed_err)}; route_diff={format_value(disagreement)}",
+        tolerance=f"<={format_value(AGREE_TOL)}",
         passed=closed_err <= AGREE_TOL and disagreement <= AGREE_TOL,
     )
 
@@ -255,9 +253,9 @@ def _c9_order_statistics(seed: int) -> CriterionResult:
     dev = np.abs(est.mean - exact) / est.se
     return CriterionResult(
         9, "exponential_order_statistics",
-        expected="; ".join(_fmt(v) for v in exact),
-        observed="; ".join(_fmt(v) for v in est.mean),
-        tolerance=f"<={_fmt(4.0)} standard errors",
+        expected="; ".join(format_value(v) for v in exact),
+        observed="; ".join(format_value(v) for v in est.mean),
+        tolerance=f"<={format_value(4.0)} standard errors",
         passed=bool((dev <= 4.0).all()),
     )
 
@@ -287,12 +285,12 @@ def _run_once(seed: int, selection) -> tuple[list[CriterionResult], list[str]]:
     return results, overruns
 
 
-def serialize_report(results: list[CriterionResult], seed: int) -> str:
-    lines = [f"# cwf_version={__version__}", f"# kind=validate", f"# seed={seed}",
-             "criterion,name,expected,observed,tolerance,verdict"]
-    for r in results:
-        lines.append(f"{r.index},{r.name},{r.expected},{r.observed},{r.tolerance},{r.verdict}")
-    return "\n".join(lines) + "\n"
+def serialize_report(results: list[CriterionResult], seed: int, out_path=None) -> str:
+    """The report CSV's text, also written to `out_path` unless it is None."""
+    return write_csv(out_path, {"cwf_version": __version__, "kind": "validate", "seed": seed},
+                     ["criterion", "name", "expected", "observed", "tolerance", "verdict"],
+                     [[r.index, r.name, r.expected, r.observed, r.tolerance, r.verdict]
+                      for r in results])
 
 
 def run_validate(seed: int = DEFAULT_VALIDATE_SEED, out_path=None, *, criteria=None):
@@ -336,11 +334,7 @@ def run_validate(seed: int = DEFAULT_VALIDATE_SEED, out_path=None, *, criteria=N
     for line in overruns:
         print(line)  # the verdicts stay in the report; the run fails
     all_passed = all(r.passed for r in results) and not overruns
-    text = serialize_report(results, seed)
-    if out_path is not None:
-        path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(text.encode())
+    text = serialize_report(results, seed, out_path)
     print(f"validate: {sum(r.passed for r in results)}/{len(results)} criteria passed "
           f"in {time.perf_counter() - start:.1f}s")
     return results, all_passed, text

@@ -41,8 +41,8 @@ class FastFadingScenario:
     power: float
 
     def __post_init__(self):
-        if self.s_count < 1:
-            raise ValueError(f"s_count must be >= 1, got {self.s_count}")
+        if not (is_int(self.s_count) and self.s_count >= 1):
+            raise ValueError(f"s_count must be an integer >= 1, got {self.s_count}")
         n = self.s_count - 1  # the largest weight of lower_bound_terms must be a float
         if (math.lgamma(n + 1) - math.lgamma(n // 2 + 1) - math.lgamma(n - n // 2 + 1)
                 > math.log(sys.float_info.max)):
@@ -70,8 +70,7 @@ def single_user_threshold(power: float, s_count: int) -> float:
     unit gain, so the link sees fixed noise 1/power + S - 1.  The left side
     is monotone, so plain bisection converges; residual kept below 1e-10.
     """
-    if not power > 0.0:
-        raise ValueError(f"power must be positive, got {power}")
+    check_positive("power", power)
     if not (is_int(s_count) and s_count >= 1):
         raise ValueError(f"s_count must be an integer >= 1, got {s_count}")
     target = 1.0 / power + s_count - 1.0

@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cwf
 from cwf.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from cwf.config import (
     ConfigError,
     ExperimentConfig,
     DEFAULT_VALIDATE_SEED,
+    KINDS,
     db_to_linear,
     default_config,
     point_seed,
@@ -70,8 +72,9 @@ def test_thm1_sweep_byte_identical_and_shaped(tmp_path):
     cfg = ExperimentConfig(kind="thm1_sweep", snr_db=(0.0, 5.0),
                            payload_bits=(300.0, 1000.0), epsilon=1e-3,
                            trials=120, seed=99)
-    text_a = run_thm1_sweep(cfg, tmp_path / "a.csv")
-    text_b = run_thm1_sweep(cfg, tmp_path / "b.csv")
+    text_a, failures = run_thm1_sweep(cfg, tmp_path / "a.csv")
+    run_thm1_sweep(cfg, tmp_path / "b.csv")
+    assert failures == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     lines = [l for l in text_a.splitlines() if not l.startswith("#")]
     assert len(lines) == 1 + 2  # header + one row per grid point
@@ -85,7 +88,7 @@ def test_thm1_sweep_byte_identical_and_shaped(tmp_path):
 
 def test_thm1_sweep_single_point_grid():
     cfg = ExperimentConfig(kind="thm1_sweep", snr_db=(0.0,), payload_bits=(300.0, 1000.0))
-    text = run_thm1_sweep(cfg, None)
+    text, _ = run_thm1_sweep(cfg, None)
     rows = [l for l in text.splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 1
     # analytic-only run leaves simulation cells empty
@@ -96,7 +99,7 @@ def test_queue_sweep_savings_monotone_and_saturating():
     t_grid = tuple(float(t) for t in range(600, 3001, 200))
     cfg = ExperimentConfig(kind="queue_sweep", snr_db=(0.0,),
                            payload_bits=(300.0, 1000.0), t_sub=t_grid, epsilon=1e-3)
-    text = run_queue_sweep(cfg, None)
+    text, _ = run_queue_sweep(cfg, None)
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     icol = header.index("savings_ratio")
@@ -109,7 +112,7 @@ def test_queue_sweep_savings_monotone_and_saturating():
 def test_fading_sweep_columns(tmp_path):
     cfg = ExperimentConfig(kind="fading_sweep", snr_db=(0.0, 8.0),
                            payload_bits=(1000.0,), s_count=2, epsilon=1e-3)
-    text = run_fading_sweep(cfg, tmp_path / "f.csv")
+    text, _ = run_fading_sweep(cfg, tmp_path / "f.csv")
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     assert "coeff_a_1" in header and "typical_len_2" in header
@@ -125,7 +128,7 @@ def test_walk_sweeps_report_cap_hits_per_user(kind, fields):
     cfg = ExperimentConfig(kind=kind, snr_db=(0.0,), trials=3, seed=5, **fields)
     run = {"thm1_sweep": run_thm1_sweep, "queue_sweep": run_queue_sweep,
            "fading_sweep": run_fading_sweep}[kind]
-    lines = [l for l in run(cfg, None).splitlines() if not l.startswith("#")]
+    lines = [l for l in run(cfg, None)[0].splitlines() if not l.startswith("#")]
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     hits = [int(row[f"sim_cap_hits_{u}"]) for u in (1, 2)]
     assert all(0 <= h <= 3 for h in hits)
@@ -282,6 +285,20 @@ def test_config_rejects_validate_trials():
         default_config("validate").override(trials=5)
 
 
+def test_every_sweep_kind_has_a_subcommand_and_a_runner():
+    from cwf import sweeps
+    from cwf.cli import SUBCOMMAND_KINDS
+
+    assert list(SUBCOMMAND_KINDS) == ["thm1", "queue", "fading", "waterfill", "validate"]
+    assert list(SUBCOMMAND_KINDS.values()) == list(KINDS)
+    for kind in KINDS:
+        assert default_config(kind).kind == kind
+        if kind != "validate":
+            assert callable(getattr(sweeps, f"run_{kind}"))
+    with pytest.raises(ConfigError, match="unknown kind"):
+        default_config("nope")
+
+
 def test_config_rejects_bool_and_float_integer_fields():
     for fields in ({"trials": True}, {"seed": 1.0}, {"s_counts": [2.0]}, {"s_counts": [True]}):
         with pytest.raises(ConfigError):
@@ -398,6 +415,19 @@ def test_validate_runtime_cap_fails_run_not_row(monkeypatch, capsys):
     assert results[0].verdict == "pass" and text.endswith(",pass\n")
     lines = capsys.readouterr().out.splitlines()
     assert any("criterion  2 over its runtime cap" in line for line in lines)
+
+
+def test_validate_report_file_is_the_returned_text(tmp_path):
+    # the report goes through the sweeps' CSV writer, which also makes its folder
+    from cwf.validate import run_validate, serialize_report
+
+    out = tmp_path / "reports" / "r.csv"
+    results, ok, text = run_validate(DEFAULT_VALIDATE_SEED, out, criteria=[2, 3])
+    assert ok
+    assert out.read_bytes() == text.encode() == serialize_report(results, DEFAULT_VALIDATE_SEED).encode()
+    assert text.splitlines()[:4] == [
+        f"# cwf_version={cwf.__version__}", "# kind=validate", f"# seed={DEFAULT_VALIDATE_SEED}",
+        "criterion,name,expected,observed,tolerance,verdict"]
 
 
 def test_validate_seed_change_moves_observations_not_verdicts(tmp_path):

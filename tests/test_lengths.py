@@ -107,6 +107,18 @@ def test_fixed_length_blocklength_rejects_non_finite_snr(snr):
         fixed_length_blocklength(100.0, snr, 1e-3)
 
 
+@pytest.mark.parametrize("payload,dims,match", [
+    (math.nan, 1, "payload_bits"), (math.inf, 1, "payload_bits"),
+    (-8.0, 1, "payload_bits"), (0.0, 1, "payload_bits"),
+    (100.0, 0, "dims"), (100.0, 1.5, "dims"),
+])
+def test_fixed_length_blocklength_rejects_bad_payload_or_dims(payload, dims, match):
+    # NaN, infinite and negative payloads and dims=0 crashed inside the solver
+    # (int(NaN), OverflowError, math domain error, ZeroDivisionError)
+    with pytest.raises(ValueError, match=match):
+        fixed_length_blocklength(payload, 1.0, 1e-3, dims)
+
+
 # ------------------------------------------------------- cancellation lengths
 
 def _oracle_awgn_lengths(payloads, p, eps):

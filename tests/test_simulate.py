@@ -503,6 +503,13 @@ def test_sorted_exponential_means_rejects_single_trial():
         sorted_exponential_means(3, TrialPlan(1, 63))
 
 
+@pytest.mark.parametrize("s_count", [2.5, True, 0])
+def test_sorted_exponential_means_rejects_non_integer_count(s_count):
+    # 2.5 died with a TypeError inside the draw
+    with pytest.raises(ValueError, match="s_count must be an integer >= 1"):
+        sorted_exponential_means(s_count, TrialPlan(10, 64))
+
+
 def test_sorted_exponential_means_deterministic_partial_chunk():
     a = sorted_exponential_means(2, TrialPlan(70_001, 62))
     b = sorted_exponential_means(2, TrialPlan(70_001, 62))

@@ -42,6 +42,20 @@ def test_single_user_threshold_rejects_fractional_user_count():
         single_user_threshold(1.0, 2.5)
 
 
+@pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
+def test_single_user_threshold_rejects_non_finite_or_zero_power(power):
+    # an infinite power returned 2.8e-17
+    with pytest.raises(ValueError, match="power must be positive and finite"):
+        single_user_threshold(power, 1)
+
+
+@pytest.mark.parametrize("s_count", [2.5, True, 0])
+def test_fast_fading_scenario_rejects_non_integer_user_count(s_count):
+    # 2.5 died in optimize_threshold's range(); True passed as one user
+    with pytest.raises(ValueError, match="s_count must be an integer >= 1"):
+        FastFadingScenario(s_count, 1.0)
+
+
 def test_capacity_lower_bound_single_user_closed_form():
     for p in (0.5, 1.0, 10.0):
         got = capacity_lower_bound(0.0, FastFadingScenario(1, p))
