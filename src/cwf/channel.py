@@ -32,6 +32,8 @@ def is_int(value) -> bool:
 
 def check_positive(name: str, value) -> None:
     """Raise ValueError unless every entry of `value` is positive and finite."""
+    if isinstance(value, float) and 0.0 < value < math.inf:
+        return  # the walks check a power per call: a valid float skips numpy
     v = np.asarray(value, dtype=float)
     if not ((v > 0.0) & (v < math.inf)).all():
         raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -95,7 +97,7 @@ def dispersion(snr):
     return v if v.ndim else float(v)
 
 
-def info_density_increment(x, y, power: float):
+def info_density_increment(x, y, power: float, out=None):
     """Per-symbol information density log dP(y|x)/dP(y) for a Gaussian link
     at unit noise.
 
@@ -104,12 +106,19 @@ def info_density_increment(x, y, power: float):
         0.5*ln(power+1) + y^2 / (2*(power+1)) - (y-x)^2 / 2
 
     Accepts scalars or arrays (broadcast).  Its expectation over the channel
-    equals capacity(power).
+    equals capacity(power).  `out`, of the broadcast shape, may be `x` itself:
+    the result is written there, bit for bit as above, with one temporary
+    shaped like `y`.
     """
-    if not power > 0.0:
-        raise ValueError(f"power must be positive, got {power}")
-    x = np.asarray(x, dtype=float)
+    check_positive("power", power)
     y = np.asarray(y, dtype=float)
     tot = power + 1.0
-    out = 0.5 * math.log(tot) + y * y / (2.0 * tot) - (y - x) ** 2 / 2.0
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(x), y.shape))
+    y_term = y * y
+    y_term /= 2.0 * tot
+    y_term += 0.5 * math.log(tot)  # IEEE addition commutes, so the order above holds
+    np.square(np.subtract(y, x, out=out), out=out)
+    np.multiply(out, 0.5, out=out)  # halving is exact: the same bits as dividing by 2
+    np.subtract(y_term, out, out=out)
     return out if out.ndim else float(out)

@@ -30,9 +30,11 @@ produce bit-identical outcomes.  Every derived seed is `point_seed(parent, i)`.
 One draw rule serves every walk: symbol t takes the next 2*dims normals
 of its trial's stream for each active user, in user order, the input and
 then the noise.  In the error-rate check the competing codewords then take
-the (M-1)*tau normals that follow the true walk's 2*tau.  Walks look ahead
+the (M-1)*tau normals that follow the true walk's 2*tau, in blocks of rows
+of at most `_MAX_CHUNK` normals (or one row); the first block in which one
+crosses ends the trial, whose stream nothing else reads.  Walks look ahead
 in chunks of at most `_MAX_CHUNK` symbols but keep every normal they did
-not use, so look-ahead never changes a result.
+not use, so neither look-ahead nor blocks ever change a result.
 
 The walks and the error-rate check run their trials on every CPU the
 process may use (`WORKERS`): `_fan_out` splits the trials into contiguous
@@ -64,14 +66,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import active_sinrs, check_positive, info_density_increment, is_int
+from .channel import active_sinrs, capacity, check_positive, info_density_increment, is_int
 from .lengths import (AwgnScenario, QueueScenario, message_threshold, phase_lengths,
                       queue_vlsf_lengths, rayleigh_order_means)
 
 #: per-trial symbol cap, as a multiple of the predicted mean length
 CAP_FACTOR = 50.0
 
-#: longest look-ahead of any walk, in symbols; bounds memory, never results
+#: longest look-ahead of any walk in symbols, and the most normals in a block of
+#: error-rate competitors beyond one row; bounds memory, never results
 _MAX_CHUNK = 1 << 15
 
 #: trials per stream in the bulk samplers (`mc_capacity`, order statistics)
@@ -205,10 +208,6 @@ class ErrorRateEstimate:
         return (self.rate + z2 / (2.0 * n) + spread) / (1.0 + z2 / n)
 
 
-def _mean_rate(snr: float, dims: int) -> float:
-    return dims * 0.5 * math.log1p(snr)
-
-
 def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
     """One trial of the coupled walk; returns per-user first-crossing times
     (or the cap) and which users never crossed.
@@ -243,30 +242,33 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
     t = 0
     interval = 1
     boundary = math.inf if t_sub is None else int(round(t_sub))
+    users = None  # the active users and their links, rebuilt when the set changes
     while t < cap and not done.all():
         while boundary <= t:  # guard against sub-symbol intervals
             interval += 1
             boundary = int(round(interval * t_sub))
-        users = np.flatnonzero(active)
-        snr = active_sinrs(rx[users])
-        need = min((thresholds[u] - acc[u]) / _mean_rate(snr[i], dims)
-                   for i, u in enumerate(users))
+        if users is None:
+            users = np.flatnonzero(active).tolist()
+            snr = active_sinrs(rx[users])
+            rates, gains, snr = capacity(snr, dims).tolist(), np.sqrt(snr).tolist(), snr.tolist()
+            width = len(users) * 2 * dims  # normals per symbol
+        need = min((thresholds[u] - acc[u]) / rate for u, rate in zip(users, rates))
         chunk = int(min(max(16.0, 1.25 * need + 8.0), float(boundary - t),
                         float(cap - t), _MAX_CHUNK))
-        width = len(users) * 2 * dims  # normals per symbol
         if spare.size < chunk * width:
             spare = np.concatenate([spare, rng.standard_normal(chunk * width - spare.size)])
         z = spare[:chunk * width].reshape(chunk, len(users), 2, dims)
         used = chunk
         cums = []
         for i, u in enumerate(users):
-            x = math.sqrt(snr[i]) * z[:, i, 0]
-            inc = info_density_increment(x, x + z[:, i, 1], snr[i])
+            # symbols after the earliest crossing so far are never read
+            x = gains[i] * z[:used, i, 0]
+            inc = info_density_increment(x, x + z[:used, i, 1], snr[i], out=x)
             inc[0, 0] += acc[u]  # the running sum is the same float whatever the chunking
-            cums.append(np.cumsum(inc)[dims - 1::dims])  # summed over dims, per symbol
-            hit = cums[-1][:used] >= thresholds[u]
-            if hit.any():
-                used = int(np.argmax(hit)) + 1
+            cums.append(np.cumsum(inc, out=inc.reshape(-1))[dims - 1::dims])  # per symbol
+            first = int(np.argmax(cums[-1] >= thresholds[u]))
+            if cums[-1][first] >= thresholds[u]:
+                used = first + 1
         spare = spare[used * width:]
         t += used
         for i, u in enumerate(users):
@@ -279,9 +281,11 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
                     acc[u] = 0.0  # next queued packet starts immediately
                 else:
                     active[u] = False
+                    users = None
         if t == boundary:  # packet arrival: light users restart
             acc[light] = 0.0
             active[light] = True
+            users = None
     return stop, ~done
 
 
@@ -473,9 +477,9 @@ def simulate_error_probability(payload_bits: float, snr: float,
     if not 2 <= payload_bits <= 12:
         raise ValueError(f"payload_bits must lie in [2, 12], got {payload_bits}")
     check_positive("snr", snr)
-    m_codewords = int(round(2.0**payload_bits))
+    competitors = int(round(2.0**payload_bits)) - 1
     threshold = message_threshold(payload_bits)
-    rate = _mean_rate(snr, 1)
+    rate = capacity(snr)
     cap = int(CAP_FACTOR * max(threshold, rate) / rate)
     sqrt_snr = math.sqrt(snr)
 
@@ -488,29 +492,36 @@ def simulate_error_probability(payload_bits: float, snr: float,
             while True:
                 x = sqrt_snr * z[:, 0]
                 received = x + z[:, 1]
-                crossed = np.cumsum(info_density_increment(x, received, snr)) >= threshold
-                if crossed.any() or len(z) == cap:
+                cum = np.cumsum(info_density_increment(x, received, snr, out=x), out=x)
+                tau = int(np.argmax(cum >= threshold)) + 1
+                crossed = cum[tau - 1] >= threshold
+                if crossed or len(z) == cap:
                     break
                 more = min(len(z), cap - len(z), _MAX_CHUNK)
                 z = np.concatenate([z, rng.standard_normal((more, 2))])
-            if crossed.any():
-                tau = int(np.argmax(crossed)) + 1
-            else:
+            if not crossed:
                 tau = cap
                 cap_hits += 1  # undecided truth; competitors may still cross
-            # competitors take the (M-1)*tau normals after the truth walk's 2*tau
-            count = (m_codewords - 1) * tau
+            # competitors take the (M-1)*tau normals after the truth's 2*tau, a block at a time
             spare = z[tau:].ravel()
-            false_z = np.concatenate([spare, rng.standard_normal(max(count - spare.size, 0))])
-            false_x = sqrt_snr * false_z[:count].reshape(m_codewords - 1, tau)
-            false_inc = info_density_increment(false_x, received[None, :tau], snr)
-            if (np.cumsum(false_inc, axis=1) >= threshold).any():
-                errors += 1
+            rows = min(competitors, max(1, _MAX_CHUNK // tau))
+            block = np.empty(rows * tau)  # at most max(_MAX_CHUNK, tau) normals
+            for first in range(0, competitors, rows):
+                false_z = block[:min(rows, competitors - first) * tau]
+                kept = min(spare.size, false_z.size)
+                false_z[:kept] = spare[:kept]
+                spare = spare[kept:]
+                rng.standard_normal(out=false_z[kept:])
+                false_x = np.multiply(false_z, sqrt_snr, out=false_z).reshape(-1, tau)
+                info_density_increment(false_x, received[:tau], snr, out=false_x)
+                if np.cumsum(false_x, axis=1, out=false_x).max() >= threshold:
+                    errors += 1
+                    break
         return errors, cap_hits
 
     # the truth draws 2 normals per symbol and each competitor 1, for about
     # threshold / rate symbols
-    parts = _fan_out(plan, work, (m_codewords + 1) * threshold / rate)
+    parts = _fan_out(plan, work, (competitors + 2) * threshold / rate)
     return ErrorRateEstimate(errors=sum(e for e, _ in parts), trials=plan.trials,
                              cap_hits=sum(c for _, c in parts))
 

@@ -120,6 +120,41 @@ def test_info_density_noiseless_form():
     assert got == pytest.approx(0.5 * math.log(2.0) + y * y / 4.0)
 
 
+@pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
+def test_info_density_rejects_non_finite_or_zero_power(power):
+    # an infinite power returned inf
+    with pytest.raises(ValueError, match="power must be positive and finite"):
+        info_density_increment(1.0, 1.0, power)
+
+
+def _written_order(x, y, power):
+    """The increment evaluated exactly as its docstring writes it."""
+    tot = power + 1.0
+    return 0.5 * math.log(tot) + y * y / (2.0 * tot) - (y - x) ** 2 / 2.0
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=30),
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["full", "row", "vector"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_info_density_in_place_is_bit_identical(rows, cols, power, seed, y_shape):
+    # the walks write increments over their inputs, x, and the error-rate check
+    # broadcasts one received row over its competitors
+    rng = np.random.default_rng(seed)
+    x = math.sqrt(power) * rng.standard_normal((rows, cols))
+    y = x + rng.standard_normal((rows, cols))
+    y = {"full": y, "row": y[:1], "vector": y[0]}[y_shape]
+    want = info_density_increment(x, y, power)
+    assert want.tobytes() == _written_order(x, y, power).tobytes()
+    out = x.copy()
+    assert info_density_increment(out, y, power, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("snr", [0.5, 1.0, 4.0])
 def test_info_density_mean_matches_capacity(snr):
     # sample mean over 2*10^5 i.i.d. draws within 4 standard errors of capacity

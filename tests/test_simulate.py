@@ -1,6 +1,7 @@
 import math
 import os
 import time
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -172,6 +173,33 @@ def test_error_rate_does_not_depend_on_look_ahead(monkeypatch):
         monkeypatch.setattr(simulate, "_MAX_CHUNK", max_chunk)
         outs.append(simulate_error_probability(8.0, 1.0, TrialPlan(300, 51)))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("cap_factor,errors,cap_hits", [
+    (simulate.CAP_FACTOR, 12, 0),
+    (1.0, 10, 158),  # a cap of 20 symbols, about the truth's mean length
+], ids=["uncapped", "capped"])
+def test_error_rate_pinned_counts(monkeypatch, cap_factor, errors, cap_hits):
+    # exact counts pin the truth's and the competitors' draws and crossings, in
+    # one-row competitor blocks and in one block
+    monkeypatch.setattr(simulate, "CAP_FACTOR", cap_factor)
+    for max_chunk in (7, simulate._MAX_CHUNK):
+        monkeypatch.setattr(simulate, "_MAX_CHUNK", max_chunk)
+        est = simulate_error_probability(8.0, 1.0, TrialPlan(300, 51))
+        assert (est.errors, est.cap_hits) == (errors, cap_hits)
+
+
+def test_error_rate_memory_is_bounded_by_competitor_blocks(monkeypatch):
+    # 4095 competitors of about 350 symbols each: drawn at once, they and their
+    # temporaries peaked at 63.5 MB
+    monkeypatch.setattr(simulate, "WORKERS", 1)
+    tracemalloc.start()
+    try:
+        simulate_error_probability(12.0, 0.05, TrialPlan(2, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.fixture
