@@ -6,7 +6,7 @@ decoding threshold it stops transmitting, which raises the SINR of everyone
 still active.  One solver, `phase_lengths`, applies Wald's identity phase by
 phase on received powers with the walks' SINR rule (`channel.active_sinrs`),
 the log-order remainder folded into the thresholds and otherwise dropped.
-Callers guarantee the stopping order: ascending payloads, descending gains.
+It finds the stopping order itself, and users that tie stop together.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .channel import LN2, active_sinrs, capacity, check_positive, dispersion, is
 
 @dataclass(frozen=True)
 class AwgnScenario:
-    """Equal-power AWGN cells with strictly increasing per-user payloads.
+    """Equal-power AWGN cells with non-decreasing per-user payloads.
 
-    payload_bits: K_1 < K_2 < ... < K_S in bits, each >= 2.
+    payload_bits: K_1 <= K_2 <= ... <= K_S in bits, each >= 2; ties stop together.
     power: common linear transmit power (> 0).
     epsilon: target error probability in [0, 1).
     """
@@ -39,8 +39,8 @@ class AwgnScenario:
             raise ValueError("at least one user required")
         if not all(2.0 <= k < math.inf for k in self.payload_bits):
             raise ValueError(f"payloads must be finite and >= 2 bits, got {self.payload_bits}")
-        if any(b >= a for b, a in zip(self.payload_bits, self.payload_bits[1:])):
-            raise ValueError("payload_bits must be strictly increasing")
+        if any(b > a for b, a in zip(self.payload_bits, self.payload_bits[1:])):
+            raise ValueError("payload_bits must be non-decreasing")
         check_positive("power", self.power)
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
@@ -135,20 +135,26 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
 
 def phase_lengths(thresholds, rx, dims: int):
     """Wald's identity phase by phase: each user's stop time in symbols, and
-    the rate of the user that stops in each phase.
+    its finish rate, the rate it had in the phase where it stopped.
 
-    Phase k ends when user k's nats reach thresholds[k]; users k..S-1 send
-    during it, at capacity(active_sinrs(rx[k:]), dims) nats per symbol.
-    Nothing is sorted: callers guarantee that users stop in index order.
+    Each active user gathers capacity(active_sinrs(rx[active]), dims) nats
+    per symbol.  A phase ends when the first active user reaches its
+    threshold, and every user due at that time stops: ties stop together,
+    and the inputs may come in any order.
     """
     acc = np.zeros(len(rx))  # nats gathered so far
-    steps, leader_rate = np.empty(len(rx)), np.empty(len(rx))
-    for k in range(len(rx)):
-        rate = capacity(active_sinrs(rx[k:]), dims)
-        steps[k] = (thresholds[k] - acc[k]) / rate[0]
-        acc[k:] += steps[k] * rate
-        leader_rate[k] = rate[0]
-    return np.cumsum(steps), leader_rate
+    stops, finish_rate = np.empty(len(rx)), np.empty(len(rx))
+    active, t = np.arange(len(rx)), 0.0
+    while active.size:
+        rate = capacity(active_sinrs(rx[active]), dims)
+        left = (thresholds[active] - acc[active]) / rate
+        step = left.min()
+        t += step
+        done = ~(left > step)  # not `==`: a NaN input ends the loop instead of spinning
+        stops[active[done]], finish_rate[active[done]] = t, rate[done]
+        acc[active] += step * rate
+        active = active[~done]
+    return stops, finish_rate
 
 
 def awgn_vlsf_lengths(sc: AwgnScenario) -> np.ndarray:
@@ -157,7 +163,7 @@ def awgn_vlsf_lengths(sc: AwgnScenario) -> np.ndarray:
     lengths[s-1] = (1-eps) * sum_{t=1..s} (g_t - g_{t-1}) / C_{S-t+1} where
     g_t is the decoding threshold of user t and C_u the capacity with u
     active users.  User s spends each phase t at the capacity set by the
-    S-t+1 users still transmitting.
+    S-t+1 users still transmitting; equal payloads give a zero term.
     """
     return (1.0 - sc.epsilon) * phase_lengths(sc.thresholds, np.full(sc.s_count, sc.power), 1)[0]
 
@@ -206,21 +212,18 @@ def queue_vlsf_lengths(qs: QueueScenario) -> QueueBreakdown:
 def fading_vlsf_coeffs(gains, power: float) -> np.ndarray:
     """Symbols-per-nat coefficients a_j for block fading with common payload.
 
-    Decoding order follows descending gain; user j's average length is
-    a_j * (1-eps) * threshold, so a_j is its stop time under unit thresholds.
-    Unrolled, the phases charge each earlier user's termination with the
-    capacity jump it causes for user j:
+    Gains come in any order: the strongest user decodes first, equal gains
+    together.  User j's average length is a_j * (1-eps) * threshold, so a_j
+    is its stop time under unit thresholds.  Over gains sorted descending, the
+    phases charge each earlier termination with its capacity jump for user j:
 
         a_1 = 1 / C(S users active, user 1)
         a_k = (1 + sum_{t<k} a_t * (C_{S-t,k} - C_{S-t+1,k})) / C_{S-k+1,k}
     """
     gains = np.asarray(gains, dtype=float)
-    s_total = gains.shape[0]
     check_positive("gains", gains)
     check_positive("power", power)
-    if np.any(np.diff(gains) > 0.0):
-        raise ValueError("gains must be sorted descending (decoding order)")
-    return phase_lengths(np.ones(s_total), power * gains, 2)[0]
+    return phase_lengths(np.ones_like(gains), power * gains, 2)[0]
 
 
 def rayleigh_order_means(s_count: int) -> np.ndarray:

@@ -403,10 +403,10 @@ def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcom
 
 def simulate_block_fading(gains, payload_bits: float, power: float,
                           plan: TrialPlan) -> StoppingOutcome:
-    """Stopping times for fixed fading gains and a common payload.
+    """Stopping times for fixed fading gains, in any order, and a common payload.
 
     Complex links: each symbol contributes two real-dimension increments,
-    and crossings are checked once per complex symbol.
+    and crossings are checked once per complex symbol.  Means follow the input order.
     """
     gains = np.asarray(gains, dtype=float)
     check_positive("gains", gains)
@@ -414,8 +414,8 @@ def simulate_block_fading(gains, payload_bits: float, power: float,
     s_total = gains.shape[0]
     thresholds = np.full(s_total, message_threshold(payload_bits))
     rx = power * gains
-    stops = phase_lengths(thresholds, np.sort(rx)[::-1], 2)[0]
-    cap = int(CAP_FACTOR * stops[-1])
+    stops = phase_lengths(thresholds, rx, 2)[0]
+    cap = int(CAP_FACTOR * stops.max())
     return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, 2, cap), stops, 2)
 
 

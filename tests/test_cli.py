@@ -211,6 +211,18 @@ def test_cli_thm1_runs_and_writes(tmp_path, capsys):
     assert "snr_db" in text
 
 
+def test_cli_thm1_accepts_equal_payloads(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "thm1_sweep", "snr_db": [0.0],
+                                "payload_bits": [300.0, 300.0]}))
+    out = tmp_path / "thm1.csv"
+    assert main(["thm1", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    header, row = [line.split(",") for line in out.read_text().splitlines()
+                   if not line.startswith("#")]
+    values = dict(zip(header, row))
+    assert values["vlsf_len_1"] == values["vlsf_len_2"]
+
+
 def test_cli_rejects_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

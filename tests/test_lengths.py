@@ -242,6 +242,13 @@ def test_awgn_single_user_reduction(k, power, eps):
     assert awgn_vlsf_lengths(AwgnScenario((k,), power, eps))[0] == pytest.approx(want, rel=1e-12)
 
 
+def test_awgn_equal_payloads_stop_together():
+    # equal payloads share every phase, so both lengths are the two-user one
+    sc = AwgnScenario((300.0, 300.0), 1.0)
+    want = message_threshold(300.0) / capacity(sinr_awgn(1.0, 2))
+    assert awgn_vlsf_lengths(sc) == pytest.approx([want, want], rel=1e-12)
+
+
 def test_awgn_scenario_invariants():
     with pytest.raises(ValueError):
         AwgnScenario((1000.0, 300.0), 1.0, 0.0)  # not increasing
@@ -352,6 +359,15 @@ def test_queue_heavy_congestion_approaches_full_interference():
         assert br.lengths[u] >= full * (1.0 - 1e-12)
 
 
+def test_queue_tied_payloads_uncongested_equal_plain():
+    sc = AwgnScenario((300.0, 300.0), 1.0)
+    plain = awgn_vlsf_lengths(sc)
+    for t_sub in (1100.0, 2000.0, 5000.0):  # every interval at or above l' = 1052.03
+        br = queue_vlsf_lengths(QueueScenario(sc, t_sub))
+        assert br.r == 2
+        assert br.lengths == pytest.approx(plain, rel=1e-12)
+
+
 def test_queue_rejects_bad_interval():
     sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
     with pytest.raises(ValueError):
@@ -377,11 +393,23 @@ def test_fading_coeffs_single_user():
     assert a[0] == pytest.approx(1.0 / math.log1p(1.4), rel=1e-12)
 
 
-def test_fading_coeffs_equal_gains_coincide():
-    # with equal gains the later user's speedup exactly cancels its head start
-    a = fading_vlsf_coeffs([1.0, 1.0], 1.0)
-    assert a[0] == pytest.approx(a[1], rel=1e-12)
-    assert a[0] == pytest.approx(2.4663034623764317, rel=1e-12)
+@pytest.mark.parametrize("gains,power,shared", [
+    ([1.0, 1.0], 1.0, 2.4663034623764317),
+    ([1.0] * 6, 10.0, 5.585087280155127),
+    ([1.0] * 8, 0.5, 9.491221581029903),
+], ids=["two_users", "six_users", "eight_users"])
+def test_fading_coeffs_equal_gains_coincide(gains, power, shared):
+    # equal gains stop in one phase, so every user gets the same float
+    a = fading_vlsf_coeffs(gains, power)
+    assert a.tolist() == [a[0]] * len(gains)
+    assert a[0] == pytest.approx(shared, rel=1e-12)
+
+
+def test_fading_coeffs_take_gains_in_any_order():
+    # the decoding order follows from the gains, so reversed gains give reversed coefficients
+    a = fading_vlsf_coeffs([0.5, 1.5], 1.0)
+    assert a.tolist() == fading_vlsf_coeffs([1.5, 0.5], 1.0)[::-1].tolist()
+    assert a == pytest.approx([3.2603, 1.4427], abs=1e-4)
 
 
 def test_fading_coeffs_no_interference_change_telescopes():
@@ -418,36 +446,79 @@ def test_fading_coeffs_match_high_precision_oracle(gains, power):
         _oracle_fading_coeffs(gains, power), rel=1e-12)
 
 
+# ties: a zero threshold gap or a power ratio of exactly 1
+_GAPS = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1e3))
+_RATIOS = st.one_of(st.just(1.0), st.floats(min_value=0.1, max_value=0.99))
+
+
 @given(st.integers(min_value=1, max_value=8), st.floats(min_value=0.01, max_value=100.0),
        st.sampled_from([1, 2]), st.booleans(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_phase_lengths_stops_non_decreasing(s_count, power, dims, common, data):
-    # the callers' order: thresholds ascending, received powers descending
-    if common:  # block fading: one payload, strictly weaker users later
+    # thresholds non-decreasing and received powers non-increasing, ties included
+    if common:  # block fading: one payload, weaker or equal users later
         thresholds = np.full(s_count, data.draw(st.floats(min_value=1.0, max_value=1e4)))
-        ratios = st.floats(min_value=0.1, max_value=0.99)
-    else:  # cells with ascending payloads and non-increasing powers
-        gaps = st.lists(st.floats(min_value=0.01, max_value=1e3), min_size=s_count,
-                        max_size=s_count)
-        thresholds = np.cumsum(data.draw(gaps))
-        ratios = st.floats(min_value=0.1, max_value=1.0)
-    steps = data.draw(st.lists(ratios, min_size=s_count - 1, max_size=s_count - 1))
+    else:  # cells with non-decreasing payloads and non-increasing powers
+        gaps = st.lists(_GAPS, min_size=s_count - 1, max_size=s_count - 1)
+        first = data.draw(st.floats(min_value=0.01, max_value=1e3))
+        thresholds = np.cumsum([first, *data.draw(gaps)])
+    steps = data.draw(st.lists(_RATIOS, min_size=s_count - 1, max_size=s_count - 1))
     rx = power * np.cumprod([1.0, *steps])
-    stops, leader_rate = phase_lengths(thresholds, rx, dims)
+    stops, finish_rate = phase_lengths(thresholds, rx, dims)
     assert stops[0] > 0.0 and np.all(np.diff(stops) >= 0.0)
-    assert np.all(leader_rate > 0.0)
+    assert np.all(finish_rate > 0.0)
 
 
-def test_fading_coeffs_reject_unsorted_or_zero():
-    with pytest.raises(ValueError):
-        fading_vlsf_coeffs([0.5, 1.5], 1.0)
-    with pytest.raises(ValueError):
-        fading_vlsf_coeffs([1.0, 0.0], 1.0)
+@given(st.integers(min_value=1, max_value=8), st.floats(min_value=0.01, max_value=100.0),
+       st.sampled_from([1, 2]), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_phase_lengths_take_users_in_any_order(s_count, power, dims, equal_powers, data):
+    # the solver finds the stopping order: permuting the users permutes the outputs
+    pick = st.lists(st.integers(min_value=0, max_value=2), min_size=s_count, max_size=s_count)
+    thresholds = np.array([(5.0, 40.0, 300.0)[i] for i in data.draw(pick)])
+    rx = np.full(s_count, power)
+    if not equal_powers:
+        rx = rx * np.array([(1.0, 0.3, 2.5)[i] for i in data.draw(pick)])
+    perm = np.array(data.draw(st.permutations(range(s_count))))
+    stops, finish_rate = phase_lengths(thresholds, rx, dims)
+    p_stops, p_rate = phase_lengths(thresholds[perm], rx[perm], dims)
+    if equal_powers:  # every sum sees the same addends, so the bits match
+        assert p_stops.tolist() == stops[perm].tolist()
+        assert p_rate.tolist() == finish_rate[perm].tolist()
+    else:  # the interference sums run in another order
+        assert p_stops == pytest.approx(stops[perm], rel=1e-12)
+        assert p_rate == pytest.approx(finish_rate[perm], rel=1e-12)
+    assert np.all(stops >= 0.0) and np.all(finish_rate > 0.0)
+    for u in range(s_count):  # users alike in threshold and power stop at the same float
+        twins = (thresholds == thresholds[u]) & (rx == rx[u])
+        assert np.all(stops[twins] == stops[u])
+
+
+@pytest.mark.parametrize("thresholds,rx,dims,stops,finish_rate", [
+    (AwgnScenario((100.0, 400.0, 900.0), 2.0, 0.05).thresholds, np.full(3, 2.0), 1,
+     ["0x1.b5340744aafbdp+8", "0x1.3a31ee41a08aap+10", "0x1.d84beab9fe90ep+10"],
+     ["0x1.588c2d9133490p-3", "0x1.058aefa811451p-2", "0x1.193ea7aad030bp-1"]),
+    (np.ones(4), rayleigh_order_means(4), 2,
+     ["0x1.daf4ea6059a0cp+0", "0x1.84426b1c7e3edp+1", "0x1.16d993e3b0b40p+2",
+      "0x1.c46e190e2f8a1p+2"],
+     ["0x1.13f7596e9c545p-1", "0x1.db72ede916fefp-2", "0x1.882f1ef83ed44p-2",
+      "0x1.c8ff7c79a9a22p-3"]),
+    (AwgnScenario((300.0, 1000.0), 1.0).thresholds, np.full(2, 1.0), 1,  # the queue's call
+     ["0x1.070223ad66bf4p+10", "0x1.32f03c4870adcp+11"],
+     ["0x1.9f323ecbf984cp-3", "0x1.62e42fefa39efp-2"]),
+], ids=["awgn_three_users", "fading_rayleigh_means_4", "queue_caps"])
+def test_phase_lengths_ordered_inputs_keep_their_bits(thresholds, rx, dims, stops,
+                                                      finish_rate):
+    # users given in stopping order without ties: every CSV and the report rest on these bits
+    got = phase_lengths(thresholds, rx, dims)
+    assert [float(v).hex() for v in got[0]] == stops
+    assert [float(v).hex() for v in got[1]] == finish_rate
 
 
 @pytest.mark.parametrize("gains,power", [
     ([1.0, 0.5], math.nan), ([math.nan, 0.5], 1.0), ([1.0, 0.5], 0.0), ([1.0, 0.5], math.inf),
-], ids=["nan_power", "nan_gain", "zero_power", "inf_power"])
+    ([1.0, 0.0], 1.0),
+], ids=["nan_power", "nan_gain", "zero_power", "inf_power", "zero_gain"])
 def test_fading_coeffs_reject_non_finite_or_zero_power_and_gains(gains, power):
     # NaN inputs returned [nan, nan]; power 0 divided by zero
     with pytest.raises(ValueError, match="positive and finite"):

@@ -388,6 +388,16 @@ def test_cancellation_strictly_shortens_second_user():
     assert full - with_ic.mean[1] >= 3.0 * with_ic.se[1]
 
 
+def test_equal_payloads_walk_matches_shared_length():
+    # equal payloads are the symmetric case: both users near the cascade's shared
+    # length, a little below it because whoever crosses first speeds the other up
+    sc = AwgnScenario((300.0, 300.0), 1.0)
+    shared = message_threshold(300.0) / capacity(sinr_awgn(1.0, 2))
+    out = simulate_awgn_multiuser(sc, TrialPlan(2000, 78))
+    assert out.mean == pytest.approx([shared, shared], rel=0.05)
+    assert out.cap_hits.sum() == 0
+
+
 def test_stopping_times_ordered_by_payload():
     sc = AwgnScenario((50.0, 120.0, 260.0), 1.0, 0.0)
     out = simulate_awgn_multiuser(sc, TrialPlan(400, 11))
@@ -419,6 +429,16 @@ def test_block_fading_equal_gains_symmetric():
     assert abs(out.mean[0] - out.mean[1]) <= 4.0 * se
     shared = fading_vlsf_coeffs([1.0, 1.0], 1.0)[0] * message_threshold(300.0)
     assert out.mean == pytest.approx([shared, shared], rel=0.05)
+
+
+def test_block_fading_reports_unsorted_gains_in_input_order():
+    # the weaker user comes first; its mean and cap follow from the cascade, not a sort
+    gains, payload, power = [0.5, 1.5], 1000.0, 1.0
+    expected = fading_vlsf_coeffs(gains, power) * message_threshold(payload)
+    assert expected[0] > expected[1]
+    out = simulate_block_fading(gains, payload, power, TrialPlan(500, 24))
+    assert out.mean == pytest.approx(expected, rel=0.05)
+    assert out.cap_hits.sum() == 0
 
 
 def test_block_fading_single_user_complex_rate():
