@@ -14,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import is_int
-from .lengths import AwgnScenario, QueueScenario, message_threshold, rayleigh_order_means
+from .channel import is_int, sinr_awgn, sinr_fading
+from .lengths import (AwgnScenario, QueueScenario, awgn_vlsf_lengths, fading_vlsf_coeffs,
+                      fixed_length_blocklength, message_threshold, queue_vlsf_lengths,
+                      rayleigh_order_means)
 from .simulate import point_seed  # noqa: F401  (re-exported)
 from .waterfill import FastFadingScenario
 
@@ -89,9 +91,6 @@ class ExperimentConfig:
             raise ConfigError("a seed is required for any stochastic experiment")
         if self.kind != "validate" and not self.snr_db:
             raise ConfigError(f"{self.kind} needs a non-empty snr_db grid")
-        if self.kind in ("thm1_sweep", "queue_sweep", "fading_sweep"):
-            if not 0.0 < self.epsilon <= 0.5:  # the fixed_n baseline column
-                raise ConfigError(f"{self.kind} needs epsilon in (0, 0.5], got {self.epsilon}")
         if self.kind == "queue_sweep" and not self.t_sub:
             raise ConfigError("queue_sweep needs a non-empty t_sub grid")
         if self.kind == "fading_sweep" and len(self.payload_bits) != 1:
@@ -104,18 +103,30 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def _build_scenarios(self):
-        """Build what the sweep builds, so its own checks reject the config."""
+        """Build and solve what the sweep does, so its own checks reject the config."""
         for power in map(db_to_linear, self.snr_db):
             if self.kind in ("thm1_sweep", "queue_sweep"):
-                sc = AwgnScenario(self.payload_bits, power, self.epsilon)
+                sc = AwgnScenario(self.payload_bits, power)
+                awgn_vlsf_lengths(sc)  # before fixed_n: it names an overflowing sum
+                self.fixed_n(power)  # of powers, on which fixed_n fails unclearly or warns
                 for t_sub in self.t_sub if self.kind == "queue_sweep" else ():
-                    QueueScenario(sc, t_sub)
+                    queue_vlsf_lengths(QueueScenario(sc, t_sub))
+            elif self.kind == "fading_sweep":
+                message_threshold(self.payload_bits[0])
+                fading_vlsf_coeffs(rayleigh_order_means(self.s_count), power)
+                self.fixed_n(power)
             elif self.kind == "waterfill_sweep":
                 for s_count in self.s_counts:
                     FastFadingScenario(s_count, power)
-        if self.kind == "fading_sweep":
-            rayleigh_order_means(self.s_count)
-            message_threshold(self.payload_bits[0])
+
+    def fixed_n(self, power: float) -> int:
+        """A walk sweep's fixed-length baseline at `power` and `epsilon`: the
+        last user's payload while every user interferes."""
+        if self.kind != "fading_sweep":
+            snr = sinr_awgn(power, len(self.payload_bits))
+            return fixed_length_blocklength(self.payload_bits[-1], snr, self.epsilon)
+        snr = sinr_fading(power, rayleigh_order_means(self.s_count), 1, self.s_count)
+        return fixed_length_blocklength(self.payload_bits[0], snr, self.epsilon, dims=2)
 
     @property
     def resolved_seed(self) -> int:

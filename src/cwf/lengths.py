@@ -7,6 +7,8 @@ still active.  One solver, `phase_lengths`, applies Wald's identity phase by
 phase on received powers with the walks' SINR rule (`channel.active_sinrs`),
 the log-order remainder folded into the thresholds and otherwise dropped.
 It finds the stopping order itself, and users that tie stop together.
+Lengths are stopping times: the sweeps apply the (1-epsilon) idling where
+they report them, and epsilon here sets only the fixed-length baseline.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ class AwgnScenario:
 
     payload_bits: K_1 <= K_2 <= ... <= K_S in bits, each >= 2; ties stop together.
     power: common linear transmit power (> 0).
-    epsilon: target error probability in [0, 1).
     """
 
     payload_bits: tuple[float, ...]
     power: float
-    epsilon: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "payload_bits", tuple(float(k) for k in self.payload_bits))
@@ -42,8 +42,6 @@ class AwgnScenario:
         if any(b > a for b, a in zip(self.payload_bits, self.payload_bits[1:])):
             raise ValueError("payload_bits must be non-decreasing")
         check_positive("power", self.power)
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
 
     @property
     def s_count(self) -> int:
@@ -76,7 +74,7 @@ class QueueBreakdown:
     full_intervals[s]: complete intervals consumed before the final one (c_s).
     leftover_nats[s]: nats still needed at the start of the final interval (b_s).
     leftover_stage[s]: phase of the final interval where decoding completes (r_s).
-    lengths[s]: average length in symbols, including the (1-epsilon) idling.
+    lengths[s]: average length in symbols, without the (1-epsilon) idling.
     """
 
     r: int
@@ -107,6 +105,7 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
     Solves payload_bits*ln2 <= n*d*C - sqrt(n*d*V)*Qinv(epsilon) with C and V
     the real-AWGN capacity and dispersion at `snr`, where each of the n
     symbols spends d = `dims` real dimensions (2 for a complex symbol).
+    A blocklength beyond 2^50 symbols raises ValueError.
     """
     check_positive("payload_bits", payload_bits)
     check_positive("snr", snr)
@@ -120,7 +119,9 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
     qinv = float(scipy.special.ndtri(1.0 - epsilon))
     # largest real root of kappa = x*c - sqrt(x*v)*qinv in real dimensions x
     b = qinv * math.sqrt(v)
-    root = (b + math.sqrt(b * b + 4.0 * c * kappa)) / (2.0 * c)
+    root = (b + math.sqrt(b * b + 4.0 * c * kappa)) / (2.0 * c) if c else math.inf
+    if not root * root <= dims * 2.0**50:  # where a symbol still moves n*d*C by 4 ulps
+        raise ValueError(f"fixed blocklength {root * root / dims:.3g} exceeds 2^50 symbols")
     n = math.ceil(root * root / dims - 1e-9)
 
     def ok(m: int) -> bool:
@@ -140,13 +141,17 @@ def phase_lengths(thresholds, rx, dims: int):
     Each active user gathers capacity(active_sinrs(rx[active]), dims) nats
     per symbol.  A phase ends when the first active user reaches its
     threshold, and every user due at that time stops: ties stop together,
-    and the inputs may come in any order.
+    and the inputs may come in any order.  Received powers that leave an
+    active user no rate (their sum overflows) raise ValueError.
     """
     acc = np.zeros(len(rx))  # nats gathered so far
     stops, finish_rate = np.empty(len(rx)), np.empty(len(rx))
     active, t = np.arange(len(rx)), 0.0
     while active.size:
-        rate = capacity(active_sinrs(rx[active]), dims)
+        with np.errstate(over="ignore"):  # an overflowing sum of powers leaves rate 0
+            rate = capacity(active_sinrs(rx[active]), dims)
+        if not rate.min() > 0.0:
+            raise ValueError(f"received powers {rx} leave an active user no rate")
         left = (thresholds[active] - acc[active]) / rate
         step = left.min()
         t += step
@@ -160,12 +165,13 @@ def phase_lengths(thresholds, rx, dims: int):
 def awgn_vlsf_lengths(sc: AwgnScenario) -> np.ndarray:
     """Average stop-feedback code lengths under progressive cancellation.
 
-    lengths[s-1] = (1-eps) * sum_{t=1..s} (g_t - g_{t-1}) / C_{S-t+1} where
-    g_t is the decoding threshold of user t and C_u the capacity with u
-    active users.  User s spends each phase t at the capacity set by the
-    S-t+1 users still transmitting; equal payloads give a zero term.
+    lengths[s-1] = sum_{t=1..s} (g_t - g_{t-1}) / C_{S-t+1}, g_t the decoding
+    threshold of user t and C_u the capacity with u active users: phase t runs
+    at the capacity of the S-t+1 users still transmitting, and equal payloads
+    give a zero term.  These are stopping times: a code that idles with
+    probability epsilon averages (1-epsilon) times them.
     """
-    return (1.0 - sc.epsilon) * phase_lengths(sc.thresholds, np.full(sc.s_count, sc.power), 1)[0]
+    return phase_lengths(sc.thresholds, np.full(sc.s_count, sc.power), 1)[0]
 
 
 def queue_vlsf_lengths(qs: QueueScenario) -> QueueBreakdown:
@@ -181,7 +187,7 @@ def queue_vlsf_lengths(qs: QueueScenario) -> QueueBreakdown:
     s_total = sc.s_count
     g = sc.thresholds
     stops, caps = phase_lengths(g, np.full(s_total, sc.power), 1)
-    prefix = np.concatenate([[0.0], stops])  # epsilon-free lengths, l'_0 = 0
+    prefix = np.concatenate([[0.0], stops])  # l'_0 = 0
 
     r = int(np.searchsorted(prefix[1:], qs.t_sub, side="left"))  # largest s with l'_s < t_sub
     if r == s_total:
@@ -195,7 +201,6 @@ def queue_vlsf_lengths(qs: QueueScenario) -> QueueBreakdown:
     leftover = np.zeros(s_total)
     stage = np.zeros(s_total, dtype=np.int64)
     lengths = np.empty(s_total)
-    scale = 1.0 - sc.epsilon
     for s in range(1, s_total + 1):
         if s <= r:
             c_s, b_s = 0, float(g[s - 1])
@@ -205,7 +210,7 @@ def queue_vlsf_lengths(qs: QueueScenario) -> QueueBreakdown:
         r_s = int(np.searchsorted(g, b_s, side="left"))  # largest t with g_t < b_s
         full[s - 1], leftover[s - 1], stage[s - 1] = c_s, b_s, r_s
         rem = (b_s - (g[r_s - 1] if r_s else 0.0)) / caps[r_s]
-        lengths[s - 1] = scale * (c_s * qs.t_sub + rem + prefix[r_s])
+        lengths[s - 1] = c_s * qs.t_sub + rem + prefix[r_s]
     return QueueBreakdown(r, info, full, leftover, stage, lengths)
 
 
@@ -213,8 +218,8 @@ def fading_vlsf_coeffs(gains, power: float) -> np.ndarray:
     """Symbols-per-nat coefficients a_j for block fading with common payload.
 
     Gains come in any order: the strongest user decodes first, equal gains
-    together.  User j's average length is a_j * (1-eps) * threshold, so a_j
-    is its stop time under unit thresholds.  Over gains sorted descending, the
+    together.  User j's average length is a_j * threshold, so a_j is its
+    stop time under unit thresholds.  Over gains sorted descending, the
     phases charge each earlier termination with its capacity jump for user j:
 
         a_1 = 1 / C(S users active, user 1)

@@ -67,8 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import active_sinrs, capacity, check_positive, info_density_increment, is_int
-from .lengths import (AwgnScenario, QueueScenario, message_threshold, phase_lengths,
-                      queue_vlsf_lengths, rayleigh_order_means)
+from .lengths import (AwgnScenario, QueueScenario, awgn_vlsf_lengths, message_threshold,
+                      phase_lengths, queue_vlsf_lengths, rayleigh_order_means)
 
 #: per-trial symbol cap, as a multiple of the predicted mean length
 CAP_FACTOR = 50.0
@@ -390,13 +390,10 @@ def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcom
     """Coupled stopping times of S equal-power AWGN users.
 
     Every user holds the decoding threshold of its own payload; crossing
-    deactivates it from the next symbol on.  No (1-epsilon) idling is
-    applied, so means compare against the epsilon-free analytic lengths.
+    deactivates it from the next symbol on.
     """
-    s_total = sc.s_count
-    thresholds = sc.thresholds
-    rx = np.full(s_total, sc.power)
-    stops = phase_lengths(thresholds, rx, 1)[0]
+    thresholds, rx = sc.thresholds, np.full(sc.s_count, sc.power)
+    stops = awgn_vlsf_lengths(sc)
     cap = int(CAP_FACTOR * stops[-1])
     return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, 1, cap), stops, 1)
 
@@ -453,8 +450,7 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     sc = qs.base
     s_total = sc.s_count
     thresholds = sc.thresholds
-    base = AwgnScenario(sc.payload_bits, sc.power, 0.0)
-    breakdown = queue_vlsf_lengths(QueueScenario(base, qs.t_sub))
+    breakdown = queue_vlsf_lengths(qs)
     congested = np.arange(s_total) >= breakdown.r  # users r+1..S carry accumulation
     cap = int(CAP_FACTOR * max(breakdown.lengths.max(), qs.t_sub))
     rx = np.full(s_total, sc.power)

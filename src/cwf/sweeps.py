@@ -6,7 +6,8 @@ errors (0 for the walk sweeps).  Every output, the validate report too,
 starts with '#'-prefixed metadata (tool version, config hash, seed), then a
 fixed header, then one row per grid point in grid order.  Numbers are
 formatted with 9 significant digits, so re-running a config with the same
-seed reproduces the file byte for byte.
+seed reproduces the file byte for byte.  The walk sweeps report lengths
+with the (1-epsilon) idling applied here, to the closed forms' stopping times.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import sinr_awgn, sinr_fading
 from .config import ExperimentConfig, db_to_linear, point_seed
 from .lengths import (
     AwgnScenario,
     QueueScenario,
     awgn_vlsf_lengths,
     fading_vlsf_coeffs,
-    fixed_length_blocklength,
     message_threshold,
     queue_vlsf_lengths,
     rayleigh_order_means,
@@ -113,10 +112,10 @@ def run_thm1_sweep(cfg: ExperimentConfig, out=None):
     rows = []
     for i, snr_db in enumerate(cfg.snr_db):
         p = db_to_linear(snr_db)
-        sc = AwgnScenario(cfg.payload_bits, p, cfg.epsilon)
-        ell = awgn_vlsf_lengths(sc)
-        raw = awgn_vlsf_lengths(AwgnScenario(cfg.payload_bits, p, 0.0))
-        fixed_n = fixed_length_blocklength(cfg.payload_bits[-1], sinr_awgn(p, s), cfg.epsilon)
+        sc = AwgnScenario(cfg.payload_bits, p)
+        raw = awgn_vlsf_lengths(sc)
+        ell = (1.0 - cfg.epsilon) * raw
+        fixed_n = cfg.fixed_n(p)
         rows.append([snr_db, p, cfg.epsilon, *cfg.payload_bits, *ell, *raw,
                      fixed_n, 1.0 - ell[-1] / fixed_n,
                      *_sim_cells(cfg, s, i, lambda plan: simulate_awgn_multiuser(sc, plan))])
@@ -136,16 +135,17 @@ def run_queue_sweep(cfg: ExperimentConfig, out=None):
     index = 0
     for snr_db in cfg.snr_db:
         p = db_to_linear(snr_db)
-        sc = AwgnScenario(cfg.payload_bits, p, cfg.epsilon)
-        fixed_n = fixed_length_blocklength(cfg.payload_bits[-1], sinr_awgn(p, s), cfg.epsilon)
+        sc = AwgnScenario(cfg.payload_bits, p)
+        fixed_n = cfg.fixed_n(p)
         for t_sub in cfg.t_sub:
             qs = QueueScenario(sc, t_sub)
             br = queue_vlsf_lengths(qs)
+            lengths = (1.0 - cfg.epsilon) * br.lengths
             row = [snr_db, p, t_sub, cfg.epsilon, br.r, br.info_per_interval]
             for u in range(s):
                 row += [br.full_intervals[u], br.leftover_nats[u],
-                        br.leftover_stage[u], br.lengths[u]]
-            row += [fixed_n, 1.0 - br.lengths[-1] / fixed_n,
+                        br.leftover_stage[u], lengths[u]]
+            row += [fixed_n, 1.0 - lengths[-1] / fixed_n,
                     *_sim_cells(cfg, s, index, lambda plan: simulate_queue(qs, plan))]
             rows.append(row)
             index += 1
@@ -168,8 +168,7 @@ def run_fading_sweep(cfg: ExperimentConfig, out=None):
         p = db_to_linear(snr_db)
         coeffs = fading_vlsf_coeffs(gains, p)
         typical = (1.0 - cfg.epsilon) * coeffs * gamma
-        worst_snr = sinr_fading(p, gains, 1, s)  # weakest user, everyone active
-        fixed_n = fixed_length_blocklength(payload, worst_snr, cfg.epsilon, dims=2)
+        fixed_n = cfg.fixed_n(p)
         rows.append([snr_db, p, s, payload, *coeffs, *typical,
                      fixed_n, 1.0 - typical[-1] / fixed_n,
                      *_sim_cells(cfg, s, i, lambda plan: simulate_rayleigh_block_fading(

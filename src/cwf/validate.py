@@ -83,13 +83,11 @@ class CriterionResult:
         return "pass" if self.passed else "fail"
 
 
-def _c1_awgn_vs_simulation(seed: int) -> CriterionResult:
-    sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
-    expected = awgn_vlsf_lengths(sc)
-    outcome = simulate_awgn_multiuser(sc, TrialPlan(TRIALS_AWGN, seed))
+def _lengths_vs_simulation(index: int, name: str, expected, outcome) -> CriterionResult:
+    """Closed-form lengths against a walk's means: within 5%, and not capped."""
     rel = np.abs(outcome.mean - expected) / expected
     return CriterionResult(
-        1, "awgn_lengths_vs_simulation",
+        index, name,
         expected="; ".join(format_value(v) for v in expected),
         observed="; ".join(format_value(v) for v in outcome.mean),
         tolerance=f"rel<={format_value(0.05)}",
@@ -97,10 +95,16 @@ def _c1_awgn_vs_simulation(seed: int) -> CriterionResult:
     )
 
 
+def _c1_awgn_vs_simulation(seed: int) -> CriterionResult:
+    sc = AwgnScenario((300.0, 1000.0), 1.0)
+    return _lengths_vs_simulation(1, "awgn_lengths_vs_simulation", awgn_vlsf_lengths(sc),
+                                  simulate_awgn_multiuser(sc, TrialPlan(TRIALS_AWGN, seed)))
+
+
 def _c2_single_user_identity(seed: int) -> CriterionResult:
-    sc = AwgnScenario((1000.0,), 1.0, 1e-3)
-    ell = awgn_vlsf_lengths(sc)[0]
-    direct = (1.0 - sc.epsilon) * message_threshold(1000.0) / capacity(sinr_awgn(1.0, 1))
+    epsilon = 1e-3
+    ell = (1.0 - epsilon) * awgn_vlsf_lengths(AwgnScenario((1000.0,), 1.0))[0]
+    direct = (1.0 - epsilon) * message_threshold(1000.0) / capacity(sinr_awgn(1.0, 1))
     rel = abs(ell - direct) / direct
     return CriterionResult(
         2, "single_user_reduction",
@@ -111,8 +115,7 @@ def _c2_single_user_identity(seed: int) -> CriterionResult:
 
 
 def _c3_cancellation_gain(seed: int) -> CriterionResult:
-    sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
-    ell2 = awgn_vlsf_lengths(sc)[-1]
+    ell2 = awgn_vlsf_lengths(AwgnScenario((300.0, 1000.0), 1.0))[-1]
     baseline = message_threshold(1000.0) / capacity(sinr_awgn(1.0, 2))
     ratio = ell2 / baseline
     return CriterionResult(
@@ -125,18 +128,16 @@ def _c3_cancellation_gain(seed: int) -> CriterionResult:
 
 
 def _c4_queue_consistency(seed: int) -> CriterionResult:
-    sc = AwgnScenario((300.0, 1000.0), 1.0, 1e-3)
+    sc = AwgnScenario((300.0, 1000.0), 1.0)
     plain = awgn_vlsf_lengths(sc)
-    raw_last = float(awgn_vlsf_lengths(AwgnScenario(sc.payload_bits, sc.power, 0.0))[-1])
     eq_rel = 0.0
-    for t_sub in (raw_last, 1.3 * raw_last):
+    for t_sub in (plain[-1], 1.3 * plain[-1]):
         br = queue_vlsf_lengths(QueueScenario(sc, t_sub))
         eq_rel = max(eq_rel, float(np.max(np.abs(br.lengths - plain) / plain)))
 
     sim_margin = -math.inf  # worst sim/bound ratio over the congested grid
-    sc0 = AwgnScenario(sc.payload_bits, sc.power, 0.0)
     for i, t_sub in enumerate(QUEUE_GRID):
-        qs = QueueScenario(sc0, t_sub)
+        qs = QueueScenario(sc, t_sub)
         bound = queue_vlsf_lengths(qs).lengths
         outcome = simulate_queue(qs, TrialPlan(TRIALS_QUEUE, point_seed(seed, i)))
         sim_margin = max(sim_margin, float(np.max(outcome.mean / bound)))
@@ -152,16 +153,10 @@ def _c4_queue_consistency(seed: int) -> CriterionResult:
 def _c5_fading_vs_simulation(seed: int) -> CriterionResult:
     gains = rayleigh_order_means(2)  # (1.5, 0.5)
     power, payload = 1.0, 1000.0
-    expected = fading_vlsf_coeffs(gains, power) * message_threshold(payload)
-    outcome = simulate_block_fading(gains, payload, power, TrialPlan(TRIALS_FADING, seed))
-    rel = np.abs(outcome.mean - expected) / expected
-    return CriterionResult(
+    return _lengths_vs_simulation(
         5, "fading_lengths_vs_simulation",
-        expected="; ".join(format_value(v) for v in expected),
-        observed="; ".join(format_value(v) for v in outcome.mean),
-        tolerance=f"rel<={format_value(0.05)}",
-        passed=bool((rel <= 0.05).all()) and not outcome.cap_flagged,
-    )
+        fading_vlsf_coeffs(gains, power) * message_threshold(payload),
+        simulate_block_fading(gains, payload, power, TrialPlan(TRIALS_FADING, seed)))
 
 
 def _c6_error_bound(seed: int) -> CriterionResult:

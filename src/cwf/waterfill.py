@@ -20,18 +20,6 @@ from .channel import check_positive, is_int
 from .quadrature import QuadratureError, checked_exp_integral, exp_tail_quadrature
 from .simulate import BLOCK, Estimate, TrialPlan, estimate, point_seed, streams
 
-__all__ = [
-    "FastFadingScenario",
-    "ThresholdSearchResult",
-    "single_user_threshold",
-    "lower_bound_terms",
-    "log_integrand",
-    "capacity_lower_bound",
-    "optimize_threshold",
-    "mc_capacity",
-    "evaluate_thresholds",
-]
-
 
 @dataclass(frozen=True)
 class FastFadingScenario:

@@ -8,6 +8,7 @@ progress lines).  The same checks are reachable from the shell via
 """
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -37,7 +38,7 @@ def validate_run(tmp_path_factory):
     text = out.read_text(encoding="utf-8")
     body = [line for line in text.splitlines() if not line.startswith("#")]
     rows = {int(r["criterion"]): r for r in csv.DictReader(io.StringIO("\n".join(body)))}
-    return exit_code, rows
+    return exit_code, rows, text
 
 
 def _check(rows, index):
@@ -49,12 +50,20 @@ def _check(rows, index):
 
 
 def test_report_complete_and_exit_zero(validate_run):
-    exit_code, rows = validate_run
+    exit_code, rows, _ = validate_run
     assert sorted(rows) == list(range(1, 11))
     assert exit_code == EXIT_OK
 
 
+def test_report_bytes_are_pinned(validate_run):
+    # golden bytes of the whole report at the default seed: a refactor that
+    # claims an unchanged report is checked here
+    _, _, text = validate_run
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "f33fe90a324af0883e14a7e13597cf8e20c660405440d7eda8df7cbf6185a85b")
+
+
 @pytest.mark.parametrize("index", sorted(CRITERIA))
 def test_criterion(validate_run, index):
-    _, rows = validate_run
+    _, rows, _ = validate_run
     _check(rows, index)

@@ -4,6 +4,7 @@ import math
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,10 @@ from cwf.config import (
     default_config,
     point_seed,
 )
-from cwf.sweeps import run_fading_sweep, run_queue_sweep, run_thm1_sweep, run_waterfill_sweep
+from cwf.lengths import (AwgnScenario, QueueScenario, awgn_vlsf_lengths, fading_vlsf_coeffs,
+                         message_threshold, queue_vlsf_lengths, rayleigh_order_means)
+from cwf.sweeps import (format_value, run_fading_sweep, run_queue_sweep, run_thm1_sweep,
+                        run_waterfill_sweep)
 
 
 # --------------------------------------------------------------------- config
@@ -134,6 +138,36 @@ def test_walk_sweeps_report_cap_hits_per_user(kind, fields):
     assert all(0 <= h <= 3 for h in hits)
     # diverged: more than 1% of the 3 trials capped for some user
     assert row["sim_diverged"] == ("true" if max(hits) > 0.03 else "false")
+
+
+def _idle_free_lengths(sub, cfg, row):
+    """The epsilon-free closed form behind one walk-sweep row, and its column prefix."""
+    p = db_to_linear(float(row["snr_db"]))
+    if sub == "fading":
+        gains = rayleigh_order_means(cfg.s_count)
+        return "typical_len", fading_vlsf_coeffs(gains, p) * message_threshold(cfg.payload_bits[0])
+    sc = AwgnScenario(cfg.payload_bits, p)
+    if sub == "queue":
+        return "queue_len", queue_vlsf_lengths(QueueScenario(sc, float(row["t_sub"]))).lengths
+    return "vlsf_len", awgn_vlsf_lengths(sc)
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 0.25])
+@pytest.mark.parametrize("sub", ["thm1", "queue", "fading"])
+def test_walk_sweep_lengths_are_idled_closed_forms(sub, epsilon):
+    # the (1-epsilon) idling is applied once, where a sweep reports a length
+    cfg = default_config(f"{sub}_sweep").override(epsilon=epsilon)
+    text, _ = {"thm1": run_thm1_sweep, "queue": run_queue_sweep,
+               "fading": run_fading_sweep}[sub](cfg, None)
+    header, *rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")]
+    for cells in rows:
+        row = dict(zip(header, cells))
+        column, free = _idle_free_lengths(sub, cfg, row)
+        users = range(1, len(free) + 1)
+        assert [row[f"{column}_{u}"] for u in users] == [
+            format_value((1.0 - epsilon) * v) for v in free]
+        if sub == "thm1":  # the raw columns carry no idling
+            assert [row[f"vlsf_raw_len_{u}"] for u in users] == [format_value(v) for v in free]
 
 
 def test_waterfill_sweep_ordering_columns():
@@ -261,19 +295,37 @@ def test_cli_rejects_epsilon_outside_fixed_length_domain(tmp_path, sub, epsilon)
     ("fading", {"snr_db": [math.inf]}),
     ("waterfill", {"snr_db": [math.inf]}),
     ("waterfill", {"s_counts": [1031]}),
+    # a fixed blocklength beyond 2^50 symbols, where the solver never returned
+    ("thm1", {"snr_db": [-200.0]}),
+    ("thm1", {"snr_db": [0.0], "payload_bits": [300.0, 1e25]}),
+    ("queue", {"snr_db": [-200.0]}),
+    ("fading", {"snr_db": [-200.0]}),
+    # received powers whose sum overflows: SINR 0 gave inf lengths with warnings, or tracebacks
+    ("thm1", {"snr_db": [3080.0]}),
+    ("thm1", {"snr_db": [3080.0], "trials": 2, "seed": 1}),
+    ("queue", {"snr_db": [3080.0]}),
+    ("fading", {"snr_db": [3080.0]}),
 ], ids=["waterfill_no_users", "thm1_decreasing_payloads", "fading_tiny_payload",
         "queue_negative_interval", "thm1_infinite_snr", "queue_infinite_interval",
         "fading_infinite_payload", "thm1_infinite_payload", "fading_infinite_snr",
-        "waterfill_infinite_snr", "waterfill_binomial_overflow"])
-def test_cli_rejects_out_of_domain_scenarios(tmp_path, sub, fields):
-    # the sweeps' own scenario checks run at config time: exit 2, no CSV;
-    # json writes math.inf as Infinity, which json.loads accepts
+        "waterfill_infinite_snr", "waterfill_binomial_overflow",
+        "thm1_minus_200_db", "thm1_huge_payload", "queue_minus_200_db", "fading_minus_200_db",
+        "thm1_power_sum_overflow", "thm1_power_sum_overflow_trials", "queue_power_sum_overflow",
+        "fading_power_sum_overflow"])
+def test_cli_rejects_out_of_domain_scenarios(tmp_path, capsys, sub, fields):
+    # the sweeps' own scenario checks and closed forms run at config time:
+    # exit 2, no CSV, no warning; json writes math.inf as Infinity, which
+    # json.loads accepts
     cfg = {**default_config(f"{sub}_sweep").to_dict(), **fields}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "x.csv"
-    assert main([sub, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([sub, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not caught
     assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("cfg", [

@@ -33,7 +33,7 @@ from cwf.simulate import (
     trial_stream,
 )
 
-SC2 = AwgnScenario((100.0, 300.0), 1.0, 0.0)
+SC2 = AwgnScenario((100.0, 300.0), 1.0)
 
 
 # ------------------------------------------------------------- reproducibility
@@ -109,7 +109,7 @@ def test_estimate_merges_blocks_like_two_pass(n, k, seed, fractions):
         estimate([])
 
 
-SC_PIN = AwgnScenario((100.0, 300.0), 1.0, 0.0)
+SC_PIN = AwgnScenario((100.0, 300.0), 1.0)
 
 
 def _capped(cap, predicted, simulator, *args):
@@ -139,7 +139,7 @@ PINNED = pytest.mark.parametrize("run,stop_sums,cap_hits", [
      [34812, 336701], [0, 0]),
     # three equal powers at -5 dB, where p/(1+2p) and the engine's p/(1+(3p-p)) differ in
     # the last bit: this pins the engine's form
-    (lambda: simulate_awgn_multiuser(AwgnScenario((60.0, 150.0, 300.0), 10**-0.5, 0.0),
+    (lambda: simulate_awgn_multiuser(AwgnScenario((60.0, 150.0, 300.0), 10**-0.5),
                                      TrialPlan(200, 7)), [101735, 219502, 374186], [0, 0, 0]),
 ], ids=["awgn", "queue", "queue_capped", "block_fading", "rayleigh", "awgn_three_users"])
 
@@ -371,7 +371,7 @@ def test_wald_identity_and_single_user_mean():
     assert abs(diff.mean()) <= 4.0 * diff.std(ddof=1) / math.sqrt(trials)
 
     # the packaged simulator agrees with the oracle walk
-    sc = AwgnScenario((payload,), snr, 0.0)
+    sc = AwgnScenario((payload,), snr)
     sim = simulate_awgn_multiuser(sc, TrialPlan(trials, 9))
     se = math.hypot(sim.se[0], tau.std(ddof=1) / math.sqrt(trials))
     assert abs(sim.mean[0] - tau.mean()) <= 5.0 * se
@@ -399,7 +399,7 @@ def test_equal_payloads_walk_matches_shared_length():
 
 
 def test_stopping_times_ordered_by_payload():
-    sc = AwgnScenario((50.0, 120.0, 260.0), 1.0, 0.0)
+    sc = AwgnScenario((50.0, 120.0, 260.0), 1.0)
     out = simulate_awgn_multiuser(sc, TrialPlan(400, 11))
     assert out.mean[0] <= out.mean[1] <= out.mean[2]
     assert out.cap_hits.sum() == 0
@@ -475,7 +475,7 @@ def test_rayleigh_block_fading_ordering_and_reproducibility():
 # --------------------------------------------------------------------- queue
 
 def test_queue_simulation_respects_analytic_bound():
-    sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
+    sc = AwgnScenario((300.0, 1000.0), 1.0)
     qs = QueueScenario(sc, 1700.0)
     bound = queue_vlsf_lengths(qs).lengths
     out = simulate_queue(qs, TrialPlan(1200, 41))
@@ -484,7 +484,7 @@ def test_queue_simulation_respects_analytic_bound():
 
 
 def test_queue_divergence_flag_on_starved_cap():
-    sc = AwgnScenario((300.0, 1000.0), 1.0, 0.0)
+    sc = AwgnScenario((300.0, 1000.0), 1.0)
     qs = QueueScenario(sc, 40.0)
     out = _capped(300, _queue_prediction(qs), simulate_queue, qs, TrialPlan(40, 43))
     assert out.cap_flagged
