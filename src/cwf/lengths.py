@@ -55,14 +55,14 @@ class AwgnScenario:
 
 @dataclass(frozen=True)
 class QueueScenario:
-    """AWGN scenario where a fresh packet arrives every t_sub symbols."""
+    """AWGN scenario where a fresh packet arrives every t_sub >= 1 symbols."""
 
     base: AwgnScenario
     t_sub: float
 
     def __post_init__(self):
-        if not 0.0 < self.t_sub < math.inf:
-            raise ValueError(f"t_sub must be positive and finite, got {self.t_sub}")
+        if not 1.0 <= self.t_sub < math.inf:
+            raise ValueError(f"t_sub must be finite and at least one symbol, got {self.t_sub}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,10 @@ for the walks and the error-rate check and `BLOCK` = 2^16 trials for the
 bulk samplers; block sizes are part of the output contract, so results do
 not depend on execution order, and identical (scenario, plan) pairs
 produce bit-identical outcomes.  Every derived seed is `point_seed(parent, i)`.
+A stream is a `(seed, k)` handle (`TrialStream`) that draws exactly what a
+fresh Philox keyed [seed, k] would: all streams of a process share one
+Philox, which a stream keys at its first draw, and a stream's state is
+saved in it whenever another stream draws, so building one costs no Philox.
 
 One draw rule serves every walk: symbol t takes the next 2*dims normals
 of its trial's stream for each active user, in user order, the input and
@@ -38,10 +42,11 @@ not use, so neither look-ahead nor blocks ever change a result.
 
 The walks and the error-rate check run their trials on every CPU the
 process may use (`WORKERS`): `_fan_out` splits the trials into contiguous
-ranges, builds every trial's stream in the calling process, runs all ranges
-but the last in forked children and the last itself, and merges the
-results in trial order.  Per-trial rows are averaged as one block and
-error counts are summed, so results never depend on the worker count.
+ranges, builds every trial's stream handle in the calling process, runs all
+ranges but the last in forked children (each keys its own copy of the
+shared Philox) and the last itself, and merges the results in trial order.
+Per-trial rows are averaged as one block and error counts are summed, so
+results never depend on the worker count.
 Every child is reaped before the call returns.  A call whose trials are
 expected to draw fewer than `_MIN_SHARED_NORMALS` normals (each simulator
 predicts its draws from its analytic lengths) runs in the caller alone.
@@ -95,10 +100,55 @@ def point_seed(parent: int, index: int) -> int:
     return int(np.random.SeedSequence([parent, index]).generate_state(1)[0])
 
 
-def trial_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one block of one experiment."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_ZEROS = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter, and an empty buffer
+
+
+class TrialStream:
+    """Stream (seed, k): the draws of a fresh `Generator(Philox(key=[seed, k]))`.
+
+    Every stream of a process draws through one shared Philox generator,
+    made at the first draw.  A stream keys it at its own first draw (counter
+    0, empty buffer); when another stream draws, this one's full bit-generator
+    state is saved here and restored at its next draw.  So any interleaving,
+    in any forked child, gives each stream its own Philox sequence, and
+    building one costs no Philox.  The swap takes no lock: streams are for
+    one thread.
+    """
+
+    __slots__ = ("seed", "index", "_state")
+    _generator = None  # the process's one Generator(Philox)
+    _owner = None  # the stream whose state it holds
+
+    def __init__(self, seed: int, index: int):
+        self.seed, self.index, self._state = seed, index, None
+
+    def _keyed(self) -> np.random.Generator:
+        cls = TrialStream
+        if cls._owner is not self:
+            if cls._generator is None:
+                cls._generator = np.random.Generator(np.random.Philox(0))
+            bits = cls._generator.bit_generator
+            if cls._owner is not None:
+                cls._owner._state = bits.state
+            bits.state = self._state or {
+                "bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+                "buffer": _ZEROS, "state": {
+                    "counter": _ZEROS, "key": np.array([self.seed, self.index], dtype=np.uint64)}}
+            self._state = None
+            cls._owner = self
+        return cls._generator
+
+    def standard_normal(self, size=None, out=None):
+        return self._keyed().standard_normal(size, out=out)
+
+    def standard_exponential(self, size=None):
+        return self._keyed().standard_exponential(size)
+
+
+def trial_stream(seed: int, index: int) -> TrialStream:
+    """Independent counter-based stream for one block of one experiment:
+    Philox keyed [seed, index], keyed at its first draw (`TrialStream`)."""
+    return TrialStream(seed, index)
 
 
 @dataclass(frozen=True)
@@ -244,7 +294,7 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
     boundary = math.inf if t_sub is None else int(round(t_sub))
     users = None  # the active users and their links, rebuilt when the set changes
     while t < cap and not done.all():
-        while boundary <= t:  # guard against sub-symbol intervals
+        while boundary <= t:  # move on to the first boundary after t
             interval += 1
             boundary = int(round(interval * t_sub))
         if users is None:
@@ -289,9 +339,11 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
     return stop, ~done
 
 
-def _fork(work, rngs):
-    """Start a child that runs `work(rngs)`, pickles the result (or the
-    exception it raised) into a pipe and exits; returns (pid, read end)."""
+def _fork(work, rngs: list):
+    """Start a child that runs `work` on the streams `rngs`, in order, pickles
+    the result (or the exception it raised) into a pipe and exits; returns
+    (pid, read end).  The child lets go of each stream as it hands it out, so
+    a finished stream and the state it saved are freed."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -304,8 +356,9 @@ def _fork(work, rngs):
         return pid, os.fdopen(read, "rb")
     try:  # child: never returns to the caller's stack
         os.close(read)
+        rngs.reverse()
         try:
-            outcome = (True, work(rngs))
+            outcome = (True, work(rngs.pop() for _ in range(len(rngs))))
         except BaseException as exc:  # handed to the parent, which re-raises it
             if hasattr(exc, "add_note"):  # Python >= 3.11
                 exc.add_note(f"raised in trial worker {os.getpid()}:\n{traceback.format_exc()}")
@@ -331,11 +384,14 @@ def _fan_out(plan: TrialPlan, work, normals: float) -> list:
     the call alone, never on timing, so which trials the caller runs is
     the same on every run.  The caller builds every stream through
     `streams(plan, 1)`, so trial i runs on the same stream whoever runs it.
-    Each range but the last is built, handed to a forked child and dropped;
-    the caller then runs the last range on streams built as it goes, and
-    reads the children's pipes in order.  A child's exception is re-raised
-    here with its own type.  Every child is reaped before this returns or
-    raises, so no process outlives the call.
+    A stream is a (seed, i) handle, keyed on the process's shared Philox at
+    its first draw, so a child draws its handles on its own copy of that
+    Philox and building a range costs no Philox.  Each range but the last
+    is built, handed to a forked child and dropped; the caller then runs
+    the last range on streams built as it goes, and reads the children's
+    pipes in order.  A child's exception is re-raised here with its own
+    type.  Every child is reaped before this returns or raises, so no
+    process outlives the call.
     """
     ranges = min(WORKERS, plan.trials) if plan.trials * normals >= _MIN_SHARED_NORMALS else 1
     bounds = [plan.trials * r // ranges for r in range(ranges + 1)]

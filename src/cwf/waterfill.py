@@ -164,18 +164,26 @@ def _threshold_cap(s_count: int) -> float:
 GRID_STEP = 0.01
 REFINE_TOL = 1e-6
 
+#: most (term x threshold) elements of one coarse-grid call; bounds memory, never results
+_GRID_ELEMENTS = 1 << 16
+
 
 def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
     """Maximize the capacity lower bound over the on-off threshold.
 
-    Coarse grid (step 0.01) over [0, ln(1000*S)] in one array call, then
+    Coarse grid (step 0.01) over [0, ln(1000*S)] in array calls of at most
+    `_GRID_ELEMENTS` (term x threshold) elements (one call for S <= 8), then
     golden-section refinement; the interference-blind threshold is also
     evaluated so the reported pair satisfies cl_at_multi >= cl_at_single.
+    Every element has its scalar call's bits, and a term a slice skips only
+    drops a +0.0, so the slicing never changes a value.
     """
     cap = _threshold_cap(sc.s_count)
     grid = np.arange(0.0, cap + GRID_STEP, GRID_STEP)
     objective = lambda g: capacity_lower_bound(float(g), sc, cross_check=False)
-    values = capacity_lower_bound(grid, sc, cross_check=False)
+    width = max(1, _GRID_ELEMENTS // sc.s_count)
+    values = np.concatenate([capacity_lower_bound(grid[i:i + width], sc, cross_check=False)
+                             for i in range(0, len(grid), width)])
     if not np.isfinite(values).all():
         raise QuadratureError("non-finite objective on the threshold grid")
     best = int(np.argmax(values))

@@ -4,6 +4,8 @@ every entry is resolved here."""
 
 import ast
 import importlib
+import importlib.util
+import os
 from pathlib import Path
 
 
@@ -30,3 +32,24 @@ def test_traced_layer_names_resolve():
     missing = [f"cwf.{layer}.{attr}" for layer, attrs in _layers().items()
                for attr in attrs if not _resolves(layer, attr)]
     assert not missing
+
+
+def test_traced_forked_error_rate_counts_every_stream(monkeypatch):
+    # the caller builds every trial's stream, so the tracer, which cannot see
+    # a forked worker's calls, still counts one trial_stream call per trial
+    from cwf import simulate
+
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    monkeypatch.setattr(simulate, "_MIN_SHARED_NORMALS", 0)
+    monkeypatch.setattr(simulate, "WORKERS", 2)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    plan = simulate.TrialPlan(40, 3)
+    with tracing.Tracer("test") as tracer:
+        traced = simulate.simulate_error_probability(4.0, 1.0, plan)
+    assert forks == [1]
+    assert tracing.summarize(tracer)["calls"]["simulate.trial_stream"] == plan.trials
+    assert traced == simulate.simulate_error_probability(4.0, 1.0, plan)

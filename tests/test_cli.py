@@ -328,6 +328,29 @@ def test_cli_rejects_out_of_domain_scenarios(tmp_path, capsys, sub, fields):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+_RUN_CLI = "import sys; sys.path.insert(0, sys.argv[1]); from cwf.cli import main; " \
+           "raise SystemExit(main(sys.argv[2:]))"
+
+
+@pytest.mark.parametrize("t_sub", [1e-10, 1e-300], ids=["walk_hang", "interval_overflow"])
+def test_cli_rejects_sub_symbol_interval(tmp_path, t_sub):
+    # 1e-10 hung the walk's boundary loop; 1e-300 overflowed the interval
+    # count with a message naming no field.  A fresh interpreter with
+    # warnings as errors, so a hang fails on the timeout
+    cfg = {**default_config("queue_sweep").to_dict(), "t_sub": [t_sub], "trials": 2, "seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-I", "-W", "error", "-c", _RUN_CLI, str(src),
+                           "queue", "--config", str(path), "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr.splitlines() == [
+        f"config error: t_sub must be finite and at least one symbol, got {t_sub}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cfg", [
     {"kind": "thm1_sweep", "snr_db": [0.0], "payload_bits": [300, 1000], "trials": 2.5, "seed": 1},
     {"kind": "fading_sweep", "snr_db": [0.0], "payload_bits": [1000], "s_count": 2.5},

@@ -329,7 +329,7 @@ def test_queue_breakdown_sums_to_thresholds(params, frac):
     s_count, power, salt = params
     sc = _random_scenario(s_count, power, salt)
     raw_last = awgn_vlsf_lengths(sc)[-1]
-    br = queue_vlsf_lengths(QueueScenario(sc, frac * raw_last))
+    br = queue_vlsf_lengths(QueueScenario(sc, max(1.0, frac * raw_last)))  # t_sub >= 1
     for s, k in enumerate(sc.payload_bits, start=1):
         g = message_threshold(k)
         if s <= br.r:  # light users finish inside the first interval
@@ -372,6 +372,15 @@ def test_queue_rejects_bad_interval():
     sc = AwgnScenario((300.0, 1000.0), 1.0)
     with pytest.raises(ValueError):
         QueueScenario(sc, 0.0)
+
+
+@pytest.mark.parametrize("t_sub", [0.999, 1e-10, 1e-300])
+def test_queue_rejects_sub_symbol_interval(t_sub):
+    # below one symbol the walk crawls one boundary per pass and the interval count overflows
+    sc = AwgnScenario((300.0, 1000.0), 1.0)
+    with pytest.raises(ValueError, match="at least one symbol"):
+        QueueScenario(sc, t_sub)
+    assert queue_vlsf_lengths(QueueScenario(sc, 1.0)).r == 0
 
 
 def test_queue_rejects_infinite_interval():

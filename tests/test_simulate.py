@@ -82,6 +82,66 @@ def test_streams_serve_consecutive_blocks():
         assert np.array_equal(rng.standard_normal(4), trial_stream(99, k).standard_normal(4))
 
 
+def _philox(seed, index):
+    """The reference stream: a fresh Philox keyed [seed, index]."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _draw(rng, kind, size):
+    if kind == "exponential":
+        return rng.standard_exponential(size)
+    if kind == "out":
+        out = np.full(size, np.nan)
+        assert rng.standard_normal(out=out) is out
+        return out
+    return rng.standard_normal(size)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**20)),
+                min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["normal", "out", "exponential"]),
+                          st.integers(0, 9)), max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_interleaved_streams_draw_like_independent_philox(keys, draws):
+    # the streams share one Philox; each saves and restores its own state
+    handles, refs = [trial_stream(*k) for k in keys], [_philox(*k) for k in keys]
+    for which, kind, size in draws:
+        h = which % len(keys)
+        assert np.array_equal(_draw(handles[h], kind, size), _draw(refs[h], kind, size))
+    for rng, ref in zip(handles, refs):  # every stream goes on where it stopped
+        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+
+def test_building_a_stream_builds_no_philox(monkeypatch):
+    trial_stream(1, 0).standard_normal(1)  # the process's one Philox exists from here
+
+    def no_philox(*args, **kwargs):
+        raise AssertionError("a stream built its own Philox")
+
+    monkeypatch.setattr(np.random, "Philox", no_philox)
+    for k in range(3):
+        assert trial_stream(1, k).standard_normal(2).shape == (2,)
+
+
+def test_streams_first_drawn_in_a_forked_child_match_philox(shared):
+    # the caller builds every stream and keys the shared Philox on its own
+    # draws; the children key their copies on their first draws
+    shared(3)
+    trial_stream(5, 99).standard_normal(3)
+
+    def work(rngs):
+        return [np.concatenate([rng.standard_normal(4), rng.standard_exponential(2),
+                                rng.standard_normal(3)]) for rng in rngs]
+
+    parts = simulate._fan_out(TrialPlan(7, 5), work, 1e7)
+    assert len(parts) == 3
+    for k, got in enumerate(row for part in parts for row in part):
+        ref = _philox(5, k)
+        want = np.concatenate([ref.standard_normal(4), ref.standard_exponential(2),
+                               ref.standard_normal(3)])
+        assert np.array_equal(got, want)
+
+
 # ------------------------------------------------------------------ estimator
 
 @given(

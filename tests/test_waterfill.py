@@ -180,6 +180,27 @@ def test_optimize_threshold_evaluates_grid_in_one_array_call(monkeypatch):
     assert len(calls) < 100
 
 
+def test_optimize_threshold_slices_a_large_grid_without_moving_a_bit(monkeypatch):
+    # at S = 200 one grid call would hold 200 x 1222 (term x threshold)
+    # elements; slices of at most 2^16 keep the unsliced search's bits
+    calls = []
+    real = waterfill.capacity_lower_bound
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(waterfill, "capacity_lower_bound", counting)
+    res = optimize_threshold(FastFadingScenario(200, 1.0))
+    grid_calls = [np.size(g) for g in calls if np.ndim(g) > 0]
+    assert len(grid_calls) == 4 and sum(grid_calls) == 1222
+    assert max(grid_calls) * 200 <= 1 << 16
+    assert [float.hex(x) for x in (res.gamma_single, res.gamma_multi,
+                                   res.cl_at_single, res.cl_at_multi)] == [
+        "0x1.f701d3d298926p+1", "0x1.51cf41fd60c10p+2",
+        "0x1.e5c9d787397c5p-8", "0x1.e821f65fd10d4p-7"]
+
+
 # --------------------------------------------------------------- Monte Carlo
 
 def test_mc_capacity_single_user_matches_quadrature():
