@@ -8,7 +8,7 @@ Subcommands are the kinds of the `config.DEFAULTS` table without their
 `sweeps.run_<kind>`) and validate (the oracle suite).  Flags override
 config-file fields; without a config the kind's built-in fields are used.
 `--criteria` runs a subset of the validate criteria, by index (10 is the
-determinism rerun).
+determinism rerun, so it needs at least one index in 1..9).
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric error.
 """
@@ -45,8 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_criteria(text: str) -> list[int]:
-    if not re.fullmatch(r"(10|[1-9])(,(10|[1-9]))*", text):
-        raise ConfigError(f"--criteria takes comma-separated indices in 1..10, got {text!r}")
+    if not re.fullmatch(r"(10,)*[1-9](,(10|[1-9]))*", text):  # 10 alone would rerun nothing
+        raise ConfigError(f"--criteria takes comma-separated indices in 1..10, at least one "
+                          f"below 10, got {text!r}")
     return [int(i) for i in text.split(",")]
 
 

@@ -1,5 +1,8 @@
 """Declarative experiment configs: flat JSON documents, one per run.
 
+A config is a schema: constructing one checks field types, the trial and
+seed rules, and that the grids its kind needs are non-empty and finite.
+Each sweep checks its grid points' domains where it solves them (`sweeps`).
 SNR values live in dB here and in every CSV; the linear power used
 internally is p = 10**(dB/10).  A seed is mandatory whenever an experiment
 draws random numbers; there is no wall-clock fallback.
@@ -14,12 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import is_int, sinr_awgn, sinr_fading
-from .lengths import (AwgnScenario, QueueScenario, awgn_vlsf_lengths, fading_vlsf_coeffs,
-                      fixed_length_blocklength, message_threshold, queue_vlsf_lengths,
-                      rayleigh_order_means)
+from .channel import is_int
 from .simulate import point_seed  # noqa: F401  (re-exported)
-from .waterfill import FastFadingScenario
 
 #: fixed seed used by `cwf validate` when none is given
 DEFAULT_VALIDATE_SEED = 123456789
@@ -42,7 +41,11 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Linear power 10**(dB/10); ValueError naming `db` when it overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db {db} overflows a float as a linear power") from None
 
 
 @dataclass(frozen=True)
@@ -97,36 +100,6 @@ class ExperimentConfig:
             raise ConfigError("fading_sweep takes exactly one common payload")
         if self.kind == "waterfill_sweep" and not self.s_counts:
             raise ConfigError("waterfill_sweep needs a non-empty s_counts grid")
-        try:
-            self._build_scenarios()
-        except (ValueError, OverflowError) as exc:  # OverflowError: dB too large
-            raise ConfigError(str(exc)) from exc
-
-    def _build_scenarios(self):
-        """Build and solve what the sweep does, so its own checks reject the config."""
-        for power in map(db_to_linear, self.snr_db):
-            if self.kind in ("thm1_sweep", "queue_sweep"):
-                sc = AwgnScenario(self.payload_bits, power)
-                awgn_vlsf_lengths(sc)  # before fixed_n: it names an overflowing sum
-                self.fixed_n(power)  # of powers, on which fixed_n fails unclearly or warns
-                for t_sub in self.t_sub if self.kind == "queue_sweep" else ():
-                    queue_vlsf_lengths(QueueScenario(sc, t_sub))
-            elif self.kind == "fading_sweep":
-                message_threshold(self.payload_bits[0])
-                fading_vlsf_coeffs(rayleigh_order_means(self.s_count), power)
-                self.fixed_n(power)
-            elif self.kind == "waterfill_sweep":
-                for s_count in self.s_counts:
-                    FastFadingScenario(s_count, power)
-
-    def fixed_n(self, power: float) -> int:
-        """A walk sweep's fixed-length baseline at `power` and `epsilon`: the
-        last user's payload while every user interferes."""
-        if self.kind != "fading_sweep":
-            snr = sinr_awgn(power, len(self.payload_bits))
-            return fixed_length_blocklength(self.payload_bits[-1], snr, self.epsilon)
-        snr = sinr_fading(power, rayleigh_order_means(self.s_count), 1, self.s_count)
-        return fixed_length_blocklength(self.payload_bits[0], snr, self.epsilon, dims=2)
 
     @property
     def resolved_seed(self) -> int:

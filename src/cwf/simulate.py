@@ -67,6 +67,7 @@ import os
 import pickle
 import signal
 import traceback
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,33 +110,34 @@ class TrialStream:
     Every stream of a process draws through one shared Philox generator,
     made at the first draw.  A stream keys it at its own first draw (counter
     0, empty buffer); when another stream draws, this one's full bit-generator
-    state is saved here and restored at its next draw.  So any interleaving,
-    in any forked child, gives each stream its own Philox sequence, and
-    building one costs no Philox.  The swap takes no lock: streams are for
-    one thread.
+    state is saved here, if this stream is still referenced, and restored at
+    its next draw.  So any interleaving, in any forked child, gives each
+    stream its own Philox sequence, and building one costs no Philox.  The
+    swap takes no lock: streams are for one thread.
     """
 
-    __slots__ = ("seed", "index", "_state")
+    __slots__ = ("seed", "index", "_state", "__weakref__")
     _generator = None  # the process's one Generator(Philox)
-    _owner = None  # the stream whose state it holds
+    _owner = None  # weak reference to the stream whose state it holds
 
     def __init__(self, seed: int, index: int):
         self.seed, self.index, self._state = seed, index, None
 
     def _keyed(self) -> np.random.Generator:
         cls = TrialStream
-        if cls._owner is not self:
+        owner = cls._owner and cls._owner()
+        if owner is not self:
             if cls._generator is None:
                 cls._generator = np.random.Generator(np.random.Philox(0))
             bits = cls._generator.bit_generator
-            if cls._owner is not None:
-                cls._owner._state = bits.state
+            if owner is not None:  # a dropped stream never draws again: nothing to save
+                owner._state = bits.state
             bits.state = self._state or {
                 "bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
                 "buffer": _ZEROS, "state": {
                     "counter": _ZEROS, "key": np.array([self.seed, self.index], dtype=np.uint64)}}
             self._state = None
-            cls._owner = self
+            cls._owner = weakref.ref(self)
         return cls._generator
 
     def standard_normal(self, size=None, out=None):

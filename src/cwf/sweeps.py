@@ -2,29 +2,34 @@
 
 Each sweep kind of `config.DEFAULTS` has a runner `run_<kind>(cfg, out)`
 returning the CSV text and the number of grid points aborted on numeric
-errors (0 for the walk sweeps).  Every output, the validate report too,
+errors (0 for the walk sweeps).  It solves every grid point's closed forms
+in one pass, so a point outside their domain raises `ConfigError` before
+anything is simulated or written.  Every output, the validate report too,
 starts with '#'-prefixed metadata (tool version, config hash, seed), then a
-fixed header, then one row per grid point in grid order.  Numbers are
-formatted with 9 significant digits, so re-running a config with the same
-seed reproduces the file byte for byte.  The walk sweeps report lengths
-with the (1-epsilon) idling applied here, to the closed forms' stopping times.
+fixed header, then one row per grid point in grid order.  Numbers carry 9
+significant digits, so re-running a config with the same seed reproduces
+the file byte for byte.  The walk sweeps report lengths with the
+(1-epsilon) idling applied here, to the closed forms' stopping times.
 """
 
 from __future__ import annotations
 
 import io
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, db_to_linear, point_seed
+from .channel import sinr_awgn, sinr_fading
+from .config import ConfigError, ExperimentConfig, db_to_linear, point_seed
 from .lengths import (
     AwgnScenario,
     QueueScenario,
     awgn_vlsf_lengths,
     fading_vlsf_coeffs,
+    fixed_length_blocklength,
     message_threshold,
     queue_vlsf_lengths,
     rayleigh_order_means,
@@ -89,15 +94,29 @@ def _sim_header(s: int) -> list[str]:
             + ["sim_diverged", "trials", "point_seed"])
 
 
-def _sim_cells(cfg: ExperimentConfig, s: int, index: int, simulate) -> list:
-    """Cells under `_sim_header`: `simulate(plan)` run at grid point `index`,
-    or empty cells for an analytic-only config."""
-    if cfg.trials == 0:
-        return [None] * (3 * s + 3)
-    seed = point_seed(cfg.resolved_seed, index)
-    outcome = simulate(TrialPlan(cfg.trials, seed))
-    return [*outcome.mean, *outcome.ci95, *outcome.cap_hits, outcome.cap_flagged,
-            cfg.trials, seed]
+def _solved(points) -> list:
+    """Every grid point of the generator `points`, built and solved in one
+    pass; a point outside a closed form's domain raises ConfigError."""
+    try:
+        return list(points)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _walk_rows(cfg: ExperimentConfig, s: int, points) -> list:
+    """Rows of a walk sweep: each point's analytic cells from `points`, all
+    solved first, then `simulate(plan)`'s cells under `_sim_header`."""
+    rows = []
+    for index, (cells, simulate) in enumerate(_solved(points)):
+        if cfg.trials > 0:
+            seed = point_seed(cfg.resolved_seed, index)
+            outcome = simulate(TrialPlan(cfg.trials, seed))
+            cells += [*outcome.mean, *outcome.ci95, *outcome.cap_hits, outcome.cap_flagged,
+                      cfg.trials, seed]
+        else:
+            cells += [None] * (3 * s + 3)
+        rows.append(cells)
+    return rows
 
 
 def run_thm1_sweep(cfg: ExperimentConfig, out=None):
@@ -109,17 +128,17 @@ def run_thm1_sweep(cfg: ExperimentConfig, out=None):
     header += [f"vlsf_raw_len_{u}" for u in range(1, s + 1)]
     header += ["fixed_n", "savings_ratio", *_sim_header(s)]
 
-    rows = []
-    for i, snr_db in enumerate(cfg.snr_db):
-        p = db_to_linear(snr_db)
-        sc = AwgnScenario(cfg.payload_bits, p)
-        raw = awgn_vlsf_lengths(sc)
-        ell = (1.0 - cfg.epsilon) * raw
-        fixed_n = cfg.fixed_n(p)
-        rows.append([snr_db, p, cfg.epsilon, *cfg.payload_bits, *ell, *raw,
-                     fixed_n, 1.0 - ell[-1] / fixed_n,
-                     *_sim_cells(cfg, s, i, lambda plan: simulate_awgn_multiuser(sc, plan))])
-    return write_csv(out, _metadata(cfg), header, rows), 0
+    def points():
+        for snr_db in cfg.snr_db:
+            p = db_to_linear(snr_db)
+            sc = AwgnScenario(cfg.payload_bits, p)
+            raw = awgn_vlsf_lengths(sc)  # before fixed_n: it names an overflowing sum of powers
+            ell = (1.0 - cfg.epsilon) * raw
+            fixed_n = fixed_length_blocklength(cfg.payload_bits[-1], sinr_awgn(p, s), cfg.epsilon)
+            yield ([snr_db, p, cfg.epsilon, *cfg.payload_bits, *ell, *raw,
+                    fixed_n, 1.0 - ell[-1] / fixed_n], partial(simulate_awgn_multiuser, sc))
+
+    return write_csv(out, _metadata(cfg), header, _walk_rows(cfg, s, points())), 0
 
 
 def run_queue_sweep(cfg: ExperimentConfig, out=None):
@@ -131,49 +150,51 @@ def run_queue_sweep(cfg: ExperimentConfig, out=None):
                    f"leftover_stage_{u}", f"queue_len_{u}"]
     header += ["fixed_n", "savings_ratio", *_sim_header(s)]
 
-    rows = []
-    index = 0
-    for snr_db in cfg.snr_db:
-        p = db_to_linear(snr_db)
-        sc = AwgnScenario(cfg.payload_bits, p)
-        fixed_n = cfg.fixed_n(p)
-        for t_sub in cfg.t_sub:
-            qs = QueueScenario(sc, t_sub)
-            br = queue_vlsf_lengths(qs)
-            lengths = (1.0 - cfg.epsilon) * br.lengths
-            row = [snr_db, p, t_sub, cfg.epsilon, br.r, br.info_per_interval]
-            for u in range(s):
-                row += [br.full_intervals[u], br.leftover_nats[u],
-                        br.leftover_stage[u], lengths[u]]
-            row += [fixed_n, 1.0 - lengths[-1] / fixed_n,
-                    *_sim_cells(cfg, s, index, lambda plan: simulate_queue(qs, plan))]
-            rows.append(row)
-            index += 1
-    return write_csv(out, _metadata(cfg), header, rows), 0
+    def points():
+        for snr_db in cfg.snr_db:
+            p = db_to_linear(snr_db)
+            sc = AwgnScenario(cfg.payload_bits, p)
+            # as in thm1, the lengths name an overflowing sum of powers before fixed_n,
+            # and fixed_n bounds the interval counts, which overflow int64 beyond 2^63
+            awgn_vlsf_lengths(sc)
+            fixed_n = fixed_length_blocklength(cfg.payload_bits[-1], sinr_awgn(p, s), cfg.epsilon)
+            for t_sub in cfg.t_sub:
+                qs = QueueScenario(sc, t_sub)
+                br = queue_vlsf_lengths(qs)
+                lengths = (1.0 - cfg.epsilon) * br.lengths
+                cells = [snr_db, p, t_sub, cfg.epsilon, br.r, br.info_per_interval]
+                for u in range(s):
+                    cells += [br.full_intervals[u], br.leftover_nats[u],
+                              br.leftover_stage[u], lengths[u]]
+                cells += [fixed_n, 1.0 - lengths[-1] / fixed_n]
+                yield cells, partial(simulate_queue, qs)
+
+    return write_csv(out, _metadata(cfg), header, _walk_rows(cfg, s, points())), 0
 
 
 def run_fading_sweep(cfg: ExperimentConfig, out=None):
     """Typical-gain fading lengths vs the fixed baseline over an SNR grid."""
     s = cfg.s_count
     payload = cfg.payload_bits[0]
-    gains = rayleigh_order_means(s)
     header = ["snr_db", "power", "s_count", "payload_bits"]
     header += [f"coeff_a_{u}" for u in range(1, s + 1)]
     header += [f"typical_len_{u}" for u in range(1, s + 1)]
     header += ["fixed_n", "savings_ratio", *_sim_header(s)]
 
-    gamma = message_threshold(payload)
-    rows = []
-    for i, snr_db in enumerate(cfg.snr_db):
-        p = db_to_linear(snr_db)
-        coeffs = fading_vlsf_coeffs(gains, p)
-        typical = (1.0 - cfg.epsilon) * coeffs * gamma
-        fixed_n = cfg.fixed_n(p)
-        rows.append([snr_db, p, s, payload, *coeffs, *typical,
-                     fixed_n, 1.0 - typical[-1] / fixed_n,
-                     *_sim_cells(cfg, s, i, lambda plan: simulate_rayleigh_block_fading(
-                         s, payload, p, plan))])
-    return write_csv(out, _metadata(cfg), header, rows), 0
+    def points():
+        gains = rayleigh_order_means(s)
+        gamma = message_threshold(payload)
+        for snr_db in cfg.snr_db:
+            p = db_to_linear(snr_db)
+            coeffs = fading_vlsf_coeffs(gains, p)  # before fixed_n
+            typical = (1.0 - cfg.epsilon) * coeffs * gamma
+            fixed_n = fixed_length_blocklength(payload, sinr_fading(p, gains, 1, s),
+                                               cfg.epsilon, dims=2)
+            yield ([snr_db, p, s, payload, *coeffs, *typical,
+                    fixed_n, 1.0 - typical[-1] / fixed_n],
+                   partial(simulate_rayleigh_block_fading, s, payload, p))
+
+    return write_csv(out, _metadata(cfg), header, _walk_rows(cfg, s, points())), 0
 
 
 def run_waterfill_sweep(cfg: ExperimentConfig, out=None):
@@ -185,29 +206,31 @@ def run_waterfill_sweep(cfg: ExperimentConfig, out=None):
     header = ["snr_db", "power", "s_count", "gamma_single", "gamma_multi",
               "cl_single", "cl_multi", "mc_single_mean", "mc_single_ci95",
               "mc_multi_mean", "mc_multi_ci95", "trials", "point_seed", "status"]
+
+    def points():
+        for snr_db in cfg.snr_db:
+            p = db_to_linear(snr_db)
+            for s in cfg.s_counts:
+                yield snr_db, p, s, FastFadingScenario(s_count=s, power=p)
+
     rows = []
     failures = 0
-    index = 0
-    for snr_db in cfg.snr_db:
-        p = db_to_linear(snr_db)
-        for s in cfg.s_counts:
-            sc = FastFadingScenario(s_count=s, power=p)
-            try:
-                if cfg.trials > 0:
-                    seed = point_seed(cfg.resolved_seed, index)
-                    res = evaluate_thresholds(sc, cfg.trials, seed)
-                    mc = [res.mc_capacity_single.mean, res.mc_capacity_single.ci95,
-                          res.mc_capacity_multi.mean, res.mc_capacity_multi.ci95,
-                          cfg.trials, seed]
-                else:
-                    res = optimize_threshold(sc)
-                    mc = [None] * 6
-                rows.append([snr_db, p, s, res.gamma_single, res.gamma_multi,
-                             res.cl_at_single, res.cl_at_multi, *mc, "ok"])
-            except QuadratureError as exc:
-                failures += 1
-                print(f"waterfill point (snr_db={snr_db}, S={s}) aborted: {exc}",
-                      file=sys.stderr)
-                rows.append([snr_db, p, s] + [None] * 10 + [f"error: {type(exc).__name__}"])
-            index += 1
+    for index, (snr_db, p, s, sc) in enumerate(_solved(points())):
+        try:
+            if cfg.trials > 0:
+                seed = point_seed(cfg.resolved_seed, index)
+                res = evaluate_thresholds(sc, cfg.trials, seed)
+                mc = [res.mc_capacity_single.mean, res.mc_capacity_single.ci95,
+                      res.mc_capacity_multi.mean, res.mc_capacity_multi.ci95,
+                      cfg.trials, seed]
+            else:
+                res = optimize_threshold(sc)
+                mc = [None] * 6
+            rows.append([snr_db, p, s, res.gamma_single, res.gamma_multi,
+                         res.cl_at_single, res.cl_at_multi, *mc, "ok"])
+        except QuadratureError as exc:
+            failures += 1
+            print(f"waterfill point (snr_db={snr_db}, S={s}) aborted: {exc}",
+                  file=sys.stderr)
+            rows.append([snr_db, p, s] + [None] * 10 + [f"error: {type(exc).__name__}"])
     return write_csv(out, _metadata(cfg), header, rows), failures

@@ -305,15 +305,23 @@ def test_cli_rejects_epsilon_outside_fixed_length_domain(tmp_path, sub, epsilon)
     ("thm1", {"snr_db": [3080.0], "trials": 2, "seed": 1}),
     ("queue", {"snr_db": [3080.0]}),
     ("fading", {"snr_db": [3080.0]}),
+    ("fading", {"s_count": 0}),
+    # a linear power beyond the largest float, which raised an OverflowError naming no field
+    ("thm1", {"snr_db": [4000.0]}),
+    ("queue", {"snr_db": [4000.0]}),
+    ("fading", {"snr_db": [4000.0]}),
+    ("waterfill", {"snr_db": [4000.0]}),
 ], ids=["waterfill_no_users", "thm1_decreasing_payloads", "fading_tiny_payload",
         "queue_negative_interval", "thm1_infinite_snr", "queue_infinite_interval",
         "fading_infinite_payload", "thm1_infinite_payload", "fading_infinite_snr",
         "waterfill_infinite_snr", "waterfill_binomial_overflow",
         "thm1_minus_200_db", "thm1_huge_payload", "queue_minus_200_db", "fading_minus_200_db",
         "thm1_power_sum_overflow", "thm1_power_sum_overflow_trials", "queue_power_sum_overflow",
-        "fading_power_sum_overflow"])
+        "fading_power_sum_overflow", "fading_no_users", "thm1_linear_power_overflow",
+        "queue_linear_power_overflow", "fading_linear_power_overflow",
+        "waterfill_linear_power_overflow"])
 def test_cli_rejects_out_of_domain_scenarios(tmp_path, capsys, sub, fields):
-    # the sweeps' own scenario checks and closed forms run at config time:
+    # the sweeps' own scenario checks and closed forms run before any simulation:
     # exit 2, no CSV, no warning; json writes math.inf as Infinity, which
     # json.loads accepts
     cfg = {**default_config(f"{sub}_sweep").to_dict(), **fields}
@@ -324,6 +332,65 @@ def test_cli_rejects_out_of_domain_scenarios(tmp_path, capsys, sub, fields):
         warnings.simplefilter("always")
         assert main([sub, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not caught
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    if fields.get("snr_db") == [4000.0]:
+        assert err == ["config error: snr_db 4000.0 overflows a float as a linear power"]
+
+
+@pytest.mark.parametrize("sub,calls", [
+    ("thm1", {"awgn_vlsf_lengths": 16, "fixed_length_blocklength": 16}),
+    ("queue", {"awgn_vlsf_lengths": 1, "fixed_length_blocklength": 1, "queue_vlsf_lengths": 12}),
+    ("fading", {"fading_vlsf_coeffs": 16, "fixed_length_blocklength": 16}),
+])
+def test_cli_solves_each_grid_point_once(tmp_path, monkeypatch, sub, calls):
+    # one pass in the sweep, and none for the config or its flag overrides; the
+    # queue sweep solves its lengths and fixed_n once per power, 1 power x 12 t_sub
+    from cwf import lengths
+
+    counts = dict.fromkeys(calls, 0)
+
+    def counting(name, solve):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return solve(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        original = getattr(lengths, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("cwf")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    out = tmp_path / "x.csv"
+    assert main([sub, "--out", str(out)]) == EXIT_OK
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert len(rows) == max(calls.values())
+    assert counts == calls
+
+
+@pytest.mark.parametrize("sub,fields", [
+    ("thm1", {"snr_db": [0.0, -200.0]}),
+    ("queue", {"t_sub": [600.0, 0.5]}),
+    ("fading", {"snr_db": [0.0, 3080.0]}),
+    ("waterfill", {"s_counts": [1, 1031]}),
+])
+def test_cli_rejects_a_bad_last_point_before_simulating(tmp_path, capsys, monkeypatch, sub,
+                                                         fields):
+    # the whole grid is solved first, so the valid first point is never simulated
+    from cwf import sweeps
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a simulator ran before the grid was solved")
+
+    for name in ("simulate_awgn_multiuser", "simulate_queue", "simulate_rayleigh_block_fading",
+                 "evaluate_thresholds", "optimize_threshold"):
+        monkeypatch.setattr(sweeps, name, no_simulation)
+    cfg = {**default_config(f"{sub}_sweep").to_dict(), **fields, "trials": 2, "seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert main([sub, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     assert capsys.readouterr().err.startswith("config error: ")
 
@@ -463,7 +530,8 @@ def test_cli_validate_criteria_subset(tmp_path, capsys):
     assert "validate: 2/2 criteria passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["0", "11", "2,,3", "2, 3", "02", "2-3", "x", ""])
+@pytest.mark.parametrize("value", ["0", "11", "2,,3", "2, 3", "02", "2-3", "x", "", "10",
+                                   "10,10"])
 def test_cli_validate_rejects_bad_criteria(tmp_path, capsys, value):
     out = tmp_path / "r.csv"
     assert main(["validate", "--criteria", value, "--out", str(out)]) == EXIT_CONFIG

@@ -2,6 +2,7 @@ import math
 import os
 import time
 import tracemalloc
+import weakref
 
 import hypothesis.strategies as st
 import numpy as np
@@ -121,6 +122,18 @@ def test_building_a_stream_builds_no_philox(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", no_philox)
     for k in range(3):
         assert trial_stream(1, k).standard_normal(2).shape == (2,)
+
+
+def test_shared_philox_does_not_keep_a_dropped_stream_alive():
+    # the generator holds its owner weakly, so a finished stream is freed at
+    # once and the next stream's first draw saves no state for it
+    first = trial_stream(3, 0)
+    first.standard_normal(3)
+    gone = weakref.ref(first)
+    del first
+    assert gone() is None
+    ref = np.random.Generator(np.random.Philox(key=[3, 1]))
+    assert np.array_equal(trial_stream(3, 1).standard_normal(4), ref.standard_normal(4))
 
 
 def test_streams_first_drawn_in_a_forked_child_match_philox(shared):
