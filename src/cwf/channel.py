@@ -3,8 +3,8 @@ per-symbol information density increments.
 
 Every link has unit noise variance, so SINRs are powers over 1 plus the
 interference, and the information density takes the SINR as its power.
-The walks, the closed-form lengths and `sinr_fading` share one SINR rule on
-received powers, `active_sinrs`.
+The walks, the closed-form lengths, `sinr_awgn` and `sinr_fading` share one
+SINR rule on received powers, `active_sinrs`.
 
 All information quantities are in nats.  Payload sizes given in bits are
 converted at the boundary via kappa = K * ln(2).
@@ -40,35 +40,22 @@ def check_positive(name: str, value) -> None:
 
 
 def sinr_awgn(power: float, active_users: int) -> float:
-    """SINR of one user when `active_users` equal-power users share the band.
-
-    All interferers transmit i.i.d. Gaussian codewords at `power`, so the
-    interference-plus-noise is Gaussian with variance 1 + (s-1)*power: the
-    equal-power case of `active_sinrs`, without building the s powers.
-    """
+    """SINR of one user when `active_users` equal-power users share the band:
+    `active_sinrs` on that many equal received powers."""
     check_positive("power", power)
-    if active_users < 1:
-        raise ValueError(f"active_users must be >= 1, got {active_users}")
-    return power / (1.0 + (active_users - 1) * power)
+    if not (is_int(active_users) and active_users >= 1):
+        raise ValueError(f"active_users must be an integer >= 1, got {active_users}")
+    return float(active_sinrs(np.full(active_users, power))[0])
 
 
-def sinr_fading(power: float, gains, active_from: int, j: int) -> float:
-    """SINR of user `j` when users `active_from..S` are still transmitting.
-
-    User indices are 1-based and follow the decoding order: users
-    1..active_from-1 have already terminated.  `gains` holds the squared
-    fading magnitudes |h|^2 of users 1..S.
-    """
+def sinr_fading(power: float, gains) -> float:
+    """SINR of user S, the last to decode, while users 1..S all transmit;
+    `gains` holds their squared fading magnitudes |h|^2 in decoding order."""
     gains = np.asarray(gains, dtype=float)
-    s_total = gains.shape[0]
-    if not ((gains >= 0.0) & (gains < math.inf)).all():  # zero gains are legal, NaN is not
-        raise ValueError(f"gains must be non-negative and finite, got {gains}")
-    if not (1 <= active_from <= s_total):
-        raise ValueError(f"active_from {active_from} outside 1..{s_total}")
-    if not (active_from <= j <= s_total):
-        raise ValueError(f"user {j} is not active (active set {active_from}..{s_total})")
+    if not (gains.size and ((gains >= 0.0) & (gains < math.inf)).all()):  # zero gains are legal
+        raise ValueError(f"gains must be non-negative and finite, at least one, got {gains}")
     check_positive("power", power)
-    return float(active_sinrs(power * gains[active_from - 1:])[j - active_from])
+    return float(active_sinrs(power * gains)[-1])
 
 
 def capacity(snr, dims: int = 1):

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-import scipy  # scipy.special loads on first attribute access, not at import
 
 from .channel import LN2, active_sinrs, capacity, check_positive, dispersion, is_int
 
@@ -109,14 +109,13 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
     """
     check_positive("payload_bits", payload_bits)
     check_positive("snr", snr)
-    if not (is_int(dims) and dims >= 1):
-        raise ValueError(f"dims must be an integer >= 1, got {dims}")
+    _check_dims(dims)
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 0.5], got {epsilon}")
     kappa = payload_bits * LN2
     c = capacity(snr)
     v = dispersion(snr)
-    qinv = float(scipy.special.ndtri(1.0 - epsilon))
+    qinv = NormalDist().inv_cdf(1.0 - epsilon)
     # largest real root of kappa = x*c - sqrt(x*v)*qinv in real dimensions x
     b = qinv * math.sqrt(v)
     root = (b + math.sqrt(b * b + 4.0 * c * kappa)) / (2.0 * c) if c else math.inf
@@ -134,6 +133,11 @@ def fixed_length_blocklength(payload_bits: float, snr: float, epsilon: float,
     return n
 
 
+def _check_dims(dims) -> None:
+    if not (is_int(dims) and dims >= 1):
+        raise ValueError(f"dims must be an integer >= 1, got {dims}")
+
+
 def phase_lengths(thresholds, rx, dims: int):
     """Wald's identity phase by phase: each user's stop time in symbols, and
     its finish rate, the rate it had in the phase where it stopped.
@@ -141,9 +145,16 @@ def phase_lengths(thresholds, rx, dims: int):
     Each active user gathers capacity(active_sinrs(rx[active]), dims) nats
     per symbol.  A phase ends when the first active user reaches its
     threshold, and every user due at that time stops: ties stop together,
-    and the inputs may come in any order.  Received powers that leave an
-    active user no rate (their sum overflows) raise ValueError.
+    and the inputs may come in any order.  ValueError unless each user has
+    a positive finite threshold and received power and `dims` is an integer
+    >= 1, or when the powers leave an active user no rate (their sum overflows).
     """
+    thresholds, rx = np.asarray(thresholds, dtype=float), np.asarray(rx, dtype=float)
+    if not (thresholds.ndim == rx.ndim == 1 and 1 <= thresholds.size == rx.size):
+        raise ValueError(f"need one threshold per received power, got {thresholds} and {rx}")
+    check_positive("thresholds", thresholds)
+    check_positive("received powers", rx)
+    _check_dims(dims)
     acc = np.zeros(len(rx))  # nats gathered so far
     stops, finish_rate = np.empty(len(rx)), np.empty(len(rx))
     active, t = np.arange(len(rx)), 0.0
@@ -205,7 +216,9 @@ def queue_vlsf_lengths(qs: QueueScenario) -> QueueBreakdown:
         if s <= r:
             c_s, b_s = 0, float(g[s - 1])
         else:
-            c_s = int(g[s - 1] // info)
+            c_s = g[s - 1] // info  # a float: full_intervals stores it as int64
+            if not c_s < 2.0**63:
+                raise ValueError(f"t_sub {qs.t_sub} needs {c_s:.3g} full intervals, beyond 2^63")
             b_s = float(g[s - 1] - c_s * info)
         r_s = int(np.searchsorted(g, b_s, side="left"))  # largest t with g_t < b_s
         full[s - 1], leftover[s - 1], stage[s - 1] = c_s, b_s, r_s
@@ -226,8 +239,6 @@ def fading_vlsf_coeffs(gains, power: float) -> np.ndarray:
         a_k = (1 + sum_{t<k} a_t * (C_{S-t,k} - C_{S-t+1,k})) / C_{S-k+1,k}
     """
     gains = np.asarray(gains, dtype=float)
-    check_positive("gains", gains)
-    check_positive("power", power)
     return phase_lengths(np.ones_like(gains), power * gains, 2)[0]
 
 

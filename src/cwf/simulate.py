@@ -5,10 +5,11 @@ error-rate check of the random-coding union bound.
 One walk engine (`_walk_trial`) serves the AWGN, block-fading and queued
 simulators.  It takes each user's received power and applies one SINR
 rule: an active user hears its own power over unit noise plus the power of
-every other active user.  An AWGN cell is the unit-gain case of a
-block-fading cell, so the AWGN and queued walks pass S equal powers and the
-fading walks pass power times gain.  Every active user accumulates one
-unit-noise information-density increment per symbol, drawn at that SINR.
+every other active user.  `simulate_cell`, the twin of
+`lengths.phase_lengths`, runs it on fixed received powers: S equal powers
+for an AWGN cell, power times gain for block fading.  Every active user
+accumulates one unit-noise information-density increment per symbol,
+drawn at that SINR.
 A user whose running sum crosses its threshold stops transmitting from the
 next symbol on, which raises everyone else's SINR.  The queued variant is
 the same walk plus a boundary schedule and two reset rules: at every
@@ -53,10 +54,11 @@ predicts its draws from its analytic lengths) runs in the caller alone.
 Where POSIX fork is missing, `WORKERS` is 1 and the trials run in the
 caller.
 
-Each simulator caps its trials by its own rule, `CAP_FACTOR` times its
-analytic prediction (ten times that for fresh Rayleigh gains).  Capped
-trials are never dropped silently: they enter the means at the cap value
-(a lower bound) and are counted in `cap_hits`.
+Each simulator caps its trials at `CAP_FACTOR` times its analytic
+prediction: the slowest `phase_lengths` stop for `simulate_cell`, the
+queue's own lengths, ten times the typical-gain stop for fresh Rayleigh
+gains.  Capped trials are never dropped silently: they enter the means at
+the cap value (a lower bound) and are counted in `cap_hits`.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import active_sinrs, capacity, check_positive, info_density_increment, is_int
-from .lengths import (AwgnScenario, QueueScenario, awgn_vlsf_lengths, message_threshold,
-                      phase_lengths, queue_vlsf_lengths, rayleigh_order_means)
+from .lengths import (AwgnScenario, QueueScenario, message_threshold, phase_lengths,
+                      queue_vlsf_lengths, rayleigh_order_means)
 
 #: per-trial symbol cap, as a multiple of the predicted mean length
 CAP_FACTOR = 50.0
@@ -444,16 +446,21 @@ def _run_trials(plan: TrialPlan, trial, lengths, dims: int) -> StoppingOutcome:
     return StoppingOutcome(est.mean, est.se, est.trials, cap_hits=capped.sum(axis=0))
 
 
-def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcome:
-    """Coupled stopping times of S equal-power AWGN users.
+def simulate_cell(thresholds, rx, dims: int, plan: TrialPlan) -> StoppingOutcome:
+    """Coupled stopping times of users with fixed received powers, in any
+    order; means follow the input order.  `lengths.phase_lengths` on the same
+    inputs checks them and predicts the work, and a trial is capped at
+    `CAP_FACTOR` times the slowest predicted stop."""
+    thresholds, rx = np.asarray(thresholds, dtype=float), np.asarray(rx, dtype=float)
+    stops = phase_lengths(thresholds, rx, dims)[0]
+    cap = int(CAP_FACTOR * stops.max())
+    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, dims, cap), stops, dims)
 
-    Every user holds the decoding threshold of its own payload; crossing
-    deactivates it from the next symbol on.
-    """
-    thresholds, rx = sc.thresholds, np.full(sc.s_count, sc.power)
-    stops = awgn_vlsf_lengths(sc)
-    cap = int(CAP_FACTOR * stops[-1])
-    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, 1, cap), stops, 1)
+
+def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcome:
+    """Coupled stopping times of S equal-power AWGN users, each at its own
+    payload's decoding threshold."""
+    return simulate_cell(sc.thresholds, np.full(sc.s_count, sc.power), 1, plan)
 
 
 def simulate_block_fading(gains, payload_bits: float, power: float,
@@ -466,12 +473,8 @@ def simulate_block_fading(gains, payload_bits: float, power: float,
     gains = np.asarray(gains, dtype=float)
     check_positive("gains", gains)
     check_positive("power", power)
-    s_total = gains.shape[0]
-    thresholds = np.full(s_total, message_threshold(payload_bits))
-    rx = power * gains
-    stops = phase_lengths(thresholds, rx, 2)[0]
-    cap = int(CAP_FACTOR * stops.max())
-    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, 2, cap), stops, 2)
+    thresholds = np.full(gains.size, message_threshold(payload_bits))
+    return simulate_cell(thresholds, power * gains, 2, plan)
 
 
 def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: float,
@@ -482,7 +485,6 @@ def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: flo
     normals.  Per-user means are reported in decoding order (largest gain
     first), so entry j averages the stopping time of the j-th best channel.
     """
-    check_positive("power", power)
     rx_typical = power * rayleigh_order_means(s_count)  # rejects a bad s_count first
     thresholds = np.full(s_count, message_threshold(payload_bits))
     typical = phase_lengths(thresholds, rx_typical, 2)[0]

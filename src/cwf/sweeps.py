@@ -188,8 +188,7 @@ def run_fading_sweep(cfg: ExperimentConfig, out=None):
             p = db_to_linear(snr_db)
             coeffs = fading_vlsf_coeffs(gains, p)  # before fixed_n
             typical = (1.0 - cfg.epsilon) * coeffs * gamma
-            fixed_n = fixed_length_blocklength(payload, sinr_fading(p, gains, 1, s),
-                                               cfg.epsilon, dims=2)
+            fixed_n = fixed_length_blocklength(payload, sinr_fading(p, gains), cfg.epsilon, dims=2)
             yield ([snr_db, p, s, payload, *coeffs, *typical,
                     fixed_n, 1.0 - typical[-1] / fixed_n],
                    partial(simulate_rayleigh_block_fading, s, payload, p))

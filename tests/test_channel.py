@@ -30,45 +30,48 @@ def test_sinr_awgn_domain_errors():
         sinr_awgn(-1.0, 2)
     with pytest.raises(ValueError):
         sinr_awgn(1.0, 0)
+    with pytest.raises(ValueError, match="an integer"):  # a count of equal powers to build
+        sinr_awgn(1.0, 2.5)
 
 
 def test_sinr_fading_known_values():
-    assert sinr_fading(1.0, [1.0, 1.0], 1, 1) == pytest.approx(0.5)
-    # single active user: interference sum is empty
-    assert sinr_fading(1.0, [0.3, 0.7], 2, 2) == pytest.approx(0.7)
-    assert sinr_fading(1.0, [1.5, 0.5], 1, 1) == pytest.approx(1.0)
+    assert sinr_fading(1.0, [1.0, 1.0]) == pytest.approx(0.5)
+    # single user: interference sum is empty
+    assert sinr_fading(1.0, [0.7]) == pytest.approx(0.7)
+    # the last user to decode hears the first one's power as interference
+    assert sinr_fading(1.0, [1.5, 0.5]) == pytest.approx(0.2)
 
 
 def test_active_sinrs_known_values_and_closed_forms():
     assert active_sinrs(np.array([1.0, 2.0, 3.0])) == pytest.approx([1 / 6, 2 / 5, 3 / 4])
-    assert active_sinrs(np.full(3, 2.0)) == pytest.approx(sinr_awgn(2.0, 3), rel=1e-15)
-    assert sinr_fading(2.0, [3.0, 1.5, 0.5], 2, 3) == active_sinrs(np.array([3.0, 1.0]))[1]
+    # the equal-power view is the rule itself, bit for bit: at three users and -5 dB
+    # p/(1+2p) would differ from the rule's p/(1+(3p-p)) in the last bit
+    p = 10**-0.5
+    assert sinr_awgn(p, 3) == active_sinrs(np.full(3, p))[0] != p / (1.0 + 2.0 * p)
+    assert sinr_fading(2.0, [1.5, 0.5]) == active_sinrs(np.array([3.0, 1.0]))[1]
 
 
 @pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
 def test_sinr_fading_rejects_non_finite_or_zero_power(power):
     # an infinite power warned and returned NaN
     with pytest.raises(ValueError, match="power must be positive and finite"):
-        sinr_fading(power, [1.0, 0.5], 1, 1)
+        sinr_fading(power, [1.0, 0.5])
 
 
 def test_sinr_fading_rejects_nan_gain_but_keeps_zero_gains_legal():
     # a NaN gain passed the old `gains < 0` check and returned nan
     with pytest.raises(ValueError, match="gains must be non-negative and finite"):
-        sinr_fading(1.0, [math.nan, 0.5], 1, 1)
-    assert sinr_fading(1.0, [1.0, 0.0], 1, 1) == 1.0
-
-
-def test_sinr_fading_inactive_user_rejected():
-    with pytest.raises(ValueError):
-        sinr_fading(1.0, [1.0, 1.0], 2, 1)
+        sinr_fading(1.0, [math.nan, 0.5])
+    with pytest.raises(ValueError, match="at least one"):
+        sinr_fading(1.0, [])
+    assert sinr_fading(1.0, [0.0, 1.0]) == 1.0
 
 
 @given(finite_powers, st.floats(min_value=0.01, max_value=10.0))
 @settings(max_examples=50, deadline=None)
 def test_sinr_fading_no_interference_identity(p, g):
-    # all interferer gains zero: SINR reduces to p * |h_j|^2
-    got = sinr_fading(p, [g, 0.0, 0.0], 1, 1)
+    # all interferer gains zero: SINR reduces to p * |h_S|^2
+    got = sinr_fading(p, [0.0, 0.0, g])
     assert got == pytest.approx(p * g, rel=1e-12)
 
 

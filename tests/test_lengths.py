@@ -389,6 +389,14 @@ def test_queue_rejects_infinite_interval():
         QueueScenario(AwgnScenario((300.0, 1000.0), 1.0), math.inf)
 
 
+def test_queue_names_an_interval_count_beyond_int64():
+    # at -200 dB user 1 needs about 7e19 intervals of 600 symbols: storing the
+    # count in the int64 column raised a bare OverflowError
+    qs = QueueScenario(AwgnScenario((300.0, 1000.0), 10.0**-20), 600.0)
+    with pytest.raises(ValueError, match=r"t_sub 600.0 needs .+ full intervals, beyond 2\^63"):
+        queue_vlsf_lengths(qs)
+
+
 # ------------------------------------------------------------- fading coeffs
 
 def test_fading_coeffs_frozen_values():

@@ -17,6 +17,7 @@ from cwf.lengths import (
     awgn_vlsf_lengths,
     fading_vlsf_coeffs,
     message_threshold,
+    phase_lengths,
     queue_vlsf_lengths,
 )
 from cwf.simulate import (
@@ -26,6 +27,7 @@ from cwf.simulate import (
     point_seed,
     simulate_awgn_multiuser,
     simulate_block_fading,
+    simulate_cell,
     simulate_error_probability,
     simulate_queue,
     simulate_rayleigh_block_fading,
@@ -214,7 +216,13 @@ PINNED = pytest.mark.parametrize("run,stop_sums,cap_hits", [
     # the last bit: this pins the engine's form
     (lambda: simulate_awgn_multiuser(AwgnScenario((60.0, 150.0, 300.0), 10**-0.5),
                                      TrialPlan(200, 7)), [101735, 219502, 374186], [0, 0, 0]),
-], ids=["awgn", "queue", "queue_capped", "block_fading", "rayleigh", "awgn_three_users"])
+    # unequal payloads at unequal powers, given as lists: the sums are those of the
+    # engine run directly on these inputs with the cap CAP_FACTOR x the slowest
+    # phase_lengths stop
+    (lambda: simulate_cell([message_threshold(300.0), message_threshold(1000.0)], [10.0, 4.9],
+                           1, TrialPlan(200, 8)), [86919, 226666], [0, 0]),
+], ids=["awgn", "queue", "queue_capped", "block_fading", "rayleigh", "awgn_three_users",
+        "cell_unequal_powers"])
 
 
 @PINNED
@@ -484,6 +492,32 @@ def test_cap_hits_are_counted_not_hidden():
     assert out.cap_hits[1] == 60  # nobody finishes 300 bits in 50 symbols
     assert out.cap_flagged
     assert out.mean[1] == pytest.approx(50.0)
+
+
+@pytest.mark.parametrize("thresholds,rx,dims,match", [
+    ([math.nan, 700.0], [1.0, 1.0], 1, "thresholds must be positive and finite"),
+    ([0.0, 700.0], [1.0, 1.0], 1, "thresholds must be positive and finite"),
+    ([-1.0, 700.0], [1.0, 1.0], 1, "thresholds must be positive and finite"),
+    ([200.0, 700.0], [1.0, math.nan], 1, "received powers must be positive and finite"),
+    ([200.0, 700.0], [1.0, 0.0], 1, "received powers must be positive and finite"),
+    ([200.0, 700.0], [-1.0, 1.0], 1, "received powers must be positive and finite"),
+    ([200.0, 700.0], [1.0], 1, "one threshold per received power"),
+    ([], [], 1, "one threshold per received power"),
+    ([200.0, 700.0], [1.0, 1.0], 0, "dims must be an integer >= 1"),
+    ([200.0, 700.0], [1.0, 1.0], 2.0, "dims must be an integer >= 1"),
+], ids=["nan_threshold", "zero_threshold", "negative_threshold", "nan_power", "zero_power",
+        "negative_power", "lengths_differ", "no_users", "zero_dims", "float_dims"])
+def test_cell_rejects_bad_inputs_before_any_trial(monkeypatch, thresholds, rx, dims, match):
+    # a NaN threshold died converting a NaN cap to an integer, naming nothing; the
+    # closed forms and the walk entry point share one check
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulate, "_run_trials", no_trials)
+    with pytest.raises(ValueError, match=match):
+        simulate_cell(thresholds, rx, dims, TrialPlan(2, 1))
+    with pytest.raises(ValueError, match=match):
+        phase_lengths(thresholds, rx, dims)
 
 
 # ---------------------------------------------------------------- block fading
