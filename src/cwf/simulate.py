@@ -41,13 +41,15 @@ crosses ends the trial, whose stream nothing else reads.  Walks look ahead
 in chunks of at most `_MAX_CHUNK` symbols but keep every normal they did
 not use, so neither look-ahead nor blocks ever change a result.
 
-The walks and the error-rate check run their trials on every CPU the
-process may use (`WORKERS`): `_fan_out` splits the trials into contiguous
-ranges, builds every trial's stream handle in the calling process, runs all
-ranges but the last in forked children (each keys its own copy of the
-shared Philox) and the last itself, and merges the results in trial order.
-Per-trial rows are averaged as one block and error counts are summed, so
-results never depend on the worker count.
+A simulator is one function of one trial's stream that returns the
+trial's row: its stops and cap flags for a walk, (error, capped) for the
+error-rate check.  `_fan_out` runs it on every CPU the process may use
+(`WORKERS`): it splits the trials into contiguous ranges, builds every
+trial's stream handle in the calling process, runs all ranges but the
+last in forked children (each keys its own copy of the shared Philox) and
+the last itself, and stacks the rows in trial order.  Stops are averaged
+as one block and flags and errors summed, so results never depend on the
+worker count.
 Every child is reaped before the call returns.  A call whose trials are
 expected to draw fewer than `_MIN_SHARED_NORMALS` normals (each simulator
 predicts its draws from its analytic lengths) runs in the caller alone.
@@ -56,9 +58,10 @@ caller.
 
 Each simulator caps its trials at `CAP_FACTOR` times its analytic
 prediction: the slowest `phase_lengths` stop for `simulate_cell`, the
-queue's own lengths, ten times the typical-gain stop for fresh Rayleigh
-gains.  Capped trials are never dropped silently: they enter the means at
-the cap value (a lower bound) and are counted in `cap_hits`.
+slowest queued length for `simulate_queue`, ten times the typical-gain
+stop for fresh Rayleigh gains.  Capped trials are never dropped silently:
+they enter the means at the cap value (a lower bound) and are counted in
+`cap_hits`.
 """
 
 from __future__ import annotations
@@ -378,15 +381,15 @@ def _fork(work, rngs: list):
         os._exit(0)
 
 
-def _fan_out(plan: TrialPlan, work, normals: float) -> list:
-    """Run `work(rngs)` on contiguous ranges of the plan's trial streams and
-    return the results in trial order, one per range.
+def _fan_out(plan: TrialPlan, trial, normals: float) -> np.ndarray:
+    """Run `trial(rng)` on each of the plan's trial streams and return the
+    rows it returns, stacked in trial order as one array.
 
     A trial is expected to draw `normals` normals.  A call expected to draw
     fewer than `_MIN_SHARED_NORMALS` runs as one range in the caller; any
-    other splits into min(WORKERS, trials) ranges.  The split depends on
-    the call alone, never on timing, so which trials the caller runs is
-    the same on every run.  The caller builds every stream through
+    other splits into min(WORKERS, trials) contiguous ranges.  The split
+    depends on the call alone, never on timing, so which trials the caller
+    runs is the same on every run.  The caller builds every stream through
     `streams(plan, 1)`, so trial i runs on the same stream whoever runs it.
     A stream is a (seed, i) handle, keyed on the process's shared Philox at
     its first draw, so a child draws its handles on its own copy of that
@@ -397,6 +400,9 @@ def _fan_out(plan: TrialPlan, work, normals: float) -> list:
     type.  Every child is reaped before this returns or raises, so no
     process outlives the call.
     """
+    def work(rngs):  # one range, in a child or in the caller
+        return np.array([trial(rng) for rng in rngs])
+
     ranges = min(WORKERS, plan.trials) if plan.trials * normals >= _MIN_SHARED_NORMALS else 1
     bounds = [plan.trials * r // ranges for r in range(ranges + 1)]
     rngs = (rng for rng, _ in streams(plan, 1))
@@ -405,7 +411,7 @@ def _fan_out(plan: TrialPlan, work, normals: float) -> list:
         for lo, hi in zip(bounds[:-2], bounds[1:-1]):
             children.append(_fork(work, list(itertools.islice(rngs, hi - lo))))
         last = work(rngs)
-        results = []
+        rows = []
         while children:
             pid, pipe = children[0]
             data = pipe.read()
@@ -417,8 +423,8 @@ def _fan_out(plan: TrialPlan, work, normals: float) -> list:
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            results.append(value)
-        return results + [last]
+            rows.append(value)
+        return np.concatenate(rows + [last])
     finally:
         for pid, pipe in children:  # only after a failure
             pipe.close()
@@ -427,23 +433,18 @@ def _fan_out(plan: TrialPlan, work, normals: float) -> list:
 
 
 def _run_trials(plan: TrialPlan, trial, lengths, dims: int) -> StoppingOutcome:
-    """Run `trial(rng)` on each trial's own stream and average the outcomes.
+    """Run the walk `trial(rng)`, which returns its (stops, capped) row, on
+    each trial's own stream and average the stops.
 
     `lengths` are the users' predicted stopping times in symbols of `dims`
     real dimensions; a walk draws 2 normals per active user and dimension,
-    so they predict its work.  The trial ranges run in parallel
-    (`_fan_out`); their per-trial stop and cap rows are concatenated in
-    trial order and averaged as one block, so the result does not depend
-    on the worker count.
+    so they predict its work.  The rows of all trials come back in trial
+    order (`_fan_out`); their stops are averaged as one block and their cap
+    flags summed, so the result does not depend on the worker count.
     """
-    def work(rngs):
-        stops, capped = zip(*[trial(rng) for rng in rngs])
-        return np.array(stops), np.array(capped)
-
-    parts = _fan_out(plan, work, 2.0 * dims * np.sum(lengths))
-    est = estimate([np.concatenate([stops for stops, _ in parts])])
-    capped = np.concatenate([capped for _, capped in parts])
-    return StoppingOutcome(est.mean, est.se, est.trials, cap_hits=capped.sum(axis=0))
+    rows = _fan_out(plan, trial, 2.0 * dims * np.sum(lengths))
+    est = estimate([rows[:, 0]])
+    return StoppingOutcome(est.mean, est.se, est.trials, cap_hits=rows[:, 1].sum(axis=0))
 
 
 def simulate_cell(thresholds, rx, dims: int, plan: TrialPlan) -> StoppingOutcome:
@@ -505,17 +506,18 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     Users that fit inside one interval restart a fresh packet at every
     boundary; congested users stay busy continuously, starting the next
     queued packet the moment one finishes.  The recorded time per user is
-    the completion of its first (tagged) message.
+    the completion of its first (tagged) message.  A trial is capped at
+    `CAP_FACTOR` times the slowest queued length, whatever `t_sub`.
     """
     sc = qs.base
     s_total = sc.s_count
     thresholds = sc.thresholds
     breakdown = queue_vlsf_lengths(qs)
     congested = np.arange(s_total) >= breakdown.r  # users r+1..S carry accumulation
-    cap = int(CAP_FACTOR * max(breakdown.lengths.max(), qs.t_sub))
     rx = np.full(s_total, sc.power)
     # light users restart every interval, so every user may draw until the last stops
     stops = np.full(s_total, breakdown.lengths.max())
+    cap = int(CAP_FACTOR * stops.max())
     return _run_trials(plan, lambda rng: _walk_trial(
         rng, thresholds, rx, 1, cap, qs.t_sub, congested), stops, 1)
 
@@ -527,59 +529,55 @@ def simulate_error_probability(payload_bits: float, snr: float,
     Per trial, the true walk runs until its crossing at the payload's
     `message_threshold`; every competing codeword then replays the same
     received symbols with its own independent inputs, and an error is scored
-    when any competitor crosses no later than the true walk.  Payloads lie
-    in [2, 12] bits: the threshold needs 2, and all 2^K walks fit in 12.
+    when any competitor crosses no later than the true walk.  Payloads are
+    whole bits in [2, 12]: the threshold needs 2, all 2^K walks fit in 12,
+    and the union bound it is checked against counts 2^K codewords.
     """
-    if not 2 <= payload_bits <= 12:
-        raise ValueError(f"payload_bits must lie in [2, 12], got {payload_bits}")
+    if not (2 <= payload_bits <= 12 and float(payload_bits).is_integer()):
+        raise ValueError(f"payload_bits must be a whole number in [2, 12], got {payload_bits}")
     check_positive("snr", snr)
-    competitors = int(round(2.0**payload_bits)) - 1
+    competitors = 2 ** int(payload_bits) - 1
     threshold = message_threshold(payload_bits)
     rate = capacity(snr)
     cap = int(CAP_FACTOR * max(threshold, rate) / rate)
     sqrt_snr = math.sqrt(snr)
 
-    def work(rngs):
-        errors = 0
-        cap_hits = 0
-        for rng in rngs:
-            # symbol t reads row t: the input, then the noise; the window doubles
-            z = rng.standard_normal((min(int(2.0 * threshold / rate) + 32, cap, _MAX_CHUNK), 2))
-            while True:
-                x = sqrt_snr * z[:, 0]
-                received = x + z[:, 1]
-                cum = np.cumsum(info_density_increment(x, received, snr, out=x), out=x)
-                tau = int(np.argmax(cum >= threshold)) + 1
-                crossed = cum[tau - 1] >= threshold
-                if crossed or len(z) == cap:
-                    break
-                more = min(len(z), cap - len(z), _MAX_CHUNK)
-                z = np.concatenate([z, rng.standard_normal((more, 2))])
-            if not crossed:
-                tau = cap
-                cap_hits += 1  # undecided truth; competitors may still cross
-            # competitors take the (M-1)*tau normals after the truth's 2*tau, a block at a time
-            spare = z[tau:].ravel()
-            rows = min(competitors, max(1, _MAX_CHUNK // tau))
-            block = np.empty(rows * tau)  # at most max(_MAX_CHUNK, tau) normals
-            for first in range(0, competitors, rows):
-                false_z = block[:min(rows, competitors - first) * tau]
-                kept = min(spare.size, false_z.size)
-                false_z[:kept] = spare[:kept]
-                spare = spare[kept:]
-                rng.standard_normal(out=false_z[kept:])
-                false_x = np.multiply(false_z, sqrt_snr, out=false_z).reshape(-1, tau)
-                info_density_increment(false_x, received[:tau], snr, out=false_x)
-                if np.cumsum(false_x, axis=1, out=false_x).max() >= threshold:
-                    errors += 1
-                    break
-        return errors, cap_hits
+    def trial(rng):
+        # symbol t reads row t: the input, then the noise; the window doubles
+        z = rng.standard_normal((min(int(2.0 * threshold / rate) + 32, cap, _MAX_CHUNK), 2))
+        while True:
+            x = sqrt_snr * z[:, 0]
+            received = x + z[:, 1]
+            cum = np.cumsum(info_density_increment(x, received, snr, out=x), out=x)
+            tau = int(np.argmax(cum >= threshold)) + 1
+            crossed = cum[tau - 1] >= threshold
+            if crossed or len(z) == cap:
+                break
+            more = min(len(z), cap - len(z), _MAX_CHUNK)
+            z = np.concatenate([z, rng.standard_normal((more, 2))])
+        if not crossed:
+            tau = cap  # undecided truth; competitors may still cross
+        # competitors take the (M-1)*tau normals after the truth's 2*tau, a block at a time
+        spare = z[tau:].ravel()
+        rows = min(competitors, max(1, _MAX_CHUNK // tau))
+        block = np.empty(rows * tau)  # at most max(_MAX_CHUNK, tau) normals
+        for first in range(0, competitors, rows):
+            false_z = block[:min(rows, competitors - first) * tau]
+            kept = min(spare.size, false_z.size)
+            false_z[:kept] = spare[:kept]
+            spare = spare[kept:]
+            rng.standard_normal(out=false_z[kept:])
+            false_x = np.multiply(false_z, sqrt_snr, out=false_z).reshape(-1, tau)
+            info_density_increment(false_x, received[:tau], snr, out=false_x)
+            if np.cumsum(false_x, axis=1, out=false_x).max() >= threshold:
+                return True, not crossed
+        return False, not crossed
 
     # the truth draws 2 normals per symbol and each competitor 1, for about
     # threshold / rate symbols
-    parts = _fan_out(plan, work, (competitors + 2) * threshold / rate)
-    return ErrorRateEstimate(errors=sum(e for e, _ in parts), trials=plan.trials,
-                             cap_hits=sum(c for _, c in parts))
+    errors, cap_hits = _fan_out(plan, trial, (competitors + 2) * threshold / rate).sum(
+        axis=0).tolist()
+    return ErrorRateEstimate(errors=errors, trials=plan.trials, cap_hits=cap_hits)
 
 
 def sorted_exponential_means(s_count: int, plan: TrialPlan) -> Estimate:

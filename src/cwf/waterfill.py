@@ -37,6 +37,8 @@ class FastFadingScenario:
             raise ValueError(f"s_count must be <= 1030, got {self.s_count}: "
                              f"C({n}, {n // 2}) overflows a float")
         check_positive("power", self.power)
+        if math.isinf(1.0 / self.power):  # lower_bound_terms divides by it
+            raise ValueError(f"power {self.power} is too small: 1/power overflows a float")
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ def single_user_threshold(power: float, s_count: int) -> float:
     target = 1.0 / power + s_count - 1.0
     lo, hi = 0.0, 1.0
     while hi * math.exp(hi) < target:
-        hi *= 2.0
+        hi = min(2.0 * hi, 709.0)  # 709 * e^709 exceeds every float; e^710 overflows
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid * math.exp(mid) < target:
@@ -173,10 +175,11 @@ def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
 
     Coarse grid (step 0.01) over [0, ln(1000*S)] in array calls of at most
     `_GRID_ELEMENTS` (term x threshold) elements (one call for S <= 8), then
-    golden-section refinement; the interference-blind threshold is also
-    evaluated so the reported pair satisfies cl_at_multi >= cl_at_single.
-    Every element has its scalar call's bits, and a term a slice skips only
-    drops a +0.0, so the slicing never changes a value.
+    golden-section refinement.  The search's own argmax is reported; the
+    interference-blind threshold is evaluated beside it, so a search that
+    misses the optimum shows as cl_at_multi < cl_at_single.  Every element
+    has its scalar call's bits, and a term a slice skips only drops a +0.0,
+    so the slicing never changes a value.
     """
     cap = _threshold_cap(sc.s_count)
     grid = np.arange(0.0, cap + GRID_STEP, GRID_STEP)
@@ -194,9 +197,6 @@ def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
     gamma_single = single_user_threshold(sc.power, sc.s_count)
     cl_multi = capacity_lower_bound(gamma_multi, sc)
     cl_single = capacity_lower_bound(gamma_single, sc)
-    # the blind threshold is itself a candidate; the argmax may never fall below it
-    if cl_single > cl_multi:
-        gamma_multi, cl_multi = gamma_single, cl_single
     return ThresholdSearchResult(
         gamma_single=gamma_single,
         gamma_multi=gamma_multi,

@@ -311,6 +311,8 @@ def test_cli_rejects_epsilon_outside_fixed_length_domain(tmp_path, sub, epsilon)
     ("queue", {"snr_db": [4000.0]}),
     ("fading", {"snr_db": [4000.0]}),
     ("waterfill", {"snr_db": [4000.0]}),
+    # a power whose reciprocal overflows: lower_bound_terms warned on pon / p
+    ("waterfill", {"snr_db": [-3200.0]}),
 ], ids=["waterfill_no_users", "thm1_decreasing_payloads", "fading_tiny_payload",
         "queue_negative_interval", "thm1_infinite_snr", "queue_infinite_interval",
         "fading_infinite_payload", "thm1_infinite_payload", "fading_infinite_snr",
@@ -319,7 +321,7 @@ def test_cli_rejects_epsilon_outside_fixed_length_domain(tmp_path, sub, epsilon)
         "thm1_power_sum_overflow", "thm1_power_sum_overflow_trials", "queue_power_sum_overflow",
         "fading_power_sum_overflow", "fading_no_users", "thm1_linear_power_overflow",
         "queue_linear_power_overflow", "fading_linear_power_overflow",
-        "waterfill_linear_power_overflow"])
+        "waterfill_linear_power_overflow", "waterfill_reciprocal_power_overflow"])
 def test_cli_rejects_out_of_domain_scenarios(tmp_path, capsys, sub, fields):
     # the sweeps' own scenario checks and closed forms run before any simulation:
     # exit 2, no CSV, no warning; json writes math.inf as Infinity, which
@@ -416,6 +418,34 @@ def test_cli_rejects_sub_symbol_interval(tmp_path, t_sub):
     assert done.stderr.splitlines() == [
         f"config error: t_sub must be finite and at least one symbol, got {t_sub}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub,fields", [
+    ("queue", {"t_sub": [1e20], "trials": 2, "seed": 1}),
+    ("waterfill", {"snr_db": [-3000.0, -3082.0], "trials": 2000, "seed": 1}),
+], ids=["queue_all_light_huge_interval", "waterfill_minus_3000_db"])
+def test_cli_runs_extreme_valid_inputs_cleanly(tmp_path, sub, fields):
+    # a queue cap of 50 x t_sub overflowed int64; the threshold bracket overflowed
+    # math.exp.  A fresh interpreter with warnings as errors
+    cfg = {**default_config(f"{sub}_sweep").to_dict(), **fields}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-I", "-W", "error", "-c", _RUN_CLI, str(src),
+                           sub, "--config", str(path), "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()
+                     if not line.startswith("#")]
+    assert rows and all(len(row) == len(header) for row in rows)
+    for row in rows:
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:  # a flag or a status
+                continue
+            assert math.isfinite(value), (header, row)
 
 
 @pytest.mark.parametrize("cfg", [

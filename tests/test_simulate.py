@@ -144,13 +144,14 @@ def test_streams_first_drawn_in_a_forked_child_match_philox(shared):
     shared(3)
     trial_stream(5, 99).standard_normal(3)
 
-    def work(rngs):
-        return [np.concatenate([rng.standard_normal(4), rng.standard_exponential(2),
-                                rng.standard_normal(3)]) for rng in rngs]
+    def trial(rng):
+        return np.concatenate([rng.standard_normal(4), rng.standard_exponential(2),
+                               rng.standard_normal(3), [os.getpid()]])
 
-    parts = simulate._fan_out(TrialPlan(7, 5), work, 1e7)
-    assert len(parts) == 3
-    for k, got in enumerate(row for part in parts for row in part):
+    rows = simulate._fan_out(TrialPlan(7, 5), trial, 1e7)
+    assert rows.shape == (7, 10)
+    assert len(set(rows[:, -1])) == 3  # two children and the caller
+    for k, got in enumerate(rows[:, :-1]):
         ref = _philox(5, k)
         want = np.concatenate([ref.standard_normal(4), ref.standard_exponential(2),
                                ref.standard_normal(3)])
@@ -196,7 +197,7 @@ def _capped(cap, predicted, simulator, *args):
 
 def _queue_prediction(qs):
     """The length `simulate_queue` multiplies by CAP_FACTOR for its cap."""
-    return max(queue_vlsf_lengths(qs).lengths.max(), qs.t_sub)
+    return queue_vlsf_lengths(qs).lengths.max()
 
 
 QS_STARVED = QueueScenario(SC_PIN, 40.0)
@@ -339,12 +340,25 @@ def indexed_fan_out(monkeypatch):
     each trial expected to draw ten million normals."""
     monkeypatch.setattr(simulate, "WORKERS", 3)
     monkeypatch.setattr(simulate, "trial_stream", lambda seed, index: index)
-    return lambda trials, work: simulate._fan_out(TrialPlan(trials, 1), work, 1e7)
+    return lambda trials, trial: simulate._fan_out(TrialPlan(trials, 1), trial, 1e7)
+
+
+def _index_and_pid(index):
+    return index, os.getpid()
+
+
+def _ranges(rows):
+    """The trial indices of `_index_and_pid` rows, grouped by the process that ran them."""
+    return [[int(i) for i, p in rows if p == pid] for pid in dict.fromkeys(rows[:, 1])]
 
 
 def test_fan_out_splits_contiguous_ranges_in_trial_order(indexed_fan_out):
-    assert indexed_fan_out(7, list) == [[0, 1], [2, 3], [4, 5, 6]]
-    assert indexed_fan_out(2, list) == [[0], [1]]  # never more ranges than trials
+    rows = indexed_fan_out(7, _index_and_pid)
+    assert rows[:, 0].tolist() == list(range(7))
+    assert _ranges(rows) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert rows[-1, 1] == os.getpid()  # the caller runs the last range
+    rows = indexed_fan_out(2, _index_and_pid)
+    assert _ranges(rows) == [[0], [1]]  # never more ranges than trials
     _no_child_left()
 
 
@@ -352,10 +366,11 @@ def test_fan_out_runs_a_light_call_in_the_caller(monkeypatch):
     # one normal short of the work that pays for a fork: no child
     monkeypatch.setattr(simulate, "WORKERS", 3)
     monkeypatch.setattr(simulate, "trial_stream", lambda seed, index: index)
-    pids = simulate._fan_out(TrialPlan(4, 1), lambda indices: [os.getpid() for _ in indices],
-                             simulate._MIN_SHARED_NORMALS / 4 - 1)
-    assert pids == [[os.getpid()] * 4]
-    assert len(simulate._fan_out(TrialPlan(4, 1), list, simulate._MIN_SHARED_NORMALS / 4)) == 3
+    heavy = simulate._MIN_SHARED_NORMALS / 4
+    rows = simulate._fan_out(TrialPlan(4, 1), _index_and_pid, heavy - 1)
+    assert _ranges(rows) == [[0, 1, 2, 3]] and rows[0, 1] == os.getpid()
+    rows = simulate._fan_out(TrialPlan(4, 1), _index_and_pid, heavy)
+    assert len(_ranges(rows)) == 3
 
 
 def test_simulators_fork_only_for_heavy_calls(monkeypatch):
@@ -376,41 +391,38 @@ class WorkerFailure(Exception):
 
 
 def test_fan_out_reraises_a_worker_exception_with_its_type(indexed_fan_out):
-    def work(indices):
-        indices = list(indices)
-        if indices[0] == 2:  # the second range, run by the second child
-            raise WorkerFailure(f"range from trial {indices[0]}")
-        return indices
+    def trial(index):
+        if index == 2:  # the first trial of the second range, run by the second child
+            raise WorkerFailure(f"trial {index}")
+        return index
 
     with pytest.raises(WorkerFailure) as failure:
-        indexed_fan_out(6, work)
-    assert str(failure.value) == "range from trial 2"
+        indexed_fan_out(6, trial)
+    assert str(failure.value) == "trial 2"
     _no_child_left()
 
 
 def test_fan_out_kills_every_child_when_the_caller_fails(indexed_fan_out):
-    def work(indices):
-        indices = list(indices)
-        if indices[0] == 4:  # the caller's own range
+    def trial(index):
+        if index == 4:  # the first trial of the caller's own range
             raise WorkerFailure("caller")
         time.sleep(60)  # the children would outlive the call unless killed
 
     start = time.monotonic()
     with pytest.raises(WorkerFailure, match="caller"):
-        indexed_fan_out(6, work)
+        indexed_fan_out(6, trial)
     assert time.monotonic() - start < 30
     _no_child_left()
 
 
 def test_fan_out_reports_a_worker_that_died(indexed_fan_out):
-    def work(indices):
-        indices = list(indices)
-        if indices[0] == 0:
+    def trial(index):
+        if index == 0:
             os._exit(3)  # dies without sending a result
-        return indices
+        return index
 
     with pytest.raises(ChildProcessError, match="died"):
-        indexed_fan_out(6, work)
+        indexed_fan_out(6, trial)
     _no_child_left()
 
 
@@ -632,8 +644,9 @@ def test_error_rate_decreases_with_threshold():
     assert high.rate < low.rate
 
 
-@pytest.mark.parametrize("payload", [1.5, 12.5])
+@pytest.mark.parametrize("payload", [1.5, 12.5, 2.5])
 def test_error_rate_rejects_payload_outside_2_to_12_bits(payload):
+    # 2.5 bits ran round(2^2.5) - 1 = 5 competitors against a bound for 2^K codewords
     with pytest.raises(ValueError, match=r"\[2, 12\]"):
         simulate_error_probability(payload, 1.0, TrialPlan(10, 1))
 

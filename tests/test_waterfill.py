@@ -49,6 +49,13 @@ def test_single_user_threshold_rejects_non_finite_or_zero_power(power):
         single_user_threshold(power, 1)
 
 
+@pytest.mark.parametrize("power", [1e-300, 5.7e-309])
+def test_single_user_threshold_at_extreme_low_power(power):
+    # the bracket doubled past e^709 and math.exp overflowed; it now stops at 709
+    th = single_user_threshold(power, 1)
+    assert th * math.exp(th) == pytest.approx(1.0 / power, rel=1e-12)
+
+
 @pytest.mark.parametrize("s_count", [2.5, True, 0])
 def test_fast_fading_scenario_rejects_non_integer_user_count(s_count):
     # 2.5 died in optimize_threshold's range(); True passed as one user
@@ -153,6 +160,16 @@ def test_optimize_threshold_single_user_exists():
     assert res.cl_at_multi >= res.cl_at_single
 
 
+def test_optimize_threshold_reports_its_own_argmax():
+    # at -3000 dB the optimum lies beyond the grid's end ln(1000 S): the search stops
+    # there and reports it, below the blind threshold, instead of substituting it
+    res = optimize_threshold(FastFadingScenario(1, 1e-300))
+    assert res.gamma_multi == pytest.approx(6.91, abs=1e-5)
+    assert res.gamma_single == pytest.approx(684.25, abs=0.01)
+    assert res.cl_at_multi == pytest.approx(7.91e-300, rel=1e-3)
+    assert res.cl_at_single == pytest.approx(4.748e-298, rel=1e-3)
+
+
 @pytest.mark.parametrize("s_count,power,want", [
     (1, 0.1, (1.492451709109245, 0.16354983075373591, 1.7455280027406994)),
     (4, 10.0, (1.4287702754764529, 0.5608892323311842, 1.0667683070416145)),
@@ -241,11 +258,16 @@ def test_mc_capacity_rejects_non_finite_or_negative_threshold(gamma_th):
         mc_capacity(gamma_th, FastFadingScenario(2, 1.0), TrialPlan(100, 1))
 
 
-@pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
-def test_fast_fading_scenario_rejects_non_positive_or_non_finite_power(power):
-    # a non-finite power would make the bound's integrand NaN; sinr_awgn rejects it too
-    with pytest.raises(ValueError, match="positive and finite"):
+@pytest.mark.parametrize("power,match", [
+    (math.inf, "positive and finite"), (math.nan, "positive and finite"),
+    (0.0, "positive and finite"), (5e-324, "1/power overflows a float")],
+    ids=["inf", "nan", "0.0", "subnormal"])
+def test_fast_fading_scenario_rejects_non_positive_or_non_finite_power(power, match):
+    # a non-finite power would make the bound's integrand NaN; sinr_awgn rejects it too.
+    # A subnormal power's reciprocal is inf, which lower_bound_terms divided by
+    with pytest.raises(ValueError, match=match):
         FastFadingScenario(2, power)
+    FastFadingScenario(2, 10 ** -308.25)  # about -3082.5 dB: 1/power is still a float
 
 
 def test_fast_fading_scenario_rejects_binomial_overflow():
