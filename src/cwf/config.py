@@ -88,6 +88,8 @@ class ExperimentConfig:
         for name in ("snr_db", "payload_bits", "t_sub"):  # json accepts Infinity and NaN
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} must be finite, got {list(getattr(self, name))}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.trials > 0 and self.seed is None:

@@ -6,9 +6,10 @@ decoding threshold it stops transmitting, which raises the SINR of everyone
 still active.  One solver, `phase_lengths`, applies Wald's identity phase by
 phase on received powers with the walks' SINR rule (`channel.active_sinrs`),
 the log-order remainder folded into the thresholds and otherwise dropped.
-It finds the stopping order itself, and users that tie stop together.
-Lengths are stopping times: the sweeps apply the (1-epsilon) idling where
-they report them, and epsilon here sets only the fixed-length baseline.
+It finds the stopping order itself, users that tie stop together, and the
+queued breakdown is read off its phase curve.  Lengths are stopping times:
+the sweeps apply the (1-epsilon) idling where they report them, and epsilon
+here sets only the fixed-length baseline.
 """
 
 from __future__ import annotations
@@ -186,45 +187,32 @@ def awgn_vlsf_lengths(sc: AwgnScenario) -> np.ndarray:
 
 
 def queue_vlsf_lengths(qs: QueueScenario) -> QueueBreakdown:
-    """Average lengths when a fresh packet arrives every t_sub symbols.
-
-    Users whose uncongested average length fits inside one interval keep the
-    plain lengths.  A congested user accumulates `info_per_interval` nats per
-    interval (interference resets every interval because the light users
-    restart), needs c_s = floor(g_s / I) complete intervals, and finishes the
-    remaining b_s nats in the phase structure of one more interval.
+    """Average lengths when a fresh packet arrives every t_sub symbols, read
+    off the cascade's phase curve: each user still active at prefix[t] = l'_t
+    holds g0[t] = g_t nats (l'_0 = g_0 = 0).  Users whose uncongested length
+    fits inside one interval keep the plain lengths (c_s = 0).  A congested
+    user gathers I = `info_per_interval` nats per interval, the curve read
+    forward to t_sub (interference resets every interval because the light
+    users restart), needs c_s = floor(g_s / I) complete intervals, and
+    finishes the remaining b_s nats on the curve of one more interval.
     """
-    sc = qs.base
-    s_total = sc.s_count
-    g = sc.thresholds
-    stops, caps = phase_lengths(g, np.full(s_total, sc.power), 1)
-    prefix = np.concatenate([[0.0], stops])  # l'_0 = 0
-
-    r = int(np.searchsorted(prefix[1:], qs.t_sub, side="left"))  # largest s with l'_s < t_sub
-    if r == s_total:
-        info = float(g[-1])  # every threshold is crossed inside one interval
-    else:
-        info = float(caps[r] * (qs.t_sub - prefix[r]) + (g[r - 1] if r else 0.0))
+    g = qs.base.thresholds
+    stops, rates = phase_lengths(g, np.full(g.size, qs.base.power), 1)
+    prefix, g0 = np.concatenate([[0.0], stops]), np.concatenate([[0.0], g])
+    r = int(np.searchsorted(stops, qs.t_sub, side="left"))  # largest s with l'_s < t_sub
+    # past the last stop every threshold is crossed inside one interval
+    info = float(g[-1] if r == g.size else rates[r] * (qs.t_sub - prefix[r]) + g0[r])
     if info <= 0.0:
         raise ValueError(f"no per-interval progress possible (I={info})")
-
-    full = np.zeros(s_total, dtype=np.int64)
-    leftover = np.zeros(s_total)
-    stage = np.zeros(s_total, dtype=np.int64)
-    lengths = np.empty(s_total)
-    for s in range(1, s_total + 1):
-        if s <= r:
-            c_s, b_s = 0, float(g[s - 1])
-        else:
-            c_s = g[s - 1] // info  # a float: full_intervals stores it as int64
-            if not c_s < 2.0**63:
-                raise ValueError(f"t_sub {qs.t_sub} needs {c_s:.3g} full intervals, beyond 2^63")
-            b_s = float(g[s - 1] - c_s * info)
-        r_s = int(np.searchsorted(g, b_s, side="left"))  # largest t with g_t < b_s
-        full[s - 1], leftover[s - 1], stage[s - 1] = c_s, b_s, r_s
-        rem = (b_s - (g[r_s - 1] if r_s else 0.0)) / caps[r_s]
-        lengths[s - 1] = c_s * qs.t_sub + rem + prefix[r_s]
-    return QueueBreakdown(r, info, full, leftover, stage, lengths)
+    full = g // info  # floats: full_intervals stores them as int64
+    full[:r] = 0.0
+    past = ~(full < 2.0**63)
+    if past.any():
+        raise ValueError(f"t_sub {qs.t_sub} needs {full[past][0]:.3g} full intervals, beyond 2^63")
+    leftover = g - full * info
+    stage = np.searchsorted(g, leftover, side="left")  # largest t with g_t < b_s
+    lengths = full * qs.t_sub + (leftover - g0[stage]) / rates[stage] + prefix[stage]
+    return QueueBreakdown(r, info, full.astype(np.int64), leftover, stage, lengths)
 
 
 def fading_vlsf_coeffs(gains, power: float) -> np.ndarray:

@@ -63,8 +63,8 @@ SIMPSON_MAX_DEPTH = 48
 #: open intervals per level beyond which Simpson gives up; bounds the memory
 #: of the breadth-first pass as the depth bounds the recursion's stack
 SIMPSON_MAX_OPEN = 1 << 16
-#: elements one pass of `exp_tail_quadrature` integrates; bounds its node arrays
-_MAX_ROWS = 1024
+#: elements one pass of `exp_tail_quadrature` integrates; bounds its node arrays (128 KB each)
+_MAX_ROWS = 256
 
 #: f(g, k): integrand rows g for the elements k of the call (module docstring)
 Integrand = Callable[[np.ndarray, object], np.ndarray]

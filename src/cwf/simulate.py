@@ -516,10 +516,10 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     congested = np.arange(s_total) >= breakdown.r  # users r+1..S carry accumulation
     rx = np.full(s_total, sc.power)
     # light users restart every interval, so every user may draw until the last stops
-    stops = np.full(s_total, breakdown.lengths.max())
-    cap = int(CAP_FACTOR * stops.max())
+    last = breakdown.lengths.max()
+    cap = int(CAP_FACTOR * last)
     return _run_trials(plan, lambda rng: _walk_trial(
-        rng, thresholds, rx, 1, cap, qs.t_sub, congested), stops, 1)
+        rng, thresholds, rx, 1, cap, qs.t_sub, congested), [last] * s_total, 1)
 
 
 def simulate_error_probability(payload_bits: float, snr: float,

@@ -58,7 +58,7 @@ def format_value(v) -> str:
 
 
 def write_csv(path, metadata: dict, header: list[str], rows: list[list]) -> str:
-    """Serialize and (optionally) write one CSV; returns its text."""
+    """Serialize and (optionally) write one CSV; returns its text.  ConfigError if unwritable."""
     buf = io.StringIO()
     for key, value in metadata.items():
         buf.write(f"# {key}={value}\n")
@@ -68,8 +68,11 @@ def write_csv(path, metadata: dict, header: list[str], rows: list[list]) -> str:
     text = buf.getvalue()
     if path is not None:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(text.encode("utf-8"))
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(text.encode("utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     return text
 
 

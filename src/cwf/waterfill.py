@@ -157,7 +157,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-#: search cap: on-probability below 1e-3/S contributes nothing at desk scale
+#: first search cap: on-probability below 1e-3/S contributes nothing at desk scale
 def _threshold_cap(s_count: int) -> float:
     return math.log(1000.0 * s_count)
 
@@ -175,21 +175,27 @@ def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
 
     Coarse grid (step 0.01) over [0, ln(1000*S)] in array calls of at most
     `_GRID_ELEMENTS` (term x threshold) elements (one call for S <= 8), then
-    golden-section refinement.  The search's own argmax is reported; the
-    interference-blind threshold is evaluated beside it, so a search that
-    misses the optimum shows as cl_at_multi < cl_at_single.  Every element
-    has its scalar call's bits, and a term a slice skips only drops a +0.0,
-    so the slicing never changes a value.
+    golden-section refinement.  While the argmax is the grid's last point,
+    the cap doubles, up to 708 (q = e^-th stays a normal float a step past
+    it), and the grid is searched again.  The search's own argmax is
+    reported; the interference-blind threshold is evaluated beside it, so a
+    search that misses the optimum shows as cl_at_multi < cl_at_single.
+    Every element has its scalar call's bits, and a term a slice skips only
+    drops a +0.0, so the slicing never changes a value.
     """
-    cap = _threshold_cap(sc.s_count)
-    grid = np.arange(0.0, cap + GRID_STEP, GRID_STEP)
+    cap, limit = _threshold_cap(sc.s_count), math.floor(-math.log(sys.float_info.min))
     objective = lambda g: capacity_lower_bound(float(g), sc, cross_check=False)
     width = max(1, _GRID_ELEMENTS // sc.s_count)
-    values = np.concatenate([capacity_lower_bound(grid[i:i + width], sc, cross_check=False)
-                             for i in range(0, len(grid), width)])
-    if not np.isfinite(values).all():
-        raise QuadratureError("non-finite objective on the threshold grid")
-    best = int(np.argmax(values))
+    while True:
+        grid = np.arange(0.0, cap + GRID_STEP, GRID_STEP)
+        values = np.concatenate([capacity_lower_bound(grid[i:i + width], sc, cross_check=False)
+                                 for i in range(0, len(grid), width)])
+        if not np.isfinite(values).all():
+            raise QuadratureError("non-finite objective on the threshold grid")
+        best = int(np.argmax(values))
+        if best < len(grid) - 1 or cap >= limit:
+            break
+        cap = min(2.0 * cap, limit)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
     gamma_multi = _golden_max(objective, float(lo), float(hi), REFINE_TOL)

@@ -263,6 +263,27 @@ def test_cli_rejects_bad_config(tmp_path):
     assert main(["queue", "--config", str(bad)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("out", [5, ["a"]], ids=["number", "list"])
+def test_cli_rejects_non_string_out(tmp_path, capsys, out):
+    # the schema never checked `out`: pathlib raised a TypeError traceback (exit 1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**default_config("thm1_sweep").to_dict(), "out": out}))
+    assert main(["thm1", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [f"config error: out must be a path string, "
+                                                    f"got {out!r}"]
+
+
+@pytest.mark.parametrize("argv", [["thm1"], ["validate", "--criteria", "2"]],
+                         ids=["sweep", "validate"])
+def test_cli_rejects_an_unwritable_out(tmp_path, capsys, argv):
+    # a regular file where a directory should be: FileExistsError after the whole run (exit 1)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "x.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot write {out}: ")
+
+
 def test_cli_rejects_kind_mismatch(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "thm1_sweep", "snr_db": [0.0],

@@ -397,6 +397,79 @@ def test_queue_names_an_interval_count_beyond_int64():
         queue_vlsf_lengths(qs)
 
 
+def _reference_queue_vlsf_lengths(qs: QueueScenario):
+    """The per-user loop that `queue_vlsf_lengths` replaced, kept verbatim as
+    the bit-for-bit reference of its array form."""
+    sc = qs.base
+    s_total = sc.s_count
+    g = sc.thresholds
+    stops, caps = phase_lengths(g, np.full(s_total, sc.power), 1)
+    prefix = np.concatenate([[0.0], stops])  # l'_0 = 0
+
+    r = int(np.searchsorted(prefix[1:], qs.t_sub, side="left"))  # largest s with l'_s < t_sub
+    if r == s_total:
+        info = float(g[-1])  # every threshold is crossed inside one interval
+    else:
+        info = float(caps[r] * (qs.t_sub - prefix[r]) + (g[r - 1] if r else 0.0))
+    if info <= 0.0:
+        raise ValueError(f"no per-interval progress possible (I={info})")
+
+    full = np.zeros(s_total, dtype=np.int64)
+    leftover = np.zeros(s_total)
+    stage = np.zeros(s_total, dtype=np.int64)
+    lengths = np.empty(s_total)
+    for s in range(1, s_total + 1):
+        if s <= r:
+            c_s, b_s = 0, float(g[s - 1])
+        else:
+            c_s = g[s - 1] // info  # a float: full_intervals stores it as int64
+            if not c_s < 2.0**63:
+                raise ValueError(f"t_sub {qs.t_sub} needs {c_s:.3g} full intervals, beyond 2^63")
+            b_s = float(g[s - 1] - c_s * info)
+        r_s = int(np.searchsorted(g, b_s, side="left"))  # largest t with g_t < b_s
+        full[s - 1], leftover[s - 1], stage[s - 1] = c_s, b_s, r_s
+        rem = (b_s - (g[r_s - 1] if r_s else 0.0)) / caps[r_s]
+        lengths[s - 1] = c_s * qs.t_sub + rem + prefix[r_s]
+    return r, info, full, leftover, stage, lengths
+
+
+@st.composite
+def _queue_scenarios(draw):
+    """Tied or spread payloads, and an interval at, just below or just above
+    a stop l'_s, or at a fraction of the last stop."""
+    s_count = draw(st.integers(1, 8))
+    base = draw(st.floats(2.0, 2000.0))
+    if draw(st.booleans()):
+        payloads = [base] * s_count
+    else:
+        payloads = sorted(draw(st.lists(st.floats(2.0, 2000.0), min_size=s_count,
+                                        max_size=s_count)))
+    sc = AwgnScenario(payloads, 10.0 ** draw(st.floats(-2.0, 2.0)))
+    stops = awgn_vlsf_lengths(sc)
+    kind = draw(st.sampled_from(["at", "below", "above", "fraction"]))
+    if kind == "fraction":
+        t_sub = max(1.0, draw(st.floats(0.01, 2.0)) * stops[-1])
+    else:
+        t_sub = float(stops[draw(st.integers(0, s_count - 1))])
+        t_sub = {"at": t_sub, "below": np.nextafter(t_sub, 0.0),
+                 "above": np.nextafter(t_sub, np.inf)}[kind]
+    return QueueScenario(sc, max(1.0, float(t_sub)))
+
+
+@given(_queue_scenarios())
+@settings(max_examples=300, deadline=None)
+def test_queue_breakdown_matches_the_per_user_loop_bit_for_bit(qs):
+    br = queue_vlsf_lengths(qs)
+    r, info, full, leftover, stage, lengths = _reference_queue_vlsf_lengths(qs)
+    assert (type(br.r), br.r) == (int, r)
+    assert (type(br.info_per_interval), br.info_per_interval.hex()) == (float, info.hex())
+    for got, want in [(br.full_intervals, full), (br.leftover_nats, leftover),
+                      (br.leftover_stage, stage), (br.lengths, lengths)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        hexed = lambda a: [v.hex() if isinstance(v, float) else v for v in a.tolist()]
+        assert hexed(got) == hexed(want)
+
+
 # ------------------------------------------------------------- fading coeffs
 
 def test_fading_coeffs_frozen_values():

@@ -161,13 +161,28 @@ def test_optimize_threshold_single_user_exists():
 
 
 def test_optimize_threshold_reports_its_own_argmax():
-    # at -3000 dB the optimum lies beyond the grid's end ln(1000 S): the search stops
-    # there and reports it, below the blind threshold, instead of substituting it
+    # at -3000 dB the optimum lies far beyond the first grid's end ln(1000 S) = 6.91:
+    # the grid doubles until its argmax is interior, and the search's own argmax
+    # scores above the blind threshold
     res = optimize_threshold(FastFadingScenario(1, 1e-300))
-    assert res.gamma_multi == pytest.approx(6.91, abs=1e-5)
+    assert res.gamma_multi == pytest.approx(678.43, abs=0.01)
     assert res.gamma_single == pytest.approx(684.25, abs=0.01)
-    assert res.cl_at_multi == pytest.approx(7.91e-300, rel=1e-3)
+    assert res.cl_at_multi == pytest.approx(6.784e-298, rel=1e-3)
     assert res.cl_at_single == pytest.approx(4.748e-298, rel=1e-3)
+    assert res.cl_at_multi >= res.cl_at_single
+
+
+@pytest.mark.parametrize("s_count", [1, 4])
+@pytest.mark.parametrize("snr_db", [-57.0, -65.0])
+def test_optimize_threshold_searches_past_an_argmax_at_the_grid_end(s_count, snr_db):
+    # the first grid ends at ln(1000 S), 6.91 at S = 1 and 8.29 at S = 4, below the
+    # optimum here; stopping there scored below the blind threshold at S = 1
+    sc = FastFadingScenario(s_count, 10.0 ** (snr_db / 10.0))
+    res = optimize_threshold(sc)
+    assert res.gamma_multi > _threshold_cap(s_count) + GRID_STEP
+    assert res.cl_at_multi >= res.cl_at_single
+    for step in (-GRID_STEP, GRID_STEP):
+        assert capacity_lower_bound(res.gamma_multi + step, sc) <= res.cl_at_multi
 
 
 @pytest.mark.parametrize("s_count,power,want", [
