@@ -44,17 +44,18 @@ not use, so neither look-ahead nor blocks ever change a result.
 A simulator is one function of one trial's stream that returns the
 trial's row: its stops and cap flags for a walk, (error, capped) for the
 error-rate check.  `_fan_out` runs it on every CPU the process may use
-(`WORKERS`): it splits the trials into contiguous ranges, builds every
-trial's stream handle in the calling process, runs all ranges but the
-last in forked children (each keys its own copy of the shared Philox) and
-the last itself, and stacks the rows in trial order.  Stops are averaged
-as one block and flags and errors summed, so results never depend on the
-worker count.
-Every child is reaped before the call returns.  A call whose trials are
-expected to draw fewer than `_MIN_SHARED_NORMALS` normals (each simulator
-predicts its draws from its analytic lengths) runs in the caller alone.
-Where POSIX fork is missing, `WORKERS` is 1 and the trials run in the
-caller.
+(`WORKERS`) inside a session (`run_session`): the session forks
+`WORKERS` - 1 workers once, and each runs the same sequence of simulator
+calls as the caller.  Each call splits its trials into contiguous ranges:
+a worker runs its range and sends the rows down its pipe, the caller runs
+the last range, builds every trial's stream handle, and stacks the rows in
+trial order.  Stops are averaged as one block and flags and errors summed, so
+results never depend on the worker count.  A walk sweep runs all its
+points in one session; a call outside one forks only when its trials are
+expected to draw at least `_MIN_SHARED_NORMALS` normals (each simulator
+predicts its draws from its analytic lengths), as a session of one call.
+Every worker is reaped before its session returns or raises.  Where POSIX
+fork is missing, `WORKERS` is 1 and the trials run in the caller.
 
 Each simulator caps its trials at `CAP_FACTOR` times its analytic
 prediction: the slowest `phase_lengths` stop for `simulate_cell`, the
@@ -95,9 +96,10 @@ BLOCK = 1 << 16
 WORKERS = (len(os.sched_getaffinity(0))
            if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
 
-#: a call forks only when its trials are expected to draw at least this many
-#: normals (about 0.1 s of walks on a 2-vCPU Xeon VM); below that the fork, the
-#: child's copy-on-write faults and the reap are a large and unsteady share
+#: a call outside a session forks only when its trials are expected to draw at
+#: least this many normals (about 0.1 s of walks on a 2-vCPU Xeon VM); below that
+#: the fork, the workers' copy-on-write faults and the reap are a large and
+#: unsteady share
 _MIN_SHARED_NORMALS = 4_000_000
 
 
@@ -116,7 +118,7 @@ class TrialStream:
     made at the first draw.  A stream keys it at its own first draw (counter
     0, empty buffer); when another stream draws, this one's full bit-generator
     state is saved here, if this stream is still referenced, and restored at
-    its next draw.  So any interleaving, in any forked child, gives each
+    its next draw.  So any interleaving, in any forked worker, gives each
     stream its own Philox sequence, and building one costs no Philox.  The
     swap takes no lock: streams are for one thread.
     """
@@ -346,11 +348,42 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
     return stop, ~done
 
 
-def _fork(work, rngs: list):
-    """Start a child that runs `work` on the streams `rngs`, in order, pickles
-    the result (or the exception it raised) into a pipe and exits; returns
-    (pid, read end).  The child lets go of each stream as it hands it out, so
-    a finished stream and the state it saved are freed."""
+class _Handed(BaseException):
+    """Ends a worker's part of one call once it has sent its rows."""
+
+
+#: the open session, or None: (None, [(pid, read end) of each worker]) in the
+#: caller, (rank, write end) in worker `rank`
+_session = None
+
+
+def _run_calls(calls) -> list:
+    """Each call's result in order; a worker's calls end at `_Handed`."""
+    results = []
+    for call in calls:
+        try:
+            results.append(call())
+        except _Handed:
+            results.append(None)
+    return results
+
+
+def _send(outcome) -> None:
+    """Pickle a worker's (ok, rows or exception) down its pipe."""
+    try:
+        data = pickle.dumps(outcome)
+    except Exception:  # an unpicklable exception
+        data = pickle.dumps((False, RuntimeError(
+            f"trial worker {os.getpid()}: unpicklable outcome {outcome[1]!r}")))
+    _session[1].write(data)
+    _session[1].flush()
+
+
+def _fork(calls, rank: int):
+    """Start worker `rank` of a session, which runs `calls` as the caller
+    does and exits; returns (pid, read end of its pipe).  An exception the
+    worker raises is sent down the pipe, in place of that call's rows."""
+    global _session
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -361,75 +394,90 @@ def _fork(work, rngs: list):
     if pid:
         os.close(write)
         return pid, os.fdopen(read, "rb")
-    try:  # child: never returns to the caller's stack
+    try:  # worker: never returns to the caller's stack
         os.close(read)
-        rngs.reverse()
+        _session = (rank, os.fdopen(write, "wb"))
         try:
-            outcome = (True, work(rngs.pop() for _ in range(len(rngs))))
-        except BaseException as exc:  # handed to the parent, which re-raises it
+            _run_calls(calls)
+        except BaseException as exc:  # handed to the caller, which re-raises it
             if hasattr(exc, "add_note"):  # Python >= 3.11
                 exc.add_note(f"raised in trial worker {os.getpid()}:\n{traceback.format_exc()}")
-            outcome = (False, exc)
-        try:
-            data = pickle.dumps(outcome)
-        except Exception:  # an unpicklable result or exception
-            data = pickle.dumps((False, RuntimeError(
-                f"trial worker {os.getpid()}: unpicklable outcome {outcome[1]!r}")))
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(data)
+            _send((False, exc))
     finally:
         os._exit(0)
+
+
+def run_session(calls) -> list:
+    """Run `calls`, simulator calls that take no arguments, in order in this
+    process and return their results, every `_fan_out` among them sharing
+    one set of workers.
+
+    With `WORKERS` > 1 this forks `WORKERS` - 1 workers once, each of which
+    runs the same calls on its own copy of the process; inside a session
+    nothing forks again, and calls made in one join it.  Every worker is
+    killed and reaped before this returns or raises, so no process outlives
+    the session.
+    """
+    global _session
+    if _session is not None or WORKERS == 1:
+        return _run_calls(calls)
+    workers = []
+    try:
+        for rank in range(WORKERS - 1):
+            workers.append(_fork(calls, rank))
+        _session = (None, workers)
+        return _run_calls(calls)
+    finally:
+        _session = None
+        for pid, pipe in workers:  # a worker whose rows were all read has nothing left to do
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _fan_out(plan: TrialPlan, trial, normals: float) -> np.ndarray:
     """Run `trial(rng)` on each of the plan's trial streams and return the
     rows it returns, stacked in trial order as one array.
 
-    A trial is expected to draw `normals` normals.  A call expected to draw
-    fewer than `_MIN_SHARED_NORMALS` runs as one range in the caller; any
-    other splits into min(WORKERS, trials) contiguous ranges.  The split
-    depends on the call alone, never on timing, so which trials the caller
-    runs is the same on every run.  The caller builds every stream through
-    `streams(plan, 1)`, so trial i runs on the same stream whoever runs it.
-    A stream is a (seed, i) handle, keyed on the process's shared Philox at
-    its first draw, so a child draws its handles on its own copy of that
-    Philox and building a range costs no Philox.  Each range but the last
-    is built, handed to a forked child and dropped; the caller then runs
-    the last range on streams built as it goes, and reads the children's
-    pipes in order.  A child's exception is re-raised here with its own
-    type.  Every child is reaped before this returns or raises, so no
-    process outlives the call.
+    Inside a session (`run_session`) the trials split into min(WORKERS,
+    trials) contiguous ranges: worker r runs range r and sends its rows down
+    its pipe without waiting, the caller runs the last range and then reads
+    the workers' rows of this call in order.  Outside a session a call runs
+    as one range in the caller, unless its trials are expected to draw at
+    least `_MIN_SHARED_NORMALS` normals (`normals` per trial): then it runs
+    as a session of its own.  The split depends on the call alone, never on
+    timing.  The caller builds every stream through `streams(plan, 1)`, so
+    trial i runs on stream (seed, i) whoever runs it; a stream is keyed on
+    the process's shared Philox at its first draw, so a handle the caller
+    only builds costs no Philox.  A worker's exception is re-raised here
+    with its own type, and a worker that dies raises `ChildProcessError`.
     """
-    def work(rngs):  # one range, in a child or in the caller
-        return np.array([trial(rng) for rng in rngs])
-
-    ranges = min(WORKERS, plan.trials) if plan.trials * normals >= _MIN_SHARED_NORMALS else 1
+    if _session is None and WORKERS > 1 and plan.trials * normals >= _MIN_SHARED_NORMALS:
+        return run_session([lambda: _fan_out(plan, trial, normals)])[0]
+    rank, channel = _session or (None, [])
+    ranges = 1 if _session is None else min(WORKERS, plan.trials)
+    if rank is not None and rank >= ranges - 1:
+        raise _Handed  # the caller runs the last range; this worker has none here
+    mine = ranges - 1 if rank is None else rank
     bounds = [plan.trials * r // ranges for r in range(ranges + 1)]
-    rngs = (rng for rng, _ in streams(plan, 1))
-    children = []  # (pid, read end) of every unreaped child, in trial order
-    try:
-        for lo, hi in zip(bounds[:-2], bounds[1:-1]):
-            children.append(_fork(work, list(itertools.islice(rngs, hi - lo))))
-        last = work(rngs)
-        rows = []
-        while children:
-            pid, pipe = children[0]
-            data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
+    rngs = itertools.islice(streams(plan, 1), bounds[mine], bounds[mine + 1])
+    rows = np.array([trial(rng) for rng, _ in rngs])
+    if rank is not None:
+        _send((True, rows))
+        raise _Handed
+    parts = []
+    for pid, pipe in channel[:ranges - 1]:
+        try:
+            ok, value = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            channel.remove((pid, pipe))
             pipe.close()
-            if not data:
-                raise ChildProcessError(f"trial worker {pid} died (wait status {status})")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            rows.append(value)
-        return np.concatenate(rows + [last])
-    finally:
-        for pid, pipe in children:  # only after a failure
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            status = os.waitpid(pid, 0)[1]
+            raise ChildProcessError(f"trial worker {pid} died (wait status {status})") from None
+        if not ok:
+            raise value
+        parts.append(value)
+    return np.concatenate(parts + [rows])
 
 
 def _run_trials(plan: TrialPlan, trial, lengths, dims: int) -> StoppingOutcome:

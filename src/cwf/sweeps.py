@@ -37,6 +37,7 @@ from .lengths import (
 from .quadrature import QuadratureError
 from .simulate import (
     TrialPlan,
+    run_session,
     simulate_awgn_multiuser,
     simulate_queue,
     simulate_rayleigh_block_fading,
@@ -108,18 +109,18 @@ def _solved(points) -> list:
 
 def _walk_rows(cfg: ExperimentConfig, s: int, points) -> list:
     """Rows of a walk sweep: each point's analytic cells from `points`, all
-    solved first, then `simulate(plan)`'s cells under `_sim_header`."""
-    rows = []
-    for index, (cells, simulate) in enumerate(_solved(points)):
-        if cfg.trials > 0:
-            seed = point_seed(cfg.resolved_seed, index)
-            outcome = simulate(TrialPlan(cfg.trials, seed))
-            cells += [*outcome.mean, *outcome.ci95, *outcome.cap_hits, outcome.cap_flagged,
-                      cfg.trials, seed]
-        else:
-            cells += [None] * (3 * s + 3)
-        rows.append(cells)
-    return rows
+    solved first, then `simulate(plan)`'s cells under `_sim_header`.  The
+    points' simulator calls run in one session (`simulate.run_session`), so
+    the sweep forks its workers once."""
+    solved = _solved(points)
+    if cfg.trials <= 0:
+        return [cells + [None] * (3 * s + 3) for cells, _ in solved]
+    seeds = [point_seed(cfg.resolved_seed, index) for index in range(len(solved))]
+    outcomes = run_session([partial(simulate, TrialPlan(cfg.trials, seed))
+                            for (_, simulate), seed in zip(solved, seeds)])
+    return [cells + [*outcome.mean, *outcome.ci95, *outcome.cap_hits, outcome.cap_flagged,
+                     cfg.trials, seed]
+            for (cells, _), outcome, seed in zip(solved, outcomes, seeds)]
 
 
 def run_thm1_sweep(cfg: ExperimentConfig, out=None):

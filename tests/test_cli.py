@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import runpy
 import subprocess
 import sys
@@ -168,6 +169,55 @@ def test_walk_sweep_lengths_are_idled_closed_forms(sub, epsilon):
             format_value((1.0 - epsilon) * v) for v in free]
         if sub == "thm1":  # the raw columns carry no idling
             assert [row[f"vlsf_raw_len_{u}"] for u in users] == [format_value(v) for v in free]
+
+
+@pytest.mark.parametrize("run,trials", [
+    (run_thm1_sweep, 10), (run_queue_sweep, 10), (run_fading_sweep, 2)])
+def test_walk_sweeps_fork_once_and_do_not_depend_on_worker_count(monkeypatch, run, trials):
+    # every point's calls share one session: WORKERS - 1 forks per sweep, and
+    # rows merged in trial order give the same bytes at any worker count
+    from cwf import simulate
+
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    cfg = default_config(run.__name__[len("run_"):]).override(trials=trials, seed=7)
+    texts = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "WORKERS", workers)
+        forks.clear()
+        texts.append(run(cfg)[0])
+        assert len(forks) == workers - 1
+    assert texts[0] == texts[1] == texts[2]
+
+
+def _die(code):
+    os._exit(code)
+
+
+@pytest.mark.parametrize("who,fault,error", [
+    ("worker", lambda: 1 / 0, ZeroDivisionError),  # re-raised with its own type
+    ("worker", lambda: _die(3), ChildProcessError),
+    ("caller", lambda: 1 / 0, ZeroDivisionError),
+], ids=["worker_raises", "worker_dies", "caller_raises"])
+def test_a_walk_sweep_failing_mid_way_leaves_no_child(monkeypatch, who, fault, error):
+    from cwf import simulate, sweeps
+
+    monkeypatch.setattr(simulate, "WORKERS", 3)
+    caller, calls = os.getpid(), []
+
+    def failing(sc, plan):
+        calls.append(plan.seed)
+        if len(calls) == 4 and (os.getpid() == caller) == (who == "caller"):
+            fault()
+        return simulate.simulate_awgn_multiuser(sc, plan)
+
+    monkeypatch.setattr(sweeps, "simulate_awgn_multiuser", failing)
+    with pytest.raises(error):
+        run_thm1_sweep(default_config("thm1_sweep").override(trials=20, seed=7))
+    assert len(calls) == 4  # the caller stops at the fourth point
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_waterfill_sweep_ordering_columns():

@@ -3,6 +3,7 @@ import os
 import time
 import tracemalloc
 import weakref
+from functools import partial
 
 import hypothesis.strategies as st
 import numpy as np
@@ -423,6 +424,60 @@ def test_fan_out_reports_a_worker_that_died(indexed_fan_out):
 
     with pytest.raises(ChildProcessError, match="died"):
         indexed_fan_out(6, trial)
+    _no_child_left()
+
+
+@pytest.fixture
+def indexed_session(monkeypatch):
+    """One session over three workers that runs `_fan_out` once per point,
+    each stream replaced by its trial index and each trial called as
+    `trial(point, index)`; returns the runner and the caller's fork log."""
+    monkeypatch.setattr(simulate, "WORKERS", 3)
+    monkeypatch.setattr(simulate, "trial_stream", lambda seed, index: index)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def run(trial, trials=(6, 6, 2, 6)):
+        return simulate.run_session([partial(simulate._fan_out, TrialPlan(n, 1),
+                                             partial(trial, point), 0.0)
+                                     for point, n in enumerate(trials)])
+
+    return run, forks
+
+
+def test_a_session_forks_once_for_all_its_calls(indexed_session):
+    run, forks = indexed_session
+    calls = run(lambda point, index: (point, index, os.getpid()))
+    assert len(forks) == 2  # WORKERS - 1, however many calls
+    workers = None
+    for point, rows in enumerate(calls):
+        assert rows[:, 0].tolist() == [point] * len(rows)
+        assert rows[:, 1].tolist() == list(range(len(rows)))
+        assert rows[-1, 2] == os.getpid()  # the caller runs the last range
+        if len(rows) == 6:
+            assert _ranges(rows[:, 1:]) == [[0, 1], [2, 3], [4, 5]]
+            workers = workers or list(dict.fromkeys(rows[:4, 2]))
+            assert list(dict.fromkeys(rows[:4, 2])) == workers  # the same two workers
+        else:
+            assert _ranges(rows[:, 1:]) == [[0], [1]]  # the second worker sits this one out
+    _no_child_left()
+
+
+def test_a_session_kills_every_worker_when_the_caller_fails(indexed_session):
+    run, _ = indexed_session
+
+    def trial(point, index):
+        if (point, index) == (1, 4):  # the caller's own range of the second call
+            raise WorkerFailure("caller")
+        if point == 3:
+            time.sleep(60)  # the workers, running ahead, would outlive the session
+        return index
+
+    start = time.monotonic()
+    with pytest.raises(WorkerFailure, match="caller"):
+        run(trial)
+    assert time.monotonic() - start < 30
     _no_child_left()
 
 
