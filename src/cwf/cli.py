@@ -45,10 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_criteria(text: str) -> list[int]:
-    if not re.fullmatch(r"(10,)*[1-9](,(10|[1-9]))*", text):  # 10 alone would rerun nothing
-        raise ConfigError(f"--criteria takes comma-separated indices in 1..10, at least one "
-                          f"below 10, got {text!r}")
-    return [int(i) for i in text.split(",")]
+    from .validate import criteria_selection  # the one rule for which indices run
+
+    try:
+        if not re.fullmatch(r"[1-9][0-9]*(,[1-9][0-9]*)*", text):
+            raise ConfigError("not comma-separated indices")
+        return sorted(criteria_selection([int(i) for i in text.split(",")]))
+    except ConfigError as exc:
+        raise ConfigError(f"--criteria {text!r}: {exc}") from None
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -67,9 +71,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         if cfg.kind == "validate":
-            criteria = None if args.criteria is None else _parse_criteria(args.criteria)
             from .validate import run_validate
 
+            criteria = None if args.criteria is None else _parse_criteria(args.criteria)
             out = cfg.out or "validate_report.csv"
             _, all_passed, _ = run_validate(cfg.resolved_seed, out, criteria=criteria)
             print(f"report written to {out}")

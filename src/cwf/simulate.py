@@ -44,18 +44,16 @@ not use, so neither look-ahead nor blocks ever change a result.
 A simulator is one function of one trial's stream that returns the
 trial's row: its stops and cap flags for a walk, (error, capped) for the
 error-rate check.  `_fan_out` runs it on every CPU the process may use
-(`WORKERS`) inside a session (`run_session`): the session forks
+(`WORKERS`), always inside a session (`run_session`): the session forks
 `WORKERS` - 1 workers once, and each runs the same sequence of simulator
 calls as the caller.  Each call splits its trials into contiguous ranges:
 a worker runs its range and sends the rows down its pipe, the caller runs
 the last range, builds every trial's stream handle, and stacks the rows in
 trial order.  Stops are averaged as one block and flags and errors summed, so
 results never depend on the worker count.  A walk sweep runs all its
-points in one session; a call outside one forks only when its trials are
-expected to draw at least `_MIN_SHARED_NORMALS` normals (each simulator
-predicts its draws from its analytic lengths), as a session of one call.
-Every worker is reaped before its session returns or raises.  Where POSIX
-fork is missing, `WORKERS` is 1 and the trials run in the caller.
+points in one session; a call outside a sweep is a session of one call.
+Every worker is reaped before its session returns or raises.  Without POSIX
+fork, `WORKERS` is 1 and a session has no workers.
 
 Each simulator caps its trials at `CAP_FACTOR` times its analytic
 prediction: the slowest `phase_lengths` stop for `simulate_cell`, the
@@ -95,12 +93,6 @@ BLOCK = 1 << 16
 #: trial ranges a walk runs at once, one per usable CPU; 1 without POSIX fork
 WORKERS = (len(os.sched_getaffinity(0))
            if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
-
-#: a call outside a session forks only when its trials are expected to draw at
-#: least this many normals (about 0.1 s of walks on a 2-vCPU Xeon VM); below that
-#: the fork, the workers' copy-on-write faults and the reap are a large and
-#: unsteady share
-_MIN_SHARED_NORMALS = 4_000_000
 
 
 def point_seed(parent: int, index: int) -> int:
@@ -412,14 +404,14 @@ def run_session(calls) -> list:
     process and return their results, every `_fan_out` among them sharing
     one set of workers.
 
-    With `WORKERS` > 1 this forks `WORKERS` - 1 workers once, each of which
-    runs the same calls on its own copy of the process; inside a session
-    nothing forks again, and calls made in one join it.  Every worker is
-    killed and reaped before this returns or raises, so no process outlives
-    the session.
+    This forks `WORKERS` - 1 workers once (none when `WORKERS` is 1), each
+    of which runs the same calls on its own copy of the process; inside a
+    session nothing forks again, and calls made in one join it.  Every
+    worker is killed and reaped before this returns or raises, so no process
+    outlives the session.
     """
     global _session
-    if _session is not None or WORKERS == 1:
+    if _session is not None:
         return _run_calls(calls)
     workers = []
     try:
@@ -435,27 +427,25 @@ def run_session(calls) -> list:
             os.waitpid(pid, 0)
 
 
-def _fan_out(plan: TrialPlan, trial, normals: float) -> np.ndarray:
+def _fan_out(plan: TrialPlan, trial) -> np.ndarray:
     """Run `trial(rng)` on each of the plan's trial streams and return the
     rows it returns, stacked in trial order as one array.
 
-    Inside a session (`run_session`) the trials split into min(WORKERS,
-    trials) contiguous ranges: worker r runs range r and sends its rows down
-    its pipe without waiting, the caller runs the last range and then reads
-    the workers' rows of this call in order.  Outside a session a call runs
-    as one range in the caller, unless its trials are expected to draw at
-    least `_MIN_SHARED_NORMALS` normals (`normals` per trial): then it runs
-    as a session of its own.  The split depends on the call alone, never on
+    The call runs in a session (`run_session`), a session of its own when
+    none is open.  Its trials split into min(WORKERS, trials) contiguous
+    ranges: worker r runs range r and sends its rows down its pipe without
+    waiting, the caller runs the last range and then reads the workers' rows
+    of this call in order.  The split depends on the call alone, never on
     timing.  The caller builds every stream through `streams(plan, 1)`, so
     trial i runs on stream (seed, i) whoever runs it; a stream is keyed on
     the process's shared Philox at its first draw, so a handle the caller
     only builds costs no Philox.  A worker's exception is re-raised here
     with its own type, and a worker that dies raises `ChildProcessError`.
     """
-    if _session is None and WORKERS > 1 and plan.trials * normals >= _MIN_SHARED_NORMALS:
-        return run_session([lambda: _fan_out(plan, trial, normals)])[0]
-    rank, channel = _session or (None, [])
-    ranges = 1 if _session is None else min(WORKERS, plan.trials)
+    if _session is None:
+        return run_session([lambda: _fan_out(plan, trial)])[0]
+    rank, channel = _session
+    ranges = min(WORKERS, plan.trials)
     if rank is not None and rank >= ranges - 1:
         raise _Handed  # the caller runs the last range; this worker has none here
     mine = ranges - 1 if rank is None else rank
@@ -480,17 +470,15 @@ def _fan_out(plan: TrialPlan, trial, normals: float) -> np.ndarray:
     return np.concatenate(parts + [rows])
 
 
-def _run_trials(plan: TrialPlan, trial, lengths, dims: int) -> StoppingOutcome:
+def _run_trials(plan: TrialPlan, trial) -> StoppingOutcome:
     """Run the walk `trial(rng)`, which returns its (stops, capped) row, on
     each trial's own stream and average the stops.
 
-    `lengths` are the users' predicted stopping times in symbols of `dims`
-    real dimensions; a walk draws 2 normals per active user and dimension,
-    so they predict its work.  The rows of all trials come back in trial
-    order (`_fan_out`); their stops are averaged as one block and their cap
-    flags summed, so the result does not depend on the worker count.
+    The rows of all trials come back in trial order (`_fan_out`); their
+    stops are averaged as one block and their cap flags summed, so the
+    result does not depend on the worker count.
     """
-    rows = _fan_out(plan, trial, 2.0 * dims * np.sum(lengths))
+    rows = _fan_out(plan, trial)
     est = estimate([rows[:, 0]])
     return StoppingOutcome(est.mean, est.se, est.trials, cap_hits=rows[:, 1].sum(axis=0))
 
@@ -498,12 +486,11 @@ def _run_trials(plan: TrialPlan, trial, lengths, dims: int) -> StoppingOutcome:
 def simulate_cell(thresholds, rx, dims: int, plan: TrialPlan) -> StoppingOutcome:
     """Coupled stopping times of users with fixed received powers, in any
     order; means follow the input order.  `lengths.phase_lengths` on the same
-    inputs checks them and predicts the work, and a trial is capped at
-    `CAP_FACTOR` times the slowest predicted stop."""
+    inputs checks them, and a trial is capped at `CAP_FACTOR` times the
+    slowest predicted stop."""
     thresholds, rx = np.asarray(thresholds, dtype=float), np.asarray(rx, dtype=float)
-    stops = phase_lengths(thresholds, rx, dims)[0]
-    cap = int(CAP_FACTOR * stops.max())
-    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, dims, cap), stops, dims)
+    cap = int(CAP_FACTOR * phase_lengths(thresholds, rx, dims)[0].max())
+    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, dims, cap))
 
 
 def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcome:
@@ -544,7 +531,7 @@ def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: flo
         rx = power * np.sort(rng.standard_exponential(s_count))[::-1]
         return _walk_trial(rng, thresholds, rx, 2, cap)
 
-    return _run_trials(plan, trial, typical, 2)
+    return _run_trials(plan, trial)
 
 
 def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
@@ -556,6 +543,9 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     queued packet the moment one finishes.  The recorded time per user is
     the completion of its first (tagged) message.  A trial is capped at
     `CAP_FACTOR` times the slowest queued length, whatever `t_sub`.
+    A light user that misses a boundary restarts from zero, whereas
+    `queue_vlsf_lengths` assumes it never misses one, so the walk is slower
+    than the formula where a light user's length sits just below `t_sub`.
     """
     sc = qs.base
     s_total = sc.s_count
@@ -567,7 +557,7 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     last = breakdown.lengths.max()
     cap = int(CAP_FACTOR * last)
     return _run_trials(plan, lambda rng: _walk_trial(
-        rng, thresholds, rx, 1, cap, qs.t_sub, congested), [last] * s_total, 1)
+        rng, thresholds, rx, 1, cap, qs.t_sub, congested))
 
 
 def simulate_error_probability(payload_bits: float, snr: float,
@@ -621,10 +611,7 @@ def simulate_error_probability(payload_bits: float, snr: float,
                 return True, not crossed
         return False, not crossed
 
-    # the truth draws 2 normals per symbol and each competitor 1, for about
-    # threshold / rate symbols
-    errors, cap_hits = _fan_out(plan, trial, (competitors + 2) * threshold / rate).sum(
-        axis=0).tolist()
+    errors, cap_hits = _fan_out(plan, trial).sum(axis=0).tolist()
     return ErrorRateEstimate(errors=errors, trials=plan.trials, cap_hits=cap_hits)
 
 

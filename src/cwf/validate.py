@@ -23,7 +23,7 @@ import scipy  # scipy.special loads on first attribute access, not at import
 
 from . import __version__
 from .channel import LN2, capacity, sinr_awgn
-from .config import DEFAULT_VALIDATE_SEED, point_seed
+from .config import DEFAULT_VALIDATE_SEED, ConfigError, point_seed
 from .lengths import (
     AwgnScenario,
     QueueScenario,
@@ -268,6 +268,14 @@ _CRITERIA = {
 }
 
 
+def criteria_selection(criteria=None) -> set[int]:
+    """The criterion indices a run covers, all by default: each in 1..10, one below 10."""
+    selection = set(range(1, 11) if criteria is None else criteria)
+    if not (selection <= set(range(1, 11)) and selection - {10}):  # 10 only reruns the others
+        raise ConfigError(f"criteria are indices in 1..10, at least one below 10, got {criteria!r}")
+    return selection
+
+
 def _run_once(seed: int, selection) -> tuple[list[CriterionResult], list[str]]:
     """Results of the selected criteria, and a line for each over its cap."""
     results, overruns = [], []
@@ -298,7 +306,7 @@ def run_validate(seed: int = DEFAULT_VALIDATE_SEED, out_path=None, *, criteria=N
     longer than its `RUNTIME_CAPS` bound in either pass; its row keeps the
     check's verdict.
     """
-    selection = set(criteria) if criteria is not None else set(range(1, 11))
+    selection = criteria_selection(criteria)
     wanted = sorted(selection - {10})
 
     start = time.perf_counter()

@@ -47,7 +47,6 @@ def test_traced_forked_error_rate_counts_every_stream(monkeypatch):
     from cwf import simulate
 
     tracing = _tracing()
-    monkeypatch.setattr(simulate, "_MIN_SHARED_NORMALS", 0)
     monkeypatch.setattr(simulate, "WORKERS", 2)
     forks = []
     fork = os.fork

@@ -686,6 +686,18 @@ def test_validate_report_file_is_the_returned_text(tmp_path):
         "criterion,name,expected,observed,tolerance,verdict"]
 
 
+@pytest.mark.parametrize("criteria", [[], [0], [11], [10], [10, 10], [2, 11]])
+def test_validate_rejects_a_selection_outside_its_criteria(tmp_path, capsys, criteria):
+    # these ran no check, or only the rerun of none, and reported "0/0 criteria passed"
+    from cwf.validate import run_validate
+
+    out = tmp_path / "r.csv"
+    with pytest.raises(ConfigError, match=r"criteria are indices in 1\.\.10, at least one below 10"):
+        run_validate(DEFAULT_VALIDATE_SEED, out, criteria=criteria)
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_validate_seed_change_moves_observations_not_verdicts(tmp_path):
     from cwf.validate import run_validate
 

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import time
 import tracemalloc
 import weakref
@@ -149,7 +150,7 @@ def test_streams_first_drawn_in_a_forked_child_match_philox(shared):
         return np.concatenate([rng.standard_normal(4), rng.standard_exponential(2),
                                rng.standard_normal(3), [os.getpid()]])
 
-    rows = simulate._fan_out(TrialPlan(7, 5), trial, 1e7)
+    rows = simulate._fan_out(TrialPlan(7, 5), trial)
     assert rows.shape == (7, 10)
     assert len(set(rows[:, -1])) == 3  # two children and the caller
     for k, got in enumerate(rows[:, :-1]):
@@ -287,8 +288,7 @@ def test_error_rate_memory_is_bounded_by_competitor_blocks(monkeypatch):
 
 @pytest.fixture
 def shared(monkeypatch):
-    """Set the worker count and fork however little work a call has."""
-    monkeypatch.setattr(simulate, "_MIN_SHARED_NORMALS", 0)
+    """Set the worker count."""
     return lambda workers: monkeypatch.setattr(simulate, "WORKERS", workers)
 
 
@@ -337,11 +337,10 @@ def _no_child_left():
 
 @pytest.fixture
 def indexed_fan_out(monkeypatch):
-    """`_fan_out` over three workers, each stream replaced by its trial index,
-    each trial expected to draw ten million normals."""
+    """`_fan_out` over three workers, each stream replaced by its trial index."""
     monkeypatch.setattr(simulate, "WORKERS", 3)
     monkeypatch.setattr(simulate, "trial_stream", lambda seed, index: index)
-    return lambda trials, trial: simulate._fan_out(TrialPlan(trials, 1), trial, 1e7)
+    return lambda trials, trial: simulate._fan_out(TrialPlan(trials, 1), trial)
 
 
 def _index_and_pid(index):
@@ -363,28 +362,23 @@ def test_fan_out_splits_contiguous_ranges_in_trial_order(indexed_fan_out):
     _no_child_left()
 
 
-def test_fan_out_runs_a_light_call_in_the_caller(monkeypatch):
-    # one normal short of the work that pays for a fork: no child
-    monkeypatch.setattr(simulate, "WORKERS", 3)
-    monkeypatch.setattr(simulate, "trial_stream", lambda seed, index: index)
-    heavy = simulate._MIN_SHARED_NORMALS / 4
-    rows = simulate._fan_out(TrialPlan(4, 1), _index_and_pid, heavy - 1)
-    assert _ranges(rows) == [[0, 1, 2, 3]] and rows[0, 1] == os.getpid()
-    rows = simulate._fan_out(TrialPlan(4, 1), _index_and_pid, heavy)
-    assert len(_ranges(rows)) == 3
-
-
-def test_simulators_fork_only_for_heavy_calls(monkeypatch):
+@pytest.mark.parametrize("call", [
+    lambda: simulate_awgn_multiuser(SC2, TrialPlan(2, 8)),
+    lambda: simulate_error_probability(4.0, 1.0, TrialPlan(2, 8)),
+], ids=["awgn", "error_rate"])
+def test_a_bare_call_of_any_size_is_a_session_of_one_call(monkeypatch, shared, call):
+    # outside a sweep, even a 2-trial call forks WORKERS - 1 workers and reaps them
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(simulate, "WORKERS", 2)
-    light = simulate_awgn_multiuser(SC2, TrialPlan(50, 8))  # about 0.1 M normals
-    assert forks == []
-    monkeypatch.setattr(simulate, "_MIN_SHARED_NORMALS", 0)
-    shared = simulate_awgn_multiuser(SC2, TrialPlan(50, 8))
-    assert forks == [1]
-    assert np.array_equal(shared.mean, light.mean) and np.array_equal(shared.se, light.se)
+    outs = []
+    for workers in (1, 2, 3):
+        shared(workers)
+        forks.clear()
+        outs.append(pickle.dumps(call()))
+        assert len(forks) == workers - 1
+        _no_child_left()
+    assert outs[0] == outs[1] == outs[2]
 
 
 class WorkerFailure(Exception):
@@ -440,7 +434,7 @@ def indexed_session(monkeypatch):
 
     def run(trial, trials=(6, 6, 2, 6)):
         return simulate.run_session([partial(simulate._fan_out, TrialPlan(n, 1),
-                                             partial(trial, point), 0.0)
+                                             partial(trial, point))
                                      for point, n in enumerate(trials)])
 
     return run, forks
