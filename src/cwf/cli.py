@@ -10,7 +10,7 @@ config-file fields; without a config the kind's built-in fields are used.
 `--criteria` runs a subset of the validate criteria, by index (10 is the
 determinism rerun, so it needs at least one index in 1..9).
 
-Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric error.
+Exit codes: 0 success, 1 validation failure, 2 config error.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ import re
 import sys
 
 from .config import KINDS, ConfigError, ExperimentConfig, default_config
-from .quadrature import QuadratureError
 
 SUBCOMMAND_KINDS = {kind.removesuffix("_sweep"): kind for kind in KINDS}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,16 +81,9 @@ def main(argv=None) -> int:
 
         out = cfg.out or f"{cfg.kind}.csv"
         # looked up per call, so a runner rebound on the module is the one run
-        _, failures = getattr(sweeps, f"run_{cfg.kind}")(cfg, out)
-        if failures:
-            print(f"{failures} grid point(s) aborted on numeric errors", file=sys.stderr)
-            print(f"partial results written to {out}")
-            return EXIT_NUMERIC
+        getattr(sweeps, f"run_{cfg.kind}")(cfg, out)
         print(f"results written to {out}")
         return EXIT_OK
-    except QuadratureError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,6 @@
-"""Quadrature helpers for the threshold-capacity integrals.
+"""The numeric oracle of the threshold-capacity integrals (criterion 8 of
+`cwf validate`); `waterfill.capacity_lower_bound` is a closed form and
+integrates nothing.
 
 Two independent routes are provided for integrals of the form
 
@@ -11,10 +13,10 @@ with f a slowly growing log-type factor:
   Gauss-Legendre panels whose widths grow geometrically from `scale`, so a
   branch point of f at distance `scale` below `a` never sits close to a
   panel relative to its width.  `a` and `scale` broadcast, so one call
-  integrates a whole grid of lower limits, at most `_MAX_ROWS` per pass;
-  each panel integrates only the elements whose head is still open.  Each
-  element has its scalar call's bits: every row of nodes is reduced by
-  `np.vecdot`, the same dot routine a scalar call runs on its one row.
+  integrates many lower limits; each panel integrates only the elements
+  whose head is still open.  Each element has its scalar call's bits:
+  every row of nodes is reduced by `np.vecdot`, the same dot routine a
+  scalar call runs on its one row.
 * `adaptive_simpson` - Simpson with Richardson extrapolation (Lyness,
   J. ACM 1969), used as the cross-check on a truncated interval.  It
   refines breadth-first: each level evaluates the two new nodes of every
@@ -30,8 +32,8 @@ nodes `g` of shape `(len(k), n)`, one row of nodes per selected element.
 A per-element parameter `p` of the call's shape therefore enters as
 `p.ravel()[k][:, None]`.
 
-Disagreement between the two routes beyond `AGREE_TOL` raises
-QuadratureError; callers treat that as a numeric failure, not a warning.
+`checked_exp_integral` runs both; a disagreement beyond `AGREE_TOL`
+raises QuadratureError, which criterion 8 reports as a failed row.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ SIMPSON_MAX_DEPTH = 48
 #: open intervals per level beyond which Simpson gives up; bounds the memory
 #: of the breadth-first pass as the depth bounds the recursion's stack
 SIMPSON_MAX_OPEN = 1 << 16
-#: elements one pass of `exp_tail_quadrature` integrates; bounds its node arrays (128 KB each)
-_MAX_ROWS = 256
 
 #: f(g, k): integrand rows g for the elements k of the call (module docstring)
 Integrand = Callable[[np.ndarray, object], np.ndarray]
@@ -78,27 +78,25 @@ def exp_tail_quadrature(f: Integrand, a: float | np.ndarray,
     arrays an array of their broadcast shape.  `scale` should bound the
     distance from `a` to the nearest singularity of f below `a` (use 1.0 for
     smooth integrands).  `f` follows the module's integrand contract and is
-    called on 64 nodes per element, for at most `_MAX_ROWS` elements at once.
+    called on 64 nodes per element.
     """
     a, scale = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(scale, dtype=float))
     if not (np.isfinite(a).all() and np.isfinite(scale).all()):
         raise QuadratureError(f"non-finite lower limit or scale: a={a}, scale={scale}")
+    x, index = a.ravel(), np.arange(a.size)
     total = np.zeros(a.size)
-    for start in range(0, a.size, _MAX_ROWS):
-        index = np.arange(start, min(start + _MAX_ROWS, a.size))
-        x, out = a.flat[index], total[start:start + _MAX_ROWS]
-        # geometric panels covering [x, x + HEAD], each over the still-open elements
-        lo = np.zeros(x.size)
-        width = np.minimum(np.maximum(scale.flat[index], 1e-300), HEAD)
-        while (k := lo < HEAD).any():
-            hi = np.minimum(lo[k] + width[k], HEAD)
-            mid, half = x[k] + 0.5 * (lo[k] + hi), 0.5 * (hi - lo[k])
-            g = mid[:, None] + half[:, None] * _LEG_X
-            out[k] += half * np.vecdot(f(g, index[k]) * np.exp(-g), _LEG_W)
-            lo[k], width[k] = hi, 2.0 * width[k]
-        # shifted Gauss-Laguerre on [x + HEAD, inf)
-        shift = x + HEAD
-        out += np.exp(-shift) * np.vecdot(f(shift[:, None] + _LAG_X, index), _LAG_W)
+    # geometric panels covering [x, x + HEAD], each over the still-open elements
+    lo = np.zeros(x.size)
+    width = np.minimum(np.maximum(scale.ravel(), 1e-300), HEAD)
+    while (k := lo < HEAD).any():
+        hi = np.minimum(lo[k] + width[k], HEAD)
+        mid, half = x[k] + 0.5 * (lo[k] + hi), 0.5 * (hi - lo[k])
+        g = mid[:, None] + half[:, None] * _LEG_X
+        total[k] += half * np.vecdot(f(g, index[k]) * np.exp(-g), _LEG_W)
+        lo[k], width[k] = hi, 2.0 * width[k]
+    # shifted Gauss-Laguerre on [x + HEAD, inf)
+    shift = x + HEAD
+    total += np.exp(-shift) * np.vecdot(f(shift[:, None] + _LAG_X, index), _LAG_W)
     return float(total[0]) if a.ndim == 0 else total.reshape(a.shape)
 
 
@@ -176,30 +174,19 @@ def adaptive_simpson(f: Integrand, a: float | np.ndarray,
     return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
 
-def exp_tail_routes(f: Integrand, a: float | np.ndarray,
-                    scale: float | np.ndarray = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Both routes of the exp-tail integral, as two arrays of the broadcast
-    shape of `a` and `scale`.
-
-    The primary is one array `exp_tail_quadrature` call; the check
-    integrates f(g)*exp(-g) over [a, a + SIMPSON_SPAN] in one
-    `adaptive_simpson` call.
-    """
-    a, scale = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(scale, dtype=float))
-    primary = exp_tail_quadrature(f, a, scale)
-    check = adaptive_simpson(lambda g, k: f(g, k) * np.exp(-g), a, a + SIMPSON_SPAN)
-    return np.asarray(primary), np.asarray(check)
-
-
 def checked_exp_integral(f: Integrand, a: float | np.ndarray,
                          scale: float | np.ndarray = 1.0) -> np.ndarray:
     """Primary exp-tail quadrature with an adaptive-Simpson cross-check.
 
-    Returns the primary values, one per element of the broadcast `a` and
-    `scale`; raises QuadratureError if the two routes differ by more than
-    `AGREE_TOL` anywhere.
+    The primary is one array `exp_tail_quadrature` call; the check
+    integrates f(g)*exp(-g) over [a, a + SIMPSON_SPAN] in one
+    `adaptive_simpson` call.  Returns the primary values, one per element of
+    the broadcast `a` and `scale`; raises QuadratureError if the two routes
+    differ by more than `AGREE_TOL` anywhere.
     """
-    primary, check = exp_tail_routes(f, a, scale)
+    a, scale = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(scale, dtype=float))
+    primary = np.asarray(exp_tail_quadrature(f, a, scale))
+    check = np.asarray(adaptive_simpson(lambda g, k: f(g, k) * np.exp(-g), a, a + SIMPSON_SPAN))
     diff = np.abs(primary - check)
     if not (diff <= AGREE_TOL).all():
         worst = int(np.argmax(diff))  # the first NaN, if any

@@ -1,10 +1,9 @@
 """Figure-style parameter sweeps emitted as deterministic CSV.
 
 Each sweep kind of `config.DEFAULTS` has a runner `run_<kind>(cfg, out)`
-returning the CSV text and the number of grid points aborted on numeric
-errors (0 for the walk sweeps).  It solves every grid point's closed forms
-in one pass, so a point outside their domain raises `ConfigError` before
-anything is simulated or written.  Every output, the validate report too,
+returning the CSV text.  It solves every grid point's closed forms in one
+pass, so a point outside their domain raises `ConfigError` before anything
+is simulated or written.  Every output, the validate report too,
 starts with '#'-prefixed metadata (tool version, config hash, seed), then a
 fixed header, then one row per grid point in grid order.  Numbers carry 9
 significant digits, so re-running a config with the same seed reproduces
@@ -15,7 +14,6 @@ the file byte for byte.  The walk sweeps report lengths with the
 from __future__ import annotations
 
 import io
-import sys
 from functools import partial
 from pathlib import Path
 
@@ -34,7 +32,6 @@ from .lengths import (
     queue_vlsf_lengths,
     rayleigh_order_means,
 )
-from .quadrature import QuadratureError
 from .simulate import (
     TrialPlan,
     run_session,
@@ -142,7 +139,7 @@ def run_thm1_sweep(cfg: ExperimentConfig, out=None):
             yield ([snr_db, p, cfg.epsilon, *cfg.payload_bits, *ell, *raw,
                     fixed_n, 1.0 - ell[-1] / fixed_n], partial(simulate_awgn_multiuser, sc))
 
-    return write_csv(out, _metadata(cfg), header, _walk_rows(cfg, s, points())), 0
+    return write_csv(out, _metadata(cfg), header, _walk_rows(cfg, s, points()))
 
 
 def run_queue_sweep(cfg: ExperimentConfig, out=None):
@@ -173,7 +170,7 @@ def run_queue_sweep(cfg: ExperimentConfig, out=None):
                 cells += [fixed_n, 1.0 - lengths[-1] / fixed_n]
                 yield cells, partial(simulate_queue, qs)
 
-    return write_csv(out, _metadata(cfg), header, _walk_rows(cfg, s, points())), 0
+    return write_csv(out, _metadata(cfg), header, _walk_rows(cfg, s, points()))
 
 
 def run_fading_sweep(cfg: ExperimentConfig, out=None):
@@ -197,14 +194,14 @@ def run_fading_sweep(cfg: ExperimentConfig, out=None):
                     fixed_n, 1.0 - typical[-1] / fixed_n],
                    partial(simulate_rayleigh_block_fading, s, payload, p))
 
-    return write_csv(out, _metadata(cfg), header, _walk_rows(cfg, s, points())), 0
+    return write_csv(out, _metadata(cfg), header, _walk_rows(cfg, s, points()))
 
 
 def run_waterfill_sweep(cfg: ExperimentConfig, out=None):
     """Threshold optimization per (power, user-count) grid point.
 
-    A quadrature failure aborts only the affected row: its numeric cells stay
-    empty, the status column carries the diagnostic, and the sweep continues.
+    The bound is a closed form, so every row has numbers and `status` is
+    always `ok`; the column keeps the CSV layout.
     """
     header = ["snr_db", "power", "s_count", "gamma_single", "gamma_multi",
               "cl_single", "cl_multi", "mc_single_mean", "mc_single_ci95",
@@ -217,23 +214,16 @@ def run_waterfill_sweep(cfg: ExperimentConfig, out=None):
                 yield snr_db, p, s, FastFadingScenario(s_count=s, power=p)
 
     rows = []
-    failures = 0
     for index, (snr_db, p, s, sc) in enumerate(_solved(points())):
-        try:
-            if cfg.trials > 0:
-                seed = point_seed(cfg.resolved_seed, index)
-                res = evaluate_thresholds(sc, cfg.trials, seed)
-                mc = [res.mc_capacity_single.mean, res.mc_capacity_single.ci95,
-                      res.mc_capacity_multi.mean, res.mc_capacity_multi.ci95,
-                      cfg.trials, seed]
-            else:
-                res = optimize_threshold(sc)
-                mc = [None] * 6
-            rows.append([snr_db, p, s, res.gamma_single, res.gamma_multi,
-                         res.cl_at_single, res.cl_at_multi, *mc, "ok"])
-        except QuadratureError as exc:
-            failures += 1
-            print(f"waterfill point (snr_db={snr_db}, S={s}) aborted: {exc}",
-                  file=sys.stderr)
-            rows.append([snr_db, p, s] + [None] * 10 + [f"error: {type(exc).__name__}"])
-    return write_csv(out, _metadata(cfg), header, rows), failures
+        if cfg.trials > 0:
+            seed = point_seed(cfg.resolved_seed, index)
+            res = evaluate_thresholds(sc, cfg.trials, seed)
+            mc = [res.mc_capacity_single.mean, res.mc_capacity_single.ci95,
+                  res.mc_capacity_multi.mean, res.mc_capacity_multi.ci95,
+                  cfg.trials, seed]
+        else:
+            res = optimize_threshold(sc)
+            mc = [None] * 6
+        rows.append([snr_db, p, s, res.gamma_single, res.gamma_multi,
+                     res.cl_at_single, res.cl_at_multi, *mc, "ok"])
+    return write_csv(out, _metadata(cfg), header, rows)

@@ -60,7 +60,7 @@ def test_report_bytes_are_pinned(validate_run):
     # claims an unchanged report is checked here
     _, _, text = validate_run
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "f33fe90a324af0883e14a7e13597cf8e20c660405440d7eda8df7cbf6185a85b")
+        "0fc1751c886824e30135b20a860acc66e05beabacd47b9dbe7fe7768c01152fb")
 
 
 @pytest.mark.parametrize("index", sorted(CRITERIA))

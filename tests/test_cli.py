@@ -77,9 +77,8 @@ def test_thm1_sweep_byte_identical_and_shaped(tmp_path):
     cfg = ExperimentConfig(kind="thm1_sweep", snr_db=(0.0, 5.0),
                            payload_bits=(300.0, 1000.0), epsilon=1e-3,
                            trials=120, seed=99)
-    text_a, failures = run_thm1_sweep(cfg, tmp_path / "a.csv")
+    text_a = run_thm1_sweep(cfg, tmp_path / "a.csv")
     run_thm1_sweep(cfg, tmp_path / "b.csv")
-    assert failures == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     lines = [l for l in text_a.splitlines() if not l.startswith("#")]
     assert len(lines) == 1 + 2  # header + one row per grid point
@@ -93,7 +92,7 @@ def test_thm1_sweep_byte_identical_and_shaped(tmp_path):
 
 def test_thm1_sweep_single_point_grid():
     cfg = ExperimentConfig(kind="thm1_sweep", snr_db=(0.0,), payload_bits=(300.0, 1000.0))
-    text, _ = run_thm1_sweep(cfg, None)
+    text = run_thm1_sweep(cfg, None)
     rows = [l for l in text.splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 1
     # analytic-only run leaves simulation cells empty
@@ -104,7 +103,7 @@ def test_queue_sweep_savings_monotone_and_saturating():
     t_grid = tuple(float(t) for t in range(600, 3001, 200))
     cfg = ExperimentConfig(kind="queue_sweep", snr_db=(0.0,),
                            payload_bits=(300.0, 1000.0), t_sub=t_grid, epsilon=1e-3)
-    text, _ = run_queue_sweep(cfg, None)
+    text = run_queue_sweep(cfg, None)
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     icol = header.index("savings_ratio")
@@ -117,7 +116,7 @@ def test_queue_sweep_savings_monotone_and_saturating():
 def test_fading_sweep_columns(tmp_path):
     cfg = ExperimentConfig(kind="fading_sweep", snr_db=(0.0, 8.0),
                            payload_bits=(1000.0,), s_count=2, epsilon=1e-3)
-    text, _ = run_fading_sweep(cfg, tmp_path / "f.csv")
+    text = run_fading_sweep(cfg, tmp_path / "f.csv")
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     assert "coeff_a_1" in header and "typical_len_2" in header
@@ -133,7 +132,7 @@ def test_walk_sweeps_report_cap_hits_per_user(kind, fields):
     cfg = ExperimentConfig(kind=kind, snr_db=(0.0,), trials=3, seed=5, **fields)
     run = {"thm1_sweep": run_thm1_sweep, "queue_sweep": run_queue_sweep,
            "fading_sweep": run_fading_sweep}[kind]
-    lines = [l for l in run(cfg, None)[0].splitlines() if not l.startswith("#")]
+    lines = [l for l in run(cfg, None).splitlines() if not l.startswith("#")]
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     hits = [int(row[f"sim_cap_hits_{u}"]) for u in (1, 2)]
     assert all(0 <= h <= 3 for h in hits)
@@ -158,7 +157,7 @@ def _idle_free_lengths(sub, cfg, row):
 def test_walk_sweep_lengths_are_idled_closed_forms(sub, epsilon):
     # the (1-epsilon) idling is applied once, where a sweep reports a length
     cfg = default_config(f"{sub}_sweep").override(epsilon=epsilon)
-    text, _ = {"thm1": run_thm1_sweep, "queue": run_queue_sweep,
+    text = {"thm1": run_thm1_sweep, "queue": run_queue_sweep,
                "fading": run_fading_sweep}[sub](cfg, None)
     header, *rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")]
     for cells in rows:
@@ -186,7 +185,7 @@ def test_walk_sweeps_fork_once_and_do_not_depend_on_worker_count(monkeypatch, ru
     for workers in (1, 2, 3):
         monkeypatch.setattr(simulate, "WORKERS", workers)
         forks.clear()
-        texts.append(run(cfg)[0])
+        texts.append(run(cfg))
         assert len(forks) == workers - 1
     assert texts[0] == texts[1] == texts[2]
 
@@ -222,8 +221,7 @@ def test_a_walk_sweep_failing_mid_way_leaves_no_child(monkeypatch, who, fault, e
 
 def test_waterfill_sweep_ordering_columns():
     cfg = ExperimentConfig(kind="waterfill_sweep", snr_db=(0.0,), s_counts=(1, 2))
-    text, failures = run_waterfill_sweep(cfg, None)
-    assert failures == 0
+    text = run_waterfill_sweep(cfg, None)
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     gs, gm = header.index("gamma_single"), header.index("gamma_multi")
@@ -235,6 +233,26 @@ def test_waterfill_sweep_ordering_columns():
         s_count = int(cells[header.index("s_count")])
         if s_count >= 2:
             assert float(cells[gm]) > float(cells[gs])
+
+
+@pytest.mark.filterwarnings("error")
+def test_waterfill_sweep_at_extreme_snr_is_finite():
+    # Simpson failed to converge on every S = 1 row from 150 dB, and at 3080 dB
+    # gamma_th / (q/p) overflowed; the closed form gives finite rows, no warning.
+    # cl_multi >= cl_single is not asserted at S = 1: the optimum there lies
+    # below REFINE_TOL (about 1e-8 at 80 dB), so the search cannot resolve it
+    cfg = ExperimentConfig(kind="waterfill_sweep", snr_db=(150.0, 300.0, 3000.0, 3080.0),
+                           s_counts=(1, 2))
+    header, *rows = [l.split(",") for l in run_waterfill_sweep(cfg, None).splitlines()
+                     if not l.startswith("#")]
+    assert len(rows) == 8
+    for cells in rows:
+        row = dict(zip(header, cells))
+        assert row["status"] == "ok"
+        values = [float(row[c]) for c in ("gamma_single", "gamma_multi", "cl_single", "cl_multi")]
+        assert all(math.isfinite(v) for v in values)
+        if row["s_count"] == "2":
+            assert float(row["cl_multi"]) >= float(row["cl_single"])
 
 
 # ------------------------------------------------------------------------ CLI
@@ -586,25 +604,6 @@ def test_cli_seed_flag_overrides_and_reproduces(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
-def test_cli_waterfill_numeric_error_aborts_row_not_sweep(tmp_path, monkeypatch):
-    from cwf import sweeps
-    from cwf.cli import EXIT_NUMERIC
-    from cwf.quadrature import QuadratureError
-
-    def broken(sc, **kwargs):
-        raise QuadratureError("forced disagreement")
-
-    monkeypatch.setattr(sweeps, "optimize_threshold", broken)
-    out = tmp_path / "wf.csv"
-    cfg = tmp_path / "wf.json"
-    cfg.write_text(json.dumps({"kind": "waterfill_sweep", "snr_db": [0.0],
-                               "s_counts": [1, 2]}))
-    assert main(["waterfill", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
-    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
-    assert len(rows) == 2  # both rows present, each carrying the diagnostic
-    assert all("error: QuadratureError" in r for r in rows)
-
-
 def test_run_all_sweeps_forwards_flags_and_first_failure(tmp_path, monkeypatch):
     from cwf import cli
 
@@ -709,12 +708,36 @@ def test_validate_seed_change_moves_observations_not_verdicts(tmp_path):
 
 def test_validate_threshold_criteria_report_is_pinned():
     # golden bytes of c7 and c8 at the default seed: the threshold pair's
-    # Monte Carlo columns and the quadrature routes stay bit for bit
+    # Monte Carlo columns and c8's closed-form-vs-quadrature gaps stay bit for bit
     from cwf.validate import run_validate
 
     results, ok, text = run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[7, 8])
     assert ok and [r.index for r in results] == [7, 8]
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "9a43e84e3c052d66"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d9b525886c742426"
+
+
+def test_validate_quadrature_oracle_fails_its_row_when_the_oracle_raises(monkeypatch):
+    from cwf import validate
+    from cwf.quadrature import QuadratureError
+
+    def raising(*args, **kwargs):
+        raise QuadratureError("forced disagreement")
+
+    monkeypatch.setattr(validate, "checked_exp_integral", raising)
+    results, ok, text = validate.run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[8])
+    assert not ok and not results[0].passed
+    assert "oracle_error=QuadratureError at S=4 p=10 th=" in results[0].observed
+    assert len(text.splitlines()[-1].split(",")) == 6  # the message adds no CSV cell
+
+
+def test_validate_threshold_grid_report_is_pinned():
+    # golden bytes of c7 alone at the default seed: the search's thresholds
+    # and bounds reach the report with the same 9-digit cells
+    from cwf.validate import run_validate
+
+    results, ok, text = run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[7])
+    assert ok and [r.index for r in results] == [7]
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "443b4f8621e62be3"
 
 
 # ---------------------------------------------------------------- import path

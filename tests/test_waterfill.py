@@ -1,14 +1,16 @@
 import math
-from collections import Counter
 
 import hypothesis.strategies as st
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.special import exp1, lambertw
 
 from cwf import quadrature, waterfill
+from cwf.config import ExperimentConfig
 from cwf.simulate import BLOCK, TrialPlan, point_seed, trial_stream
+from cwf.sweeps import run_waterfill_sweep
 from cwf.waterfill import (
     GRID_STEP,
     FastFadingScenario,
@@ -18,6 +20,7 @@ from cwf.waterfill import (
     lower_bound_terms,
     mc_capacity,
     optimize_threshold,
+    scaled_exp1,
     single_user_threshold,
 )
 
@@ -79,7 +82,7 @@ def test_capacity_lower_bound_binomial_weights_sum():
 
 def test_capacity_lower_bound_vanishes_at_large_threshold():
     sc = FastFadingScenario(2, 1.0)
-    values = [capacity_lower_bound(th, sc, cross_check=False) for th in (6.0, 9.0, 12.0)]
+    values = [capacity_lower_bound(th, sc) for th in (6.0, 9.0, 12.0)]
     assert values[0] > values[1] > values[2]
     assert values[2] < 1e-3
 
@@ -87,7 +90,7 @@ def test_capacity_lower_bound_vanishes_at_large_threshold():
 def test_capacity_lower_bound_continuity():
     sc = FastFadingScenario(3, 2.0)
     grid = np.linspace(0.0, 4.0, 401)
-    vals = np.array([capacity_lower_bound(float(g), sc, cross_check=False) for g in grid])
+    vals = np.array([capacity_lower_bound(float(g), sc) for g in grid])
     assert np.max(np.abs(np.diff(vals))) < 0.02
 
 
@@ -104,41 +107,11 @@ def test_capacity_lower_bound_array_matches_scalar_calls(s_count, power, data):
                                min_size=1, max_size=40, unique=True))
     grid = np.sort(steps) * GRID_STEP
     sc = FastFadingScenario(s_count, power)
-    values = capacity_lower_bound(grid, sc, cross_check=False)
-    scalars = [capacity_lower_bound(float(g), sc, cross_check=False) for g in grid]
+    values = capacity_lower_bound(grid, sc)
+    scalars = [capacity_lower_bound(float(g), sc) for g in grid]
     assert values.shape == grid.shape
     assert values == pytest.approx(scalars, rel=1e-12)
     assert np.argmax(values) == np.argmax(scalars)
-
-
-def test_capacity_lower_bound_one_quadrature_call_per_bound(monkeypatch):
-    # all S terms share one primary call, checked or not, and one Simpson pass
-    calls = Counter()
-
-    def count(module, name):
-        real = getattr(module, name)
-
-        def counting(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-
-    count(waterfill, "exp_tail_quadrature")
-    count(quadrature, "exp_tail_quadrature")
-    count(quadrature, "adaptive_simpson")
-    sc = FastFadingScenario(4, 1.0)
-    assert len(lower_bound_terms(0.7, sc)[0]) == 4
-    capacity_lower_bound(0.7, sc, cross_check=False)
-    assert calls == {"exp_tail_quadrature": 1}
-    calls.clear()
-    capacity_lower_bound(0.7, sc)
-    assert calls == {"exp_tail_quadrature": 1, "adaptive_simpson": 1}
-
-
-def test_capacity_lower_bound_cross_check_rejects_array():
-    with pytest.raises(ValueError, match="cross-check takes a scalar threshold"):
-        capacity_lower_bound(np.array([0.5, 1.0]), FastFadingScenario(2, 1.0))
 
 
 def test_optimize_threshold_interior_maximum_and_ordering():
@@ -150,7 +123,7 @@ def test_optimize_threshold_interior_maximum_and_ordering():
     # local maximality at 1e-3 resolution
     for delta in (-1e-3, 1e-3):
         probe = max(res.gamma_multi + delta, 0.0)
-        assert capacity_lower_bound(probe, sc, cross_check=False) <= res.cl_at_multi + 1e-9
+        assert capacity_lower_bound(probe, sc) <= res.cl_at_multi + 1e-9
 
 
 def test_optimize_threshold_single_user_exists():
@@ -197,7 +170,7 @@ def test_optimize_threshold_pinned(s_count, power, want):
 
 
 def test_optimize_threshold_evaluates_grid_in_one_array_call(monkeypatch):
-    # the ~850-point grid in one call (the quadrature bounds its own passes),
+    # the ~850-point grid in one call,
     # then the scalar refinement
     calls = []
     real = waterfill.capacity_lower_bound
@@ -223,14 +196,63 @@ def test_optimize_threshold_slices_a_large_grid_without_moving_a_bit(monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(waterfill, "capacity_lower_bound", counting)
-    res = optimize_threshold(FastFadingScenario(200, 1.0))
+    sc = FastFadingScenario(200, 1.0)
+    res = optimize_threshold(sc)
     grid_calls = [np.size(g) for g in calls if np.ndim(g) > 0]
     assert len(grid_calls) == 4 and sum(grid_calls) == 1222
     assert max(grid_calls) * 200 <= 1 << 16
-    assert [float.hex(x) for x in (res.gamma_single, res.gamma_multi,
-                                   res.cl_at_single, res.cl_at_multi)] == [
-        "0x1.f701d3d298926p+1", "0x1.51cf41fd60c10p+2",
-        "0x1.e5c9d787397c5p-8", "0x1.e821f65fd10d4p-7"]
+    calls.clear()
+    monkeypatch.setattr(waterfill, "_GRID_ELEMENTS", 200 * 1222)
+    assert optimize_threshold(sc) == res
+    assert [np.size(g) for g in calls if np.ndim(g) > 0] == [1222]
+
+
+def _bound_mpmath(s_count, power, gamma_th):
+    """The bound's closed form at 40 digits, term by term with mpmath's E1."""
+    with mpmath.workdps(40):
+        p, g = mpmath.mpf(power), mpmath.mpf(gamma_th)
+        q = mpmath.exp(-g)
+        total = mpmath.mpf(0)
+        for t in range(s_count):
+            d = q / p + t * (1 + g)
+            integral = q * (mpmath.log1p(g / d) + mpmath.exp(d + g) * mpmath.e1(d + g))
+            total += mpmath.binomial(s_count - 1, t) * (1 - q) ** (s_count - 1 - t) * q**t * integral
+        return float(total)
+
+
+@given(st.integers(min_value=1, max_value=12),
+       st.floats(min_value=-300.0, max_value=308.0),
+       st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1.0),
+                 st.floats(min_value=0.0, max_value=700.0)))
+@settings(max_examples=200, deadline=None)
+def test_capacity_lower_bound_matches_mpmath(s_count, log10_power, gamma_th):
+    # from -3000 to +3080 dB and over the whole searched threshold range
+    sc = FastFadingScenario(s_count, 10.0**log10_power)
+    want = _bound_mpmath(s_count, sc.power, gamma_th)
+    assert capacity_lower_bound(gamma_th, sc) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_scaled_exp1_matches_mpmath():
+    # both sides of the series / continued-fraction split at 1, out to the float range
+    x = np.concatenate([np.geomspace(1e-300, 1e300, 601), np.linspace(0.9, 1.1, 41)])
+    with mpmath.workdps(40):
+        want = [float(mpmath.exp(v) * mpmath.e1(v)) for v in map(mpmath.mpf, x)]
+    assert scaled_exp1(x) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_threshold_search_integrates_nothing(monkeypatch):
+    # the bound is a closed form: no search or sweep row reaches cwf.quadrature
+    def refuse(*args, **kwargs):
+        raise AssertionError("cwf.quadrature called")
+
+    for name in ("exp_tail_quadrature", "adaptive_simpson", "checked_exp_integral"):
+        monkeypatch.setattr(quadrature, name, refuse)
+    res = optimize_threshold(FastFadingScenario(4, 10.0))
+    assert res.cl_at_multi >= res.cl_at_single
+    cfg = ExperimentConfig(kind="waterfill_sweep", snr_db=(-3.0, 10.0), s_counts=(1, 4),
+                           trials=100, seed=1)
+    rows = [l for l in run_waterfill_sweep(cfg, None).splitlines() if not l.startswith("#")]
+    assert len(rows) == 5 and all(r.endswith(",ok") for r in rows[1:])
 
 
 # --------------------------------------------------------------- Monte Carlo
