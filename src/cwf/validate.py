@@ -185,7 +185,7 @@ def _c7_threshold_grid(seed: int) -> CriterionResult:
     max_residual = 0.0
     for sc in searches:
         gamma_single = single_user_threshold(sc.power, sc.s_count)
-        residual = abs(gamma_single * math.exp(gamma_single) - (1.0 / sc.power + sc.s_count - 1.0))
+        residual = abs(gamma_single * math.exp(gamma_single) - (1.0 / sc.power + (sc.s_count - 1)))
         max_residual = max(max_residual, residual)
     min_gap = min(r.cl_at_multi - r.cl_at_single for r in searches.values())
 

@@ -55,26 +55,31 @@ class ThresholdSearchResult:
 
 
 def single_user_threshold(power: float, s_count: int) -> float:
-    """Root of th * e^th = 1/power + s_count - 1.
+    """Root of th * e^th = 1/power + (s_count - 1).
 
     The interference-blind constant-power cutoff: other users are frozen at
     unit gain, so the link sees fixed noise 1/power + S - 1.  The left side
-    is monotone, so plain bisection converges; residual kept below 1e-10.
+    is monotone, so plain bisection converges, to a relative width: below
+    a target of 1 the root lies in [target/e, target], so it keeps its
+    digits however small 1/power is.
     """
     check_positive("power", power)
     if not (is_int(s_count) and s_count >= 1):
         raise ValueError(f"s_count must be an integer >= 1, got {s_count}")
-    target = 1.0 / power + s_count - 1.0
-    lo, hi = 0.0, 1.0
-    while hi * math.exp(hi) < target:
-        hi = min(2.0 * hi, 709.0)  # 709 * e^709 exceeds every float; e^710 overflows
+    target = 1.0 / power + (s_count - 1)
+    if target < 1.0:
+        lo, hi = target / math.e, target
+    else:
+        lo, hi = 0.0, 1.0
+        while hi * math.exp(hi) < target:
+            hi = min(2.0 * hi, 709.0)  # 709 * e^709 exceeds every float; e^710 overflows
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid * math.exp(mid) < target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * max(hi, 1.0):
+        if hi - lo <= 1e-16 * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -90,12 +95,13 @@ def lower_bound_terms(gamma_th: float | np.ndarray, sc: FastFadingScenario):
     skipped only when every weight is 0.
     """
     s, p = sc.s_count, sc.power
-    # math.exp for scalars: np.exp may differ in the last bit
-    pon = np.exp(-gamma_th) if np.ndim(gamma_th) > 0 else math.exp(-gamma_th)
+    # numpy's exp and power for a float too: math.exp and ** may differ in the
+    # last bit, and a float must give a one-element array's terms
+    pon = np.exp(-gamma_th)
     weights, denoms = [], []
     for t in range(s):
-        weight = math.comb(s - 1, t) * (1.0 - pon) ** (s - 1 - t) * pon**t
-        if np.any(weight):
+        weight = math.comb(s - 1, t) * np.power(1.0 - pon, s - 1 - t) * np.power(pon, t)
+        if np.count_nonzero(weight):
             weights.append(weight)
             denoms.append(pon / p + t * (1.0 + gamma_th))
     return weights, np.array(denoms)
@@ -104,6 +110,34 @@ def lower_bound_terms(gamma_th: float | np.ndarray, sc: FastFadingScenario):
 #: 1/(k k!) for k = 18..1, then 0: E1(x) = -euler_gamma - ln x - polyval(_E1_SERIES, -x)
 #: below 1, where the first term left out is below 1e-17
 _E1_SERIES = [1.0 / (k * math.factorial(k)) for k in range(18, 0, -1)] + [0.0]
+
+
+def _scaled_exp1_series(x):
+    """e^x E1(x) for 0 < x < 1, a float or an array: Horner on `_E1_SERIES`
+    in `np.polyval`'s order."""
+    neg, poly = -x, 0.0
+    for coef in _E1_SERIES:
+        poly = poly * neg + coef
+    return np.exp(x) * (-np.euler_gamma - np.log(x) - poly)
+
+
+def _fraction_levels(x_min: float) -> int:
+    """Levels of the continued fraction for every x >= x_min >= 1."""
+    return 8 + int(100.0 / x_min)
+
+
+#: (2k - 1, k^2) of level k = 1, 2, ... of the continued fraction, as (exact)
+#: floats, so a level costs the float path no int-to-float conversion
+_FRACTION_TERMS = [(2.0 * k - 1.0, float(k * k)) for k in range(1, _fraction_levels(1.0) + 1)]
+
+
+def _scaled_exp1_fraction(x, levels: int):
+    """e^x E1(x) for x >= 1, a float or an array: the continued fraction
+    evaluated backward from `levels` levels."""
+    t = x + (2 * levels + 1)
+    for odd, square in reversed(_FRACTION_TERMS[:levels]):
+        t = x + odd - square / t
+    return 1.0 / t
 
 
 def scaled_exp1(x: np.ndarray) -> np.ndarray:
@@ -118,15 +152,10 @@ def scaled_exp1(x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape)
     low = x < 1.0
     if low.any():
-        xs = x[low]
-        out[low] = np.exp(xs) * (-np.euler_gamma - np.log(xs) - np.polyval(_E1_SERIES, -xs))
+        out[low] = _scaled_exp1_series(x[low])
     if not low.all():
         xs = x[~low]
-        levels = 8 + int(100.0 / xs.min())
-        t = xs + (2 * levels + 1)
-        for k in range(levels, 0, -1):
-            t = xs + (2 * k - 1) - k * k / t
-        out[~low] = 1.0 / t
+        out[~low] = _scaled_exp1_fraction(xs, _fraction_levels(xs.min()))
     return out
 
 
@@ -144,8 +173,11 @@ def capacity_lower_bound(gamma_th: float | np.ndarray,
     with q = exp(-gamma_th).  Integration by parts gives each integral in
     closed form, e^-gamma_th * [ln(1 + gamma_th/d) + e^(d+gamma_th) E1(d+gamma_th)],
     with `scaled_exp1` for the second part.  An array gamma_th gives one
-    bound per element.
+    bound per element.  A float gamma_th is evaluated term by term in float
+    arithmetic, bit for bit equal to a one-element array.
     """
+    if isinstance(gamma_th, float):
+        return _float_lower_bound(gamma_th, sc)
     if np.any(np.less(gamma_th, 0.0)):
         raise ValueError(f"gamma_th must be non-negative, got {np.min(gamma_th)}")
     weights, denoms = lower_bound_terms(gamma_th, sc)
@@ -161,6 +193,29 @@ def capacity_lower_bound(gamma_th: float | np.ndarray,
     for weight, integral in zip(weights, integrals):
         total += weight * integral
     return float(total) if np.ndim(total) == 0 else total
+
+
+def _float_lower_bound(gamma_th: float, sc: FastFadingScenario) -> float:
+    """`capacity_lower_bound` at one float threshold: the array path's
+    operations in its order, on floats, with numpy's exp, log and log1p.
+    The fraction's level count comes from the smallest x >= 1 of all terms,
+    as in one array call."""
+    if gamma_th < 0.0:
+        raise ValueError(f"gamma_th must be non-negative, got {gamma_th}")
+    weights, denoms = lower_bound_terms(gamma_th, sc)
+    denoms = denoms.tolist()
+    xs = [d + gamma_th for d in denoms]
+    levels = _fraction_levels(min((x for x in xs if x >= 1.0), default=1.0))
+    pon = float(np.exp(-gamma_th))
+    total = 0.0
+    for weight, d, x in zip(weights, denoms, xs):
+        # d is 0 where q/p underflows: numpy's gamma_th / 0 is inf, Python's raises
+        log_ratio = float(np.log1p(gamma_th / d)) if d > 0.0 else math.inf
+        if math.isinf(log_ratio):
+            log_ratio = float(np.log(gamma_th)) + gamma_th + math.log(sc.power)
+        scaled = _scaled_exp1_series(x) if x < 1.0 else _scaled_exp1_fraction(x, levels)
+        total += weight * (pon * (log_ratio + scaled))
+    return float(total)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -206,7 +261,8 @@ def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
     reported; the interference-blind threshold is evaluated beside it, so a
     search that misses the optimum shows as cl_at_multi < cl_at_single.
     The slices only bound memory: the grid picks the bracket, and the
-    refinement and both reported bounds are scalar calls.
+    refinement and both reported bounds are float calls, which take the
+    bound's float path, bit for bit equal to one-element array calls.
     """
     cap, limit = _threshold_cap(sc.s_count), math.floor(-math.log(sys.float_info.min))
     objective = lambda g: capacity_lower_bound(float(g), sc)
@@ -237,8 +293,11 @@ def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Est
 
     Samples S independent exponential gains; when the user's own gain clears
     the threshold it sees ln(1 + (g1/q) / (1/p + sum_i (gi/q)[gi > th]))
-    nats, else zero.  Trials are drawn in blocks of `BLOCK`, each from its
-    own counter-based stream, so the estimate does not depend on scheduling.
+    nats, else zero.  Where that ratio overflows (past about 3000 dB, with
+    no interferer on) the capacity is ln g1 + th - ln(1/p + interference),
+    as in the bound's `far` rule.  Trials are drawn in blocks of `BLOCK`,
+    each from its own counter-based stream, so the estimate does not depend
+    on scheduling.
     """
     if not (math.isfinite(gamma_th) and gamma_th >= 0.0):
         raise ValueError(f"gamma_th must be finite and non-negative, got {gamma_th}")
@@ -249,8 +308,12 @@ def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Est
         gains = rng.standard_exponential((n, sc.s_count))
         own = gains[:, 0]
         others = gains[:, 1:]
-        interference = ((others / pon) * (others > gamma_th)).sum(axis=1)
-        return np.where(own > gamma_th, np.log1p((own / pon) / (inv_p + interference)), 0.0)
+        noise = inv_p + ((others / pon) * (others > gamma_th)).sum(axis=1)
+        with np.errstate(over="ignore"):
+            values = np.log1p((own / pon) / noise)
+        far = np.isinf(values)
+        values[far] = np.log(own[far]) + gamma_th - np.log(noise[far])
+        return np.where(own > gamma_th, values, 0.0)
 
     return estimate(capacities(rng, n) for rng, n in streams(plan, BLOCK))
 

@@ -240,19 +240,27 @@ def test_waterfill_sweep_at_extreme_snr_is_finite():
     # Simpson failed to converge on every S = 1 row from 150 dB, and at 3080 dB
     # gamma_th / (q/p) overflowed; the closed form gives finite rows, no warning.
     # cl_multi >= cl_single is not asserted at S = 1: the optimum there lies
-    # below REFINE_TOL (about 1e-8 at 80 dB), so the search cannot resolve it
+    # below REFINE_TOL (about 1e-8 at 80 dB), so the search cannot resolve it.
+    # With no interferer on, mc_capacity's ratio overflowed at 3080 dB (inf, nan)
     cfg = ExperimentConfig(kind="waterfill_sweep", snr_db=(150.0, 300.0, 3000.0, 3080.0),
-                           s_counts=(1, 2))
+                           s_counts=(1, 2), trials=2000, seed=1)
     header, *rows = [l.split(",") for l in run_waterfill_sweep(cfg, None).splitlines()
                      if not l.startswith("#")]
     assert len(rows) == 8
     for cells in rows:
         row = dict(zip(header, cells))
         assert row["status"] == "ok"
-        values = [float(row[c]) for c in ("gamma_single", "gamma_multi", "cl_single", "cl_multi")]
+        values = [float(row[c]) for c in ("gamma_single", "gamma_multi", "cl_single", "cl_multi",
+                                          "mc_single_mean", "mc_single_ci95",
+                                          "mc_multi_mean", "mc_multi_ci95")]
         assert all(math.isfinite(v) for v in values)
         if row["s_count"] == "2":
             assert float(row["cl_multi"]) >= float(row["cl_single"])
+        if row["s_count"] == "1" and row["snr_db"] == "3080":
+            # one user has no interference, so the bound is its capacity
+            for which in ("single", "multi"):
+                se = float(row[f"mc_{which}_ci95"]) / 1.96
+                assert abs(float(row[f"mc_{which}_mean"]) - float(row[f"cl_{which}"])) <= 4.0 * se
 
 
 # ------------------------------------------------------------------------ CLI
@@ -270,6 +278,9 @@ _GOLDEN_CONFIGS = {
                  "payload_bits": [60, 150, 300, 500, 700, 1200],
                  "t_sub": [100, 200, 400, 600, 800, 1000, 1500, 2000, 3000, 5000],
                  "epsilon": 1e-3, "trials": 0},
+    # the benchmark's threshold grid, the only pin with S = 8 rows
+    "threshold_grid": {**json.loads((Path(__file__).resolve().parents[1] / "bench"
+                                     / "threshold_grid.json").read_text()), "trials": 2000},
 }
 
 
@@ -287,6 +298,7 @@ _GOLDEN_CONFIGS = {
     ("fading5", "bb72d28af83110f3"),
     ("thm1big", "8ef7dc5103dbaf97"),
     ("queuebig", "9b32c29d60e45bec"),
+    ("threshold_grid", "4d13917ef1278917"),
 ])
 def test_cli_csv_bytes_are_pinned(tmp_path, run, digest):
     """Golden bytes: the sha256 prefix of each CSV, so a refactor that claims

@@ -59,6 +59,16 @@ def test_single_user_threshold_at_extreme_low_power(power):
     assert th * math.exp(th) == pytest.approx(1.0 / power, rel=1e-12)
 
 
+@pytest.mark.parametrize("snr_db", [160.0, 300.0, 3080.0])
+def test_single_user_threshold_keeps_its_digits_at_high_snr(snr_db):
+    # the target was (1/p + 1) - 1, which rounds to 0 once 1/p < 2^-53, and an
+    # absolute stopping width then returned 2.78e-17 in place of about 1/p
+    power = 10.0 ** (snr_db / 10.0)
+    with mpmath.workdps(40):
+        want = float(mpmath.lambertw(mpmath.mpf(1.0 / power)))
+    assert single_user_threshold(power, 1) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("s_count", [2.5, True, 0])
 def test_fast_fading_scenario_rejects_non_integer_user_count(s_count):
     # 2.5 died in optimize_threshold's range(); True passed as one user
@@ -95,23 +105,36 @@ def test_capacity_lower_bound_continuity():
 
 
 @given(
-    st.integers(min_value=1, max_value=8),
-    st.floats(min_value=0.1, max_value=100.0),
+    st.integers(min_value=1, max_value=40),
+    st.floats(min_value=-300.0, max_value=308.0),
     st.data(),
 )
 @settings(max_examples=50, deadline=None)
-def test_capacity_lower_bound_array_matches_scalar_calls(s_count, power, data):
-    # thresholds on the search's own lattice, so no two lie within rounding
-    top = int(_threshold_cap(s_count) / GRID_STEP)
-    steps = data.draw(st.lists(st.integers(min_value=0, max_value=top),
+def test_capacity_lower_bound_array_matches_scalar_calls(s_count, log10_power, data):
+    # thresholds on the search's own lattice, so no two lie within rounding;
+    # from -3000 to +3080 dB and over the whole searched threshold range
+    steps = data.draw(st.lists(st.integers(min_value=0, max_value=int(700.0 / GRID_STEP)),
                                min_size=1, max_size=40, unique=True))
     grid = np.sort(steps) * GRID_STEP
-    sc = FastFadingScenario(s_count, power)
+    sc = FastFadingScenario(s_count, 10.0**log10_power)
     values = capacity_lower_bound(grid, sc)
     scalars = [capacity_lower_bound(float(g), sc) for g in grid]
     assert values.shape == grid.shape
     assert values == pytest.approx(scalars, rel=1e-12)
     assert np.argmax(values) == np.argmax(scalars)
+    # a float threshold takes the float path: bit for bit a one-element array
+    for g in [*grid, data.draw(st.floats(min_value=0.0, max_value=700.0))]:
+        assert capacity_lower_bound(float(g), sc) == capacity_lower_bound(np.array([g]), sc)[0]
+
+
+@pytest.mark.parametrize("s_count,snr_db,gamma_th", [
+    (2, -5.0, 5.516246716547083e-09), (3, 15.0, 2.5783449729549798e-05),
+    (3, 22.5, 0.025438816699116403), (3, 22.5, 1.2864152230461904e-13)])
+def test_float_bound_counts_fraction_levels_over_all_terms(s_count, snr_db, gamma_th):
+    # here a level count from each term's own x, not from the smallest x >= 1
+    # of the call, moves the last bit
+    sc = FastFadingScenario(s_count, 10.0 ** (snr_db / 10.0))
+    assert capacity_lower_bound(gamma_th, sc) == capacity_lower_bound(np.array([gamma_th]), sc)[0]
 
 
 def test_optimize_threshold_interior_maximum_and_ordering():
@@ -229,7 +252,10 @@ def test_capacity_lower_bound_matches_mpmath(s_count, log10_power, gamma_th):
     # from -3000 to +3080 dB and over the whole searched threshold range
     sc = FastFadingScenario(s_count, 10.0**log10_power)
     want = _bound_mpmath(s_count, sc.power, gamma_th)
+    # the float path and the array path
     assert capacity_lower_bound(gamma_th, sc) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert capacity_lower_bound(np.array([gamma_th]), sc)[0] == pytest.approx(want, rel=1e-12,
+                                                                             abs=0.0)
 
 
 def test_scaled_exp1_matches_mpmath():
