@@ -1,43 +1,22 @@
-"""The numeric oracle of the threshold-capacity integrals (criterion 8 of
-`cwf validate`); `waterfill.capacity_lower_bound` is a closed form and
-integrates nothing.
+"""The numeric oracle of the capacity lower bound (criterion 8 of `cwf
+validate`); `waterfill.capacity_lower_bound` is a closed form and integrates
+nothing.  Each call computes one integral  int_a^inf f(g) exp(-g) dg,  with f
+a slowly growing log-type factor called as `f(g)` on a 1-D array of nodes g.
 
-Two independent routes are provided for integrals of the form
-
-    int_a^inf  f(g) * exp(-g) dg
-
-with f a slowly growing log-type factor:
-
-* `exp_tail_quadrature` - the primary rule.  A 64-node Gauss-Laguerre rule
-  handles [a+1, inf) after shifting; the head [a, a+1] uses 64-node
-  Gauss-Legendre panels whose widths grow geometrically from `scale`, so a
+* `exp_tail_quadrature`, the primary rule: 64-node Gauss-Legendre panels on
+  the head [a, a+1], whose widths grow geometrically from `scale` so that a
   branch point of f at distance `scale` below `a` never sits close to a
-  panel relative to its width.  `a` and `scale` broadcast, so one call
-  integrates many lower limits; each panel integrates only the elements
-  whose head is still open.  Each element has its scalar call's bits:
-  every row of nodes is reduced by `np.vecdot`, the same dot routine a
-  scalar call runs on its one row.
-* `adaptive_simpson` - Simpson with Richardson extrapolation (Lyness,
-  J. ACM 1969), used as the cross-check on a truncated interval.  It
-  refines breadth-first: each level evaluates the two new nodes of every
-  open interval of every integral in one integrand call, accepts an
-  interval when |delta| <= 15 * tol / 2**depth, and splits the rest.  The
-  accepted values are then summed bottom-up in the recursion's tree order
-  (a split interval is its left half plus its right half), so every
-  integral has the bits of the classic depth-first recursion.
+  panel relative to its width, then a shifted 64-node Gauss-Laguerre rule on
+  [a+1, inf).
+* `adaptive_simpson`, the classic depth-first adaptive Simpson with
+  Richardson extrapolation (Lyness, J. ACM 1969), is the independent
+  cross-check on a truncated interval.
 
-Integrand contract, shared by both routes: `f(g, k)` gets flat integer
-indices `k` of elements of the call (its broadcast limits, flattened) and
-nodes `g` of shape `(len(k), n)`, one row of nodes per selected element.
-A per-element parameter `p` of the call's shape therefore enters as
-`p.ravel()[k][:, None]`.
-
-`checked_exp_integral` runs both; a disagreement beyond `AGREE_TOL`
-raises QuadratureError, which criterion 8 reports as a failed row.
+`checked_exp_integral` runs both; a disagreement beyond `AGREE_TOL` raises
+QuadratureError, which criterion 8 reports as a failed row.
 """
 
-from __future__ import annotations
-
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -62,136 +41,79 @@ AGREE_TOL = 1e-6
 SIMPSON_TOL = AGREE_TOL * 1e-3
 #: an interval this many halvings below its integral's span fails to converge
 SIMPSON_MAX_DEPTH = 48
-#: open intervals per level beyond which Simpson gives up; bounds the memory
-#: of the breadth-first pass as the depth bounds the recursion's stack
-SIMPSON_MAX_OPEN = 1 << 16
-
-#: f(g, k): integrand rows g for the elements k of the call (module docstring)
-Integrand = Callable[[np.ndarray, object], np.ndarray]
 
 
-def exp_tail_quadrature(f: Integrand, a: float | np.ndarray,
-                        scale: float | np.ndarray = 1.0) -> float | np.ndarray:
-    """Integrate f(g)*exp(-g) over [a, inf), one integral per element of a.
+def exp_tail_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float,
+                        scale: float = 1.0) -> float:
+    """Integrate f(g)*exp(-g) over [a, inf), calling `f` on 64 nodes at a time.
 
-    `a` and `scale` broadcast against each other; scalars give a float,
-    arrays an array of their broadcast shape.  `scale` should bound the
-    distance from `a` to the nearest singularity of f below `a` (use 1.0 for
-    smooth integrands).  `f` follows the module's integrand contract and is
-    called on 64 nodes per element.
+    `scale` should bound the distance from `a` to the nearest singularity of
+    f below `a` (use 1.0 for smooth integrands).
     """
-    a, scale = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(scale, dtype=float))
-    if not (np.isfinite(a).all() and np.isfinite(scale).all()):
+    if not (math.isfinite(a) and math.isfinite(scale)):
         raise QuadratureError(f"non-finite lower limit or scale: a={a}, scale={scale}")
-    x, index = a.ravel(), np.arange(a.size)
-    total = np.zeros(a.size)
-    # geometric panels covering [x, x + HEAD], each over the still-open elements
-    lo = np.zeros(x.size)
-    width = np.minimum(np.maximum(scale.ravel(), 1e-300), HEAD)
-    while (k := lo < HEAD).any():
-        hi = np.minimum(lo[k] + width[k], HEAD)
-        mid, half = x[k] + 0.5 * (lo[k] + hi), 0.5 * (hi - lo[k])
-        g = mid[:, None] + half[:, None] * _LEG_X
-        total[k] += half * np.vecdot(f(g, index[k]) * np.exp(-g), _LEG_W)
-        lo[k], width[k] = hi, 2.0 * width[k]
-    # shifted Gauss-Laguerre on [x + HEAD, inf)
-    shift = x + HEAD
-    total += np.exp(-shift) * np.vecdot(f(shift[:, None] + _LAG_X, index), _LAG_W)
-    return float(total[0]) if a.ndim == 0 else total.reshape(a.shape)
-
-
-#: node columns of the left and right half of an interval sampled at 5 nodes
-_HALVES = np.array([[0, 1, 2], [2, 3, 4]])
+    total = 0.0
+    lo, width = 0.0, min(max(scale, 1e-300), HEAD)  # panels covering [a, a + HEAD]
+    while lo < HEAD:
+        hi = min(lo + width, HEAD)
+        half = 0.5 * (hi - lo)
+        g = (a + 0.5 * (lo + hi)) + half * _LEG_X
+        total += half * np.dot(f(g) * np.exp(-g), _LEG_W)
+        lo, width = hi, 2.0 * width
+    # shifted Gauss-Laguerre on [a + HEAD, inf); math.exp may differ in the last bit
+    shift = a + HEAD
+    return float(total + np.exp(-shift) * np.dot(f(shift + _LAG_X), _LAG_W))
 
 
 def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _node_values(f: Integrand, g: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """f at Simpson nodes; a non-finite value raises at once, where the
-    recursion would keep halving its interval until the depth ran out."""
-    values = f(g, k)
-    if not np.isfinite(values).all():
-        raise QuadratureError(f"non-finite integrand value at g={g[~np.isfinite(values)][0]}")
-    return values
+def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Adaptive Simpson integral of f on [a, b] to absolute `SIMPSON_TOL`; 0.0 if b <= a.
 
-
-def adaptive_simpson(f: Integrand, a: float | np.ndarray,
-                     b: float | np.ndarray) -> float | np.ndarray:
-    """Adaptive Simpson integral of f on [a, b] to absolute `SIMPSON_TOL`.
-
-    `a` and `b` broadcast; scalars give a float, arrays an array with one
-    integral per element (0.0 where b <= a).  `f` follows the module's
-    integrand contract.
     Raises QuadratureError for non-finite limits, a non-finite integrand
     value, or an interval still open after `SIMPSON_MAX_DEPTH` halvings.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise QuadratureError(f"non-finite integration limits: a={a}, b={b}")
-    out = np.zeros(a.size)
-    roots = np.flatnonzero(b.ravel() > a.ravel())
-    # per open interval: nodes x0, x1, x2, their f values, its Simpson value
-    k = roots
-    x0, x2 = a.ravel()[k], b.ravel()[k]
-    x3 = np.stack([x0, 0.5 * (x0 + x2), x2], axis=-1)
-    f3 = _node_values(f, x3, k)
-    whole = _simpson(*f3.T, x2 - x0)
-    eps = SIMPSON_TOL
-    levels = []
-    depth = 0
-    while k.size:
-        x = np.empty((k.size, 5))  # x0, left midpoint, x1, right midpoint, x2
-        x[:, 0::2] = x3
-        x[:, 1::2] = 0.5 * (x3[:, :-1] + x3[:, 1:])
-        fx = np.empty_like(x)
-        fx[:, 0::2] = f3
-        fx[:, 1::2] = _node_values(f, x[:, 1::2], k)
-        halves = _simpson(fx[:, 0:3:2], fx[:, 1:4:2], fx[:, 2::2], x[:, 2::2] - x[:, 0:3:2])
-        both = halves[:, 0] + halves[:, 1]
-        delta = both - whole
+    if b <= a:
+        return 0.0
+
+    def values(*x):
+        # raise at once, where the recursion would halve down to the depth limit
+        g = np.array(x)
+        fx = f(g)
+        if not np.isfinite(fx).all():
+            raise QuadratureError(f"non-finite integrand value at g={g[~np.isfinite(fx)][0]}")
+        return fx
+
+    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
+        x1 = 0.5 * (x0 + x2)
+        flm, frm = values(0.5 * (x0 + x1), 0.5 * (x1 + x2))
+        left = _simpson(f0, flm, f1, x1 - x0)
+        right = _simpson(f1, frm, f2, x2 - x1)
+        delta = left + right - whole
         if depth >= SIMPSON_MAX_DEPTH:
             raise QuadratureError(f"adaptive Simpson failed to converge on "
-                                  f"[{x[0, 0]}, {x[0, 4]}], residual {delta[0]:.3e}")
-        split = ~(np.abs(delta) <= 15.0 * eps)
-        levels.append((both + delta / 15.0, split))
-        # the halves of the j-th split interval are rows 2j and 2j+1
-        x3 = x[split][:, _HALVES].reshape(-1, 3)
-        f3 = fx[split][:, _HALVES].reshape(-1, 3)
-        whole = halves[split].ravel()
-        k = np.repeat(k[split], 2)
-        if k.size > SIMPSON_MAX_OPEN:
-            raise QuadratureError(f"adaptive Simpson failed to converge: {k.size} "
-                                  f"intervals open at depth {depth + 1}")
-        eps, depth = eps / 2.0, depth + 1
-    # bottom-up in tree order: a split interval is its left plus its right half
-    below = np.zeros(0)
-    for value, split in reversed(levels):
-        value[split] = below[0::2] + below[1::2]
-        below = value
-    out[roots] = below
-    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+                                  f"[{x0}, {x2}], residual {delta:.3e}")
+        if abs(delta) <= 15.0 * eps:
+            return left + right + delta / 15.0
+        return (recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth + 1)
+                + recurse(x1, x2, f1, frm, f2, right, eps / 2.0, depth + 1))
+
+    fa, fm, fb = values(a, 0.5 * (a + b), b)
+    return float(recurse(a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), SIMPSON_TOL, 0))
 
 
-def checked_exp_integral(f: Integrand, a: float | np.ndarray,
-                         scale: float | np.ndarray = 1.0) -> np.ndarray:
-    """Primary exp-tail quadrature with an adaptive-Simpson cross-check.
-
-    The primary is one array `exp_tail_quadrature` call; the check
-    integrates f(g)*exp(-g) over [a, a + SIMPSON_SPAN] in one
-    `adaptive_simpson` call.  Returns the primary values, one per element of
-    the broadcast `a` and `scale`; raises QuadratureError if the two routes
-    differ by more than `AGREE_TOL` anywhere.
-    """
-    a, scale = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(scale, dtype=float))
-    primary = np.asarray(exp_tail_quadrature(f, a, scale))
-    check = np.asarray(adaptive_simpson(lambda g, k: f(g, k) * np.exp(-g), a, a + SIMPSON_SPAN))
-    diff = np.abs(primary - check)
-    if not (diff <= AGREE_TOL).all():
-        worst = int(np.argmax(diff))  # the first NaN, if any
-        raise QuadratureError(
-            f"quadrature routes disagree: {primary.flat[worst]!r} vs {check.flat[worst]!r} "
-            f"(|diff|={diff.flat[worst]:.3e} > {AGREE_TOL})"
-        )
+def checked_exp_integral(f: Callable[[np.ndarray], np.ndarray], a: float,
+                         scale: float = 1.0) -> float:
+    """`exp_tail_quadrature`'s value, checked by `adaptive_simpson` on [a, a + SIMPSON_SPAN];
+    raises QuadratureError if the two differ by more than `AGREE_TOL`."""
+    primary = exp_tail_quadrature(f, a, scale)
+    check = adaptive_simpson(lambda g: f(g) * np.exp(-g), a, a + SIMPSON_SPAN)
+    diff = abs(primary - check)
+    if not diff <= AGREE_TOL:
+        raise QuadratureError(f"quadrature routes disagree: {primary!r} vs {check!r} "
+                              f"(|diff|={diff:.3e} > {AGREE_TOL})")
     return primary

@@ -213,15 +213,16 @@ def _c8_quadrature_oracle(seed: int) -> CriterionResult:
         closed_err = max(closed_err, abs(cl - exact))
 
     # the closed-form bound against the checked quadrature (Gauss route and
-    # Simpson) at both thresholds of every c7 search
+    # Simpson), one integral per term of the bound, at both thresholds of
+    # every c7 search
     quadrature_diff, failure = 0.0, ""
     for sc, res in _threshold_searches().items():
         for gamma_th in (res.gamma_single, res.gamma_multi):
             weights, denoms = lower_bound_terms(gamma_th, sc)
             try:
-                integrals = checked_exp_integral(
-                    lambda g, k: np.log1p(g / denoms[k][:, None]), gamma_th,
-                    scale=denoms + gamma_th)  # scale: the distance to the log branch point
+                # scale: the distance from gamma_th down to the log's branch point -d
+                integrals = [checked_exp_integral(lambda g, d=d: np.log1p(g / d), gamma_th,
+                                                  scale=d + gamma_th) for d in denoms]
             except QuadratureError as exc:
                 failure = (f"; oracle_error={type(exc).__name__} at S={sc.s_count} "
                            f"p={format_value(sc.power)} th={format_value(gamma_th)}")

@@ -59,9 +59,10 @@ def single_user_threshold(power: float, s_count: int) -> float:
 
     The interference-blind constant-power cutoff: other users are frozen at
     unit gain, so the link sees fixed noise 1/power + S - 1.  The left side
-    is monotone, so plain bisection converges, to a relative width: below
-    a target of 1 the root lies in [target/e, target], so it keeps its
-    digits however small 1/power is.
+    is monotone, so plain bisection converges; it stops when the midpoint
+    rounds onto an end of the bracket, which then cannot shrink any more.
+    Below a target of 1 the root lies in [target/e, target], so it keeps
+    its digits however small 1/power is.
     """
     check_positive("power", power)
     if not (is_int(s_count) and s_count >= 1):
@@ -75,12 +76,12 @@ def single_user_threshold(power: float, s_count: int) -> float:
             hi = min(2.0 * hi, 709.0)  # 709 * e^709 exceeds every float; e^710 overflows
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if mid * math.exp(mid) < target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
     return 0.5 * (lo + hi)
 
 

@@ -742,6 +742,22 @@ def test_validate_quadrature_oracle_fails_its_row_when_the_oracle_raises(monkeyp
     assert len(text.splitlines()[-1].split(",")) == 6  # the message adds no CSV cell
 
 
+def test_validate_quadrature_oracle_fails_a_wrong_closed_form(monkeypatch):
+    # a bound off by 1e-3 for gamma_th > 0 only: the exp1 check at gamma_th = 0
+    # cannot see it, the quadrature at the searches' thresholds must
+    from cwf import validate
+    from cwf.quadrature import AGREE_TOL
+
+    exact = validate.capacity_lower_bound
+    monkeypatch.setattr(validate, "capacity_lower_bound",
+                        lambda gamma_th, sc: exact(gamma_th, sc) * (1.001 if gamma_th > 0 else 1.0))
+    results, ok, _ = validate.run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[8])
+    assert not ok and not results[0].passed
+    closed_err, quadrature_diff = (float(cell.split("=")[1])
+                                   for cell in results[0].observed.split("; "))
+    assert closed_err <= AGREE_TOL < quadrature_diff
+
+
 def test_validate_threshold_grid_report_is_pinned():
     # golden bytes of c7 alone at the default seed: the search's thresholds
     # and bounds reach the report with the same 9-digit cells

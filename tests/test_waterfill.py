@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import mpmath
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from scipy.special import exp1, lambertw
 
 from cwf import quadrature, waterfill
-from cwf.config import ExperimentConfig
+from cwf.config import ExperimentConfig, db_to_linear
 from cwf.simulate import BLOCK, TrialPlan, point_seed, trial_stream
 from cwf.sweeps import run_waterfill_sweep
 from cwf.waterfill import (
@@ -43,6 +44,41 @@ def test_single_user_threshold_monotonicity():
 def test_single_user_threshold_rejects_fractional_user_count():
     with pytest.raises(ValueError, match="s_count must be an integer >= 1"):
         single_user_threshold(1.0, 2.5)
+
+
+def _bisect_200_steps(power, s_count):
+    """The blind threshold's bisection run for all 200 steps, without a stop test."""
+    target = 1.0 / power + (s_count - 1)
+    if target < 1.0:
+        lo, hi = target / math.e, target
+    else:
+        lo, hi = 0.0, 1.0
+        while hi * math.exp(hi) < target:
+            hi = min(2.0 * hi, 709.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid * math.exp(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_single_user_threshold_stops_early_with_the_200_step_bits(monkeypatch):
+    # the bisection stops once its midpoint rounds onto an end of the
+    # bracket, which then never changes: the 200-step loop's result, bit for
+    # bit, in far fewer steps (its old stop test never held, so all 200 ran)
+    grid = [(db_to_linear(float(db)), s) for s in (1, 2, 3, 4, 8, 16, 128, 1030)
+            for db in np.arange(-300.0, 3081.0, 10.0)]
+    for p, s in grid:
+        assert single_user_threshold(p, s) == _bisect_200_steps(p, s)
+    calls = []
+    monkeypatch.setattr(waterfill, "math", SimpleNamespace(
+        e=math.e, exp=lambda x: calls.append(x) or math.exp(x)))
+    for p, s in grid:
+        calls.clear()
+        single_user_threshold(p, s)
+        assert len(calls) <= 70  # at most 11 bracket doublings and 53 halvings
 
 
 @pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
