@@ -9,7 +9,11 @@ every other active user.  `simulate_cell`, the twin of
 `lengths.phase_lengths`, runs it on fixed received powers: S equal powers
 for an AWGN cell, power times gain for block fading.  Every active user
 accumulates one unit-noise information-density increment per symbol,
-drawn at that SINR.
+drawn at that SINR.  The rates, gains and SINRs of an active set are
+computed once per simulator call, at the set's first use, in a link table:
+`simulate_cell` and `simulate_queue` share one table among all their
+trials, and the fresh-Rayleigh walk, whose powers change with every trial,
+gives each trial its own.
 A user whose running sum crosses its threshold stops transmitting from the
 next symbol on, which raises everyone else's SINR.  The queued variant is
 the same walk plus a boundary schedule and two reset rules: at every
@@ -38,8 +42,10 @@ then the noise.  In the error-rate check the competing codewords then take
 the (M-1)*tau normals that follow the true walk's 2*tau, in blocks of rows
 of at most `_MAX_CHUNK` normals (or one row); the first block in which one
 crosses ends the trial, whose stream nothing else reads.  Walks look ahead
-in chunks of at most `_MAX_CHUNK` symbols but keep every normal they did
-not use, so neither look-ahead nor blocks ever change a result.
+in chunks of at most `_MAX_CHUNK` symbols, drawn into one buffer per trial,
+but keep every normal they did not use at the buffer's front for the next
+chunk, so neither look-ahead nor blocks ever change a result, and a walk
+holds at most one chunk of normals.
 
 A simulator is one function of one trial's stream that returns the
 trial's row: its stops and cap flags for a walk, (error, capped) for the
@@ -259,9 +265,9 @@ class ErrorRateEstimate:
         return (self.rate + z2 / (2.0 * n) + spread) / (1.0 + z2 / n)
 
 
-def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
+def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None, links=None):
     """One trial of the coupled walk; returns per-user first-crossing times
-    (or the cap) and which users never crossed.
+    (or the cap) and which users never crossed, as two lists.
 
     `rx[u]` is user u's received power at unit noise.  While a set of users
     is active, each hears its own power over unit noise plus the others'
@@ -270,11 +276,17 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
     user order: the input, then the noise; a symbol spends `dims` real
     dimensions (2 for a complex link) whose increments share the symbol
     SINR, and crossings are checked once per symbol.  The walk looks ahead
-    in chunks, each a (chunk, active users, 2, dims) view of a buffer of
-    drawn normals; the earliest in-chunk crossing ends the chunk, because it
+    in chunks, each a (chunk, active users, 2, dims) view of one draw
+    buffer; the earliest in-chunk crossing ends the chunk, because it
     changes the interference felt by everyone else, and the normals after
-    it stay in the buffer for the next chunk.  Chunk sizes affect speed
-    only.
+    it stay in the buffer: the next refill moves them to its front and
+    draws the rest behind them, so the buffer never outgrows the largest
+    chunk.  Chunk sizes affect speed only.
+
+    `links`, the link table, maps a tuple of active users to their
+    (rates, gains, SINRs, normals per symbol), filled on first use; a
+    caller whose `rx` is fixed passes one table to all its trials.  The
+    per-user state lives in Python lists.
 
     A crossing user resets its accumulation and stays active when it is
     `congested`; any other user goes silent until the next interval
@@ -282,33 +294,44 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
     boundary and no congested user this is the plain cancellation walk.
     """
     s_total = len(thresholds)
-    if congested is None:
-        congested = np.zeros(s_total, dtype=bool)
-    light = ~congested
-    acc = np.zeros(s_total)
-    active = np.ones(s_total, dtype=bool)
-    stop = np.full(s_total, cap, dtype=np.int64)
-    done = np.zeros(s_total, dtype=bool)
-    spare = np.empty(0)  # drawn but unused normals, in stream order
+    thresholds = np.asarray(thresholds, dtype=float).tolist()
+    congested = ([False] * s_total if congested is None
+                 else np.asarray(congested, dtype=bool).tolist())
+    if links is None:
+        links = {}
+    acc = [0.0] * s_total
+    active = [True] * s_total
+    stop = [cap] * s_total
+    capped = [True] * s_total  # users that have not crossed yet
+    buf = np.empty(0)  # drawn normals, of which buf[start:end] are unused, in stream order
+    start = end = 0
     t = 0
     interval = 1
     boundary = math.inf if t_sub is None else int(round(t_sub))
-    users = None  # the active users and their links, rebuilt when the set changes
-    while t < cap and not done.all():
+    users = None  # the active users, looked up in the link table when the set changes
+    while t < cap and any(capped):
         while boundary <= t:  # move on to the first boundary after t
             interval += 1
             boundary = int(round(interval * t_sub))
         if users is None:
-            users = np.flatnonzero(active).tolist()
-            snr = active_sinrs(rx[users])
-            rates, gains, snr = capacity(snr, dims).tolist(), np.sqrt(snr).tolist(), snr.tolist()
-            width = len(users) * 2 * dims  # normals per symbol
+            users = tuple(u for u in range(s_total) if active[u])
+            link = links.get(users)
+            if link is None:
+                snr = active_sinrs(rx[list(users)])
+                link = links[users] = (capacity(snr, dims).tolist(), np.sqrt(snr).tolist(),
+                                       snr.tolist(), len(users) * 2 * dims)
+            rates, gains, snr, width = link
         need = min((thresholds[u] - acc[u]) / rate for u, rate in zip(users, rates))
         chunk = int(min(max(16.0, 1.25 * need + 8.0), float(boundary - t),
                         float(cap - t), _MAX_CHUNK))
-        if spare.size < chunk * width:
-            spare = np.concatenate([spare, rng.standard_normal(chunk * width - spare.size)])
-        z = spare[:chunk * width].reshape(chunk, len(users), 2, dims)
+        size = chunk * width
+        if end - start < size:  # keep the unused normals at the front, draw the rest
+            kept = end - start
+            old, buf = buf, buf if buf.size >= size else np.empty(size)
+            buf[:kept] = old[start:end]
+            rng.standard_normal(out=buf[kept:size])
+            start, end = 0, size
+        z = buf[start:start + size].reshape(chunk, len(users), 2, dims)
         used = chunk
         cums = []
         for i, u in enumerate(users):
@@ -316,28 +339,31 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
             x = gains[i] * z[:used, i, 0]
             inc = info_density_increment(x, x + z[:used, i, 1], snr[i], out=x)
             inc[0, 0] += acc[u]  # the running sum is the same float whatever the chunking
-            cums.append(np.cumsum(inc, out=inc.reshape(-1))[dims - 1::dims])  # per symbol
-            first = int(np.argmax(cums[-1] >= thresholds[u]))
-            if cums[-1][first] >= thresholds[u]:
+            cum = inc.cumsum(out=inc.reshape(-1))[dims - 1::dims]  # per symbol
+            cums.append(cum)
+            first = int((cum >= thresholds[u]).argmax())
+            if cum[first] >= thresholds[u]:
                 used = first + 1
-        spare = spare[used * width:]
+        start += used * width
         t += used
-        for i, u in enumerate(users):
-            acc[u] = cums[i][used - 1]
+        for u, cum in zip(users, cums):
+            acc[u] = float(cum[used - 1])
             if acc[u] >= thresholds[u]:
-                if not done[u]:
+                if capped[u]:
                     stop[u] = t
-                    done[u] = True
+                    capped[u] = False
                 if congested[u]:
                     acc[u] = 0.0  # next queued packet starts immediately
                 else:
                     active[u] = False
                     users = None
         if t == boundary:  # packet arrival: light users restart
-            acc[light] = 0.0
-            active[light] = True
+            for u in range(s_total):
+                if not congested[u]:
+                    acc[u] = 0.0
+                    active[u] = True
             users = None
-    return stop, ~done
+    return stop, capped
 
 
 class _Handed(BaseException):
@@ -490,7 +516,9 @@ def simulate_cell(thresholds, rx, dims: int, plan: TrialPlan) -> StoppingOutcome
     slowest predicted stop."""
     thresholds, rx = np.asarray(thresholds, dtype=float), np.asarray(rx, dtype=float)
     cap = int(CAP_FACTOR * phase_lengths(thresholds, rx, dims)[0].max())
-    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, dims, cap))
+    links = {}  # rx is fixed: one link table serves every trial of this call
+    return _run_trials(plan, lambda rng: _walk_trial(rng, thresholds, rx, dims, cap,
+                                                     links=links))
 
 
 def simulate_awgn_multiuser(sc: AwgnScenario, plan: TrialPlan) -> StoppingOutcome:
@@ -529,7 +557,7 @@ def simulate_rayleigh_block_fading(s_count: int, payload_bits: float, power: flo
 
     def trial(rng):
         rx = power * np.sort(rng.standard_exponential(s_count))[::-1]
-        return _walk_trial(rng, thresholds, rx, 2, cap)
+        return _walk_trial(rng, thresholds, rx, 2, cap)  # fresh rx: a table of its own
 
     return _run_trials(plan, trial)
 
@@ -556,8 +584,9 @@ def simulate_queue(qs: QueueScenario, plan: TrialPlan) -> StoppingOutcome:
     # light users restart every interval, so every user may draw until the last stops
     last = breakdown.lengths.max()
     cap = int(CAP_FACTOR * last)
+    links = {}  # rx is fixed: one link table serves every trial of this call
     return _run_trials(plan, lambda rng: _walk_trial(
-        rng, thresholds, rx, 1, cap, qs.t_sub, congested))
+        rng, thresholds, rx, 1, cap, qs.t_sub, congested, links))
 
 
 def simulate_error_probability(payload_bits: float, snr: float,

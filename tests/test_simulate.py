@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from cwf import simulate
-from cwf.channel import capacity, info_density_increment, sinr_awgn
+from cwf.channel import active_sinrs, capacity, info_density_increment, sinr_awgn
 from cwf.lengths import (
     AwgnScenario,
     QueueScenario,
@@ -284,6 +284,131 @@ def test_error_rate_memory_is_bounded_by_competitor_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def _reference_walk(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
+    """The walk engine as it stood before its link table, Python-scalar state
+    and reusable draw buffer: the reference whose rows `_walk_trial` must
+    return bit for bit.  Frozen; do not edit."""
+    s_total = len(thresholds)
+    if congested is None:
+        congested = np.zeros(s_total, dtype=bool)
+    light = ~congested
+    acc = np.zeros(s_total)
+    active = np.ones(s_total, dtype=bool)
+    stop = np.full(s_total, cap, dtype=np.int64)
+    done = np.zeros(s_total, dtype=bool)
+    spare = np.empty(0)
+    t = 0
+    interval = 1
+    boundary = math.inf if t_sub is None else int(round(t_sub))
+    users = None
+    while t < cap and not done.all():
+        while boundary <= t:
+            interval += 1
+            boundary = int(round(interval * t_sub))
+        if users is None:
+            users = np.flatnonzero(active).tolist()
+            snr = active_sinrs(rx[users])
+            rates, gains, snr = capacity(snr, dims).tolist(), np.sqrt(snr).tolist(), snr.tolist()
+            width = len(users) * 2 * dims
+        need = min((thresholds[u] - acc[u]) / rate for u, rate in zip(users, rates))
+        chunk = int(min(max(16.0, 1.25 * need + 8.0), float(boundary - t),
+                        float(cap - t), simulate._MAX_CHUNK))
+        if spare.size < chunk * width:
+            spare = np.concatenate([spare, rng.standard_normal(chunk * width - spare.size)])
+        z = spare[:chunk * width].reshape(chunk, len(users), 2, dims)
+        used = chunk
+        cums = []
+        for i, u in enumerate(users):
+            x = gains[i] * z[:used, i, 0]
+            inc = info_density_increment(x, x + z[:used, i, 1], snr[i], out=x)
+            inc[0, 0] += acc[u]
+            cums.append(np.cumsum(inc, out=inc.reshape(-1))[dims - 1::dims])
+            first = int(np.argmax(cums[-1] >= thresholds[u]))
+            if cums[-1][first] >= thresholds[u]:
+                used = first + 1
+        spare = spare[used * width:]
+        t += used
+        for i, u in enumerate(users):
+            acc[u] = cums[i][used - 1]
+            if acc[u] >= thresholds[u]:
+                if not done[u]:
+                    stop[u] = t
+                    done[u] = True
+                if congested[u]:
+                    acc[u] = 0.0
+                else:
+                    active[u] = False
+                    users = None
+        if t == boundary:
+            acc[light] = 0.0
+            active[light] = True
+            users = None
+    return stop, ~done
+
+
+@given(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 2**64 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_walk_engine_matches_its_frozen_reference(s_count, dims, seed, data):
+    # same draws, same floats, same crossings: every row bit for bit, with and
+    # without interval boundaries and congested users, in 7-symbol chunks and
+    # at the default look-ahead
+    floats = partial(st.floats, allow_nan=False, allow_infinity=False)
+    rx = np.array(data.draw(st.lists(floats(0.05, 20.0), min_size=s_count, max_size=s_count)))
+    thresholds = np.array(data.draw(
+        st.lists(floats(0.5, 60.0), min_size=s_count, max_size=s_count)))
+    cap = data.draw(st.integers(1, 3000))
+    t_sub = data.draw(st.one_of(st.none(), floats(4.0, 400.0)))
+    congested = data.draw(st.one_of(st.none(), st.lists(
+        st.booleans(), min_size=s_count, max_size=s_count).map(np.array)))
+    for max_chunk in (7, simulate._MAX_CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_MAX_CHUNK", max_chunk)
+            links = {}  # one table for every trial, as a call with a fixed rx shares it
+            for k in range(3):
+                got = simulate._walk_trial(trial_stream(seed, k), thresholds, rx, dims, cap,
+                                           t_sub, congested, links)
+                want = _reference_walk(trial_stream(seed, k), thresholds, rx, dims, cap,
+                                       t_sub, congested)
+                got, want = np.array([got]), np.array([want])  # as `_fan_out` stacks rows
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_walk_memory_is_bounded_by_the_look_ahead(monkeypatch):
+    # two users at -13 dB stop after about 90 000 and 175 000 symbols, so chunks
+    # reach _MAX_CHUNK symbols; the one draw buffer never holds more than one
+    # chunk, and with the chunk's increments it peaked at 2.7 chunks of normals
+    # (4.2 when each refill concatenated the unused normals with new ones)
+    monkeypatch.setattr(simulate, "WORKERS", 1)
+    s_count, dims = 2, 1
+    thresholds = [message_threshold(3000.0), message_threshold(6000.0)]
+    tracemalloc.start()
+    try:
+        out = simulate_cell(thresholds, [0.05] * s_count, dims, TrialPlan(2, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.mean.min() > 2 * simulate._MAX_CHUNK  # the walk is long enough to show it
+    assert peak < 4 * simulate._MAX_CHUNK * 2 * dims * s_count * 8
+
+
+def test_a_link_table_never_outlives_its_call():
+    # two calls in one session with the same user count and different powers:
+    # each gives what it gives alone, and what the reference engine gives
+    thresholds = [message_threshold(100.0), message_threshold(300.0)]
+    calls = [partial(simulate_cell, thresholds, rx, 1, TrialPlan(40, 9))
+             for rx in ([1.0, 1.0], [4.0, 0.5])]
+    together = simulate.run_session(calls)
+    assert not np.array_equal(together[0].mean, together[1].mean)
+    for call, out in zip(calls, together):
+        alone = call()
+        assert np.array_equal(out.mean, alone.mean) and np.array_equal(out.se, alone.se)
+        rx = np.array(call.args[1])
+        cap = int(simulate.CAP_FACTOR * phase_lengths(np.array(thresholds), rx, 1)[0].max())
+        stops = sum(_reference_walk(trial_stream(9, k), thresholds, rx, 1, cap)[0]
+                    for k in range(40))
+        assert [int(round(m * 40)) for m in out.mean] == stops.tolist()
 
 
 @pytest.fixture
