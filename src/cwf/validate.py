@@ -49,7 +49,6 @@ from .waterfill import (
     evaluate_thresholds,
     lower_bound_terms,
     optimize_threshold,
-    single_user_threshold,
 )
 
 #: trial budgets are part of the acceptance contract, not tunable knobs
@@ -183,9 +182,9 @@ def _threshold_searches() -> dict:
 def _c7_threshold_grid(seed: int) -> CriterionResult:
     searches = _threshold_searches()
     max_residual = 0.0
-    for sc in searches:
-        gamma_single = single_user_threshold(sc.power, sc.s_count)
-        residual = abs(gamma_single * math.exp(gamma_single) - (1.0 / sc.power + (sc.s_count - 1)))
+    for sc, res in searches.items():
+        residual = abs(res.gamma_single * math.exp(res.gamma_single)
+                       - (1.0 / sc.power + (sc.s_count - 1)))
         max_residual = max(max_residual, residual)
     min_gap = min(r.cl_at_multi - r.cl_at_single for r in searches.values())
 
@@ -218,16 +217,15 @@ def _c8_quadrature_oracle(seed: int) -> CriterionResult:
     quadrature_diff, failure = 0.0, ""
     for sc, res in _threshold_searches().items():
         for gamma_th in (res.gamma_single, res.gamma_multi):
-            weights, denoms = lower_bound_terms(gamma_th, sc)
             try:
                 # scale: the distance from gamma_th down to the log's branch point -d
-                integrals = [checked_exp_integral(lambda g, d=d: np.log1p(g / d), gamma_th,
-                                                  scale=d + gamma_th) for d in denoms]
+                oracle = sum(w * checked_exp_integral(lambda g, d=d: np.log1p(g / d), gamma_th,
+                                                      scale=d + gamma_th)
+                             for w, d in lower_bound_terms(gamma_th, sc))
             except QuadratureError as exc:
                 failure = (f"; oracle_error={type(exc).__name__} at S={sc.s_count} "
                            f"p={format_value(sc.power)} th={format_value(gamma_th)}")
                 continue
-            oracle = sum(w * i for w, i in zip(weights, integrals))
             quadrature_diff = max(quadrature_diff,
                                   abs(capacity_lower_bound(gamma_th, sc) - oracle))
     return CriterionResult(

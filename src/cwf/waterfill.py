@@ -86,26 +86,22 @@ def single_user_threshold(power: float, s_count: int) -> float:
 
 
 def lower_bound_terms(gamma_th: float | np.ndarray, sc: FastFadingScenario):
-    """Non-zero terms of `capacity_lower_bound`, one per interferer count t.
+    """Yield the non-zero terms of `capacity_lower_bound`, one (weight, denom)
+    pair per interferer count t.
 
-    Returns (weights, denoms): the binomial weights
-    C(S-1,t) (1-q)^(S-1-t) q^t and, stacked along a first axis, the
-    noise-plus-mean-interference levels denom = q/p + t*(1+gamma_th).  Each
-    term is int_gamma_th^inf ln(1 + g/denom) e^-g dg.  An array gamma_th
-    gives arrays of weights and one row of levels per term; a term is
-    skipped only when every weight is 0.
+    weight is the binomial weight C(S-1,t) (1-q)^(S-1-t) q^t and denom the
+    noise-plus-mean-interference level q/p + t*(1+gamma_th); the term is
+    weight * int_gamma_th^inf ln(1 + g/denom) e^-g dg.  An array gamma_th
+    gives arrays shaped like it; a term is skipped only when every weight is 0.
     """
     s, p = sc.s_count, sc.power
     # numpy's exp and power for a float too: math.exp and ** may differ in the
     # last bit, and a float must give a one-element array's terms
     pon = np.exp(-gamma_th)
-    weights, denoms = [], []
     for t in range(s):
         weight = math.comb(s - 1, t) * np.power(1.0 - pon, s - 1 - t) * np.power(pon, t)
         if np.count_nonzero(weight):
-            weights.append(weight)
-            denoms.append(pon / p + t * (1.0 + gamma_th))
-    return weights, np.array(denoms)
+            yield weight, pon / p + t * (1.0 + gamma_th)
 
 
 #: 1/(k k!) for k = 18..1, then 0: E1(x) = -euler_gamma - ln x - polyval(_E1_SERIES, -x)
@@ -172,49 +168,47 @@ def capacity_lower_bound(gamma_th: float | np.ndarray,
                int_gamma_th^inf ln(1 + g/d) e^-g dg,   d = q/p + t*(1+gamma_th)
 
     with q = exp(-gamma_th).  Integration by parts gives each integral in
-    closed form, e^-gamma_th * [ln(1 + gamma_th/d) + e^(d+gamma_th) E1(d+gamma_th)],
-    with `scaled_exp1` for the second part.  An array gamma_th gives one
-    bound per element.  A float gamma_th is evaluated term by term in float
-    arithmetic, bit for bit equal to a one-element array.
+    closed form, q * [ln(1 + gamma_th/d) + e^x E1(x)] with x = d + gamma_th,
+    and `scaled_exp1` for the second part.  One loop over
+    `lower_bound_terms` adds the terms in order of t, and each term's
+    continued fraction runs to the depth of its own smallest x >= 1.  An
+    array gamma_th gives one bound per element; a scalar takes
+    `_float_lower_bound`, bit for bit equal to a one-element array.
     """
-    if isinstance(gamma_th, float):
-        return _float_lower_bound(gamma_th, sc)
-    if np.any(np.less(gamma_th, 0.0)):
-        raise ValueError(f"gamma_th must be non-negative, got {np.min(gamma_th)}")
-    weights, denoms = lower_bound_terms(gamma_th, sc)
-    gamma = np.broadcast_to(gamma_th, denoms.shape)
-    with np.errstate(divide="ignore", over="ignore"):
-        log_ratio = np.log1p(gamma / denoms)
-    # past about 3000 dB, gamma_th / (q/p) overflows at t = 0 (q/p may even
-    # underflow to 0); there ln(1 + gamma_th p/q) = ln gamma_th + gamma_th + ln p
-    far = np.isinf(log_ratio)
-    log_ratio[far] = np.log(gamma[far]) + gamma[far] + math.log(sc.power)
-    integrals = np.exp(-gamma) * (log_ratio + scaled_exp1(denoms + gamma))
+    if np.ndim(gamma_th) == 0:
+        return _float_lower_bound(float(gamma_th), sc)
+    gamma = np.asarray(gamma_th, dtype=float)
+    if np.any(gamma < 0.0):
+        raise ValueError(f"gamma_th must be non-negative, got {np.min(gamma)}")
+    pon = np.exp(-gamma)
     total = 0.0
-    for weight, integral in zip(weights, integrals):
-        total += weight * integral
-    return float(total) if np.ndim(total) == 0 else total
+    for weight, d in lower_bound_terms(gamma, sc):
+        with np.errstate(divide="ignore", over="ignore"):
+            log_ratio = np.log1p(gamma / d)
+        # past about 3000 dB, gamma_th / (q/p) overflows at t = 0 (q/p may even
+        # underflow to 0); there ln(1 + gamma_th p/q) = ln gamma_th + gamma_th + ln p
+        far = np.isinf(log_ratio)
+        log_ratio[far] = np.log(gamma[far]) + gamma[far] + math.log(sc.power)
+        total += weight * (pon * (log_ratio + scaled_exp1(d + gamma)))
+    return total
 
 
 def _float_lower_bound(gamma_th: float, sc: FastFadingScenario) -> float:
-    """`capacity_lower_bound` at one float threshold: the array path's
-    operations in its order, on floats, with numpy's exp, log and log1p.
-    The fraction's level count comes from the smallest x >= 1 of all terms,
-    as in one array call."""
+    """`capacity_lower_bound` at one float threshold: the array path's loop
+    on floats, with numpy's exp, log and log1p and each term's fraction
+    depth from its own x."""
     if gamma_th < 0.0:
         raise ValueError(f"gamma_th must be non-negative, got {gamma_th}")
-    weights, denoms = lower_bound_terms(gamma_th, sc)
-    denoms = denoms.tolist()
-    xs = [d + gamma_th for d in denoms]
-    levels = _fraction_levels(min((x for x in xs if x >= 1.0), default=1.0))
     pon = float(np.exp(-gamma_th))
     total = 0.0
-    for weight, d, x in zip(weights, denoms, xs):
+    for weight, d in lower_bound_terms(gamma_th, sc):
+        d = float(d)
         # d is 0 where q/p underflows: numpy's gamma_th / 0 is inf, Python's raises
         log_ratio = float(np.log1p(gamma_th / d)) if d > 0.0 else math.inf
         if math.isinf(log_ratio):
             log_ratio = float(np.log(gamma_th)) + gamma_th + math.log(sc.power)
-        scaled = _scaled_exp1_series(x) if x < 1.0 else _scaled_exp1_fraction(x, levels)
+        x = d + gamma_th
+        scaled = _scaled_exp1_series(x) if x < 1.0 else _scaled_exp1_fraction(x, _fraction_levels(x))
         total += weight * (pon * (log_ratio + scaled))
     return float(total)
 
@@ -247,31 +241,26 @@ def _threshold_cap(s_count: int) -> float:
 GRID_STEP = 0.01
 REFINE_TOL = 1e-6
 
-#: most (term x threshold) elements of one coarse-grid call; bounds memory
-_GRID_ELEMENTS = 1 << 16
-
 
 def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
     """Maximize the capacity lower bound over the on-off threshold.
 
-    Coarse grid (step 0.01) over [0, ln(1000*S)] in array calls of at most
-    `_GRID_ELEMENTS` (term x threshold) elements (one call for S <= 8), then
+    Coarse grid (step 0.01) over [0, ln(1000*S)] in one array call, then
     golden-section refinement.  While the argmax is the grid's last point,
     the cap doubles, up to 708 (q = e^-th stays a normal float a step past
     it), and the grid is searched again.  The search's own argmax is
     reported; the interference-blind threshold is evaluated beside it, so a
     search that misses the optimum shows as cl_at_multi < cl_at_single.
-    The slices only bound memory: the grid picks the bracket, and the
-    refinement and both reported bounds are float calls, which take the
-    bound's float path, bit for bit equal to one-element array calls.
+    The grid picks the bracket; the refinement and both reported bounds are
+    float calls, bit for bit equal to one-element array calls.  The bound
+    adds its terms one at a time, so a grid call's memory does not grow
+    with S.
     """
     cap, limit = _threshold_cap(sc.s_count), math.floor(-math.log(sys.float_info.min))
     objective = lambda g: capacity_lower_bound(float(g), sc)
-    width = max(1, _GRID_ELEMENTS // sc.s_count)
     while True:
         grid = np.arange(0.0, cap + GRID_STEP, GRID_STEP)
-        values = np.concatenate([capacity_lower_bound(grid[i:i + width], sc)
-                                 for i in range(0, len(grid), width)])
+        values = capacity_lower_bound(grid, sc)
         best = int(np.argmax(values))
         if best < len(grid) - 1 or cap >= limit:
             break
@@ -298,23 +287,29 @@ def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Est
     no interferer on) the capacity is ln g1 + th - ln(1/p + interference),
     as in the bound's `far` rule.  Trials are drawn in blocks of `BLOCK`,
     each from its own counter-based stream, so the estimate does not depend
-    on scheduling.
+    on scheduling.  A block's gains are drawn in row slices of at most
+    BLOCK // S trials, the same draws in the same order, so memory does not
+    grow with S.
     """
     if not (math.isfinite(gamma_th) and gamma_th >= 0.0):
         raise ValueError(f"gamma_th must be finite and non-negative, got {gamma_th}")
     pon = math.exp(-gamma_th)
     inv_p = 1.0 / sc.power
+    rows = max(1, BLOCK // sc.s_count)
 
     def capacities(rng, n):
-        gains = rng.standard_exponential((n, sc.s_count))
-        own = gains[:, 0]
-        others = gains[:, 1:]
-        noise = inv_p + ((others / pon) * (others > gamma_th)).sum(axis=1)
-        with np.errstate(over="ignore"):
-            values = np.log1p((own / pon) / noise)
-        far = np.isinf(values)
-        values[far] = np.log(own[far]) + gamma_th - np.log(noise[far])
-        return np.where(own > gamma_th, values, 0.0)
+        out = np.empty(n)
+        for start in range(0, n, rows):
+            gains = rng.standard_exponential((min(rows, n - start), sc.s_count))
+            own = gains[:, 0]
+            others = gains[:, 1:]
+            noise = inv_p + ((others / pon) * (others > gamma_th)).sum(axis=1)
+            with np.errstate(over="ignore"):
+                values = np.log1p((own / pon) / noise)
+            far = np.isinf(values)
+            values[far] = np.log(own[far]) + gamma_th - np.log(noise[far])
+            out[start:start + len(gains)] = np.where(own > gamma_th, values, 0.0)
+        return out
 
     return estimate(capacities(rng, n) for rng, n in streams(plan, BLOCK))
 

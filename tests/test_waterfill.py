@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -121,7 +122,7 @@ def test_capacity_lower_bound_single_user_closed_form():
 
 def test_capacity_lower_bound_binomial_weights_sum():
     # the binomial weights over the S-1 interferers form a distribution
-    weights, _ = lower_bound_terms(0.7, FastFadingScenario(4, 1.0))
+    weights = [w for w, _ in lower_bound_terms(0.7, FastFadingScenario(4, 1.0))]
     assert len(weights) == 4
     assert sum(weights) == pytest.approx(1.0, rel=1e-12)
 
@@ -167,8 +168,9 @@ def test_capacity_lower_bound_array_matches_scalar_calls(s_count, log10_power, d
     (2, -5.0, 5.516246716547083e-09), (3, 15.0, 2.5783449729549798e-05),
     (3, 22.5, 0.025438816699116403), (3, 22.5, 1.2864152230461904e-13)])
 def test_float_bound_counts_fraction_levels_over_all_terms(s_count, snr_db, gamma_th):
-    # here a level count from each term's own x, not from the smallest x >= 1
-    # of the call, moves the last bit
+    # on both paths each term's continued fraction runs to the depth of its
+    # own x; at these points a depth from the smallest x >= 1 of all terms
+    # would move the last bit of one path away from the other
     sc = FastFadingScenario(s_count, 10.0 ** (snr_db / 10.0))
     assert capacity_lower_bound(gamma_th, sc) == capacity_lower_bound(np.array([gamma_th]), sc)[0]
 
@@ -244,9 +246,25 @@ def test_optimize_threshold_evaluates_grid_in_one_array_call(monkeypatch):
     assert len(calls) < 100
 
 
-def test_optimize_threshold_slices_a_large_grid_without_moving_a_bit(monkeypatch):
-    # at S = 200 one grid call would hold 200 x 1222 (term x threshold)
-    # elements; slices of at most 2^16 keep the unsliced search's bits
+@pytest.mark.parametrize("s_count,want", [
+    (9, ("0x1.1c1f609d10924p+1", "0x1.77471f7f63cdbp-3", "0x1.56907cd284ad9p-3")),
+    (17, ("0x1.6a8585e24b52dp+1", "0x1.cfad09838e7a4p-4", "0x1.8397c2880b742p-4")),
+    (64, ("0x1.0911fbe88f71cp+2", "0x1.3f575b1e9a181p-5", "0x1.9bdbefa352da4p-6")),
+    (200, ("0x1.51cf41fd60c10p+2", "0x1.e821f65fd10d1p-7", "0x1.e5c9d787397b4p-8")),
+    (513, ("0x1.8e14de639e230p+2", "0x1.af1e6d6df068dp-8", "0x1.5caa6f5369d5dp-9")),
+    (1030, ("0x1.bab69500b567cp+2", "0x1.d24ad2aa176d2p-9", "0x1.47f9ff135d3ffp-10")),
+])
+def test_optimize_threshold_pinned_bits_at_large_s(s_count, want):
+    # (gamma_multi, cl_at_multi, cl_at_single) of the search that sliced its
+    # coarse grid into calls of at most 2^16 (term x threshold) elements:
+    # one grid call, term by term, keeps every bit
+    res = optimize_threshold(FastFadingScenario(s_count, 1.0))
+    assert (res.gamma_multi.hex(), res.cl_at_multi.hex(), res.cl_at_single.hex()) == want
+
+
+def test_optimize_threshold_memory_does_not_grow_with_s(monkeypatch):
+    # one grid call at S = 200 too, which adds the bound's terms one at a time:
+    # a stacked (term x threshold) array of 200 x 1222 elements peaked at 5.2 MB
     calls = []
     real = waterfill.capacity_lower_bound
 
@@ -255,15 +273,14 @@ def test_optimize_threshold_slices_a_large_grid_without_moving_a_bit(monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(waterfill, "capacity_lower_bound", counting)
-    sc = FastFadingScenario(200, 1.0)
-    res = optimize_threshold(sc)
-    grid_calls = [np.size(g) for g in calls if np.ndim(g) > 0]
-    assert len(grid_calls) == 4 and sum(grid_calls) == 1222
-    assert max(grid_calls) * 200 <= 1 << 16
-    calls.clear()
-    monkeypatch.setattr(waterfill, "_GRID_ELEMENTS", 200 * 1222)
-    assert optimize_threshold(sc) == res
+    tracemalloc.start()
+    try:
+        optimize_threshold(FastFadingScenario(200, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert [np.size(g) for g in calls if np.ndim(g) > 0] == [1222]
+    assert peak < 1 << 20
 
 
 def _bound_mpmath(s_count, power, gamma_th):
@@ -350,6 +367,19 @@ def test_mc_capacity_deterministic_and_chunk_invariant():
     assert a.se == pytest.approx(values.std(ddof=1) / math.sqrt(70_000), rel=1e-12)
 
 
+def test_mc_capacity_memory_does_not_grow_with_s():
+    # a block's gains are drawn in row slices of at most BLOCK // S trials: at
+    # S = 128 one (2^16, 128) draw and its temporaries traced about 135 MB
+    sc = FastFadingScenario(128, 1.0)
+    tracemalloc.start()
+    try:
+        mc_capacity(1.0, sc, TrialPlan(BLOCK, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 @pytest.mark.parametrize("gamma_th", [math.nan, math.inf, -0.5])
 def test_mc_capacity_rejects_non_finite_or_negative_threshold(gamma_th):
     # NaN passed a plain `< 0` guard and returned mean 0; inf computed inf*0
@@ -372,8 +402,7 @@ def test_fast_fading_scenario_rejects_non_positive_or_non_finite_power(power, ma
 def test_fast_fading_scenario_rejects_binomial_overflow():
     # lower_bound_terms weighs C(S-1, t) as a float; C(1030, 515) is the first to overflow,
     # and a huge S is rejected from lgamma without building the integer
-    weights, _ = lower_bound_terms(1.0, FastFadingScenario(1030, 1.0))
-    assert all(math.isfinite(w) for w in weights)
+    assert all(math.isfinite(w) for w, _ in lower_bound_terms(1.0, FastFadingScenario(1030, 1.0)))
     for s_count in (1031, 10**9):
         with pytest.raises(ValueError, match="overflows a float"):
             FastFadingScenario(s_count, 1.0)
