@@ -47,19 +47,24 @@ but keep every normal they did not use at the buffer's front for the next
 chunk, so neither look-ahead nor blocks ever change a result, and a walk
 holds at most one chunk of normals.
 
-A simulator is one function of one trial's stream that returns the
+`_fan_out(count, task)` runs `task(i)`, which returns one row, for every
+index i on every CPU the process may use (`WORKERS`), always inside a
+session (`run_session`): the session forks `WORKERS` - 1 workers once, and
+each runs the same sequence of calls as the caller.  Each call splits its
+indices into contiguous ranges: a worker runs its range and sends the rows
+down its pipe, the caller runs the last range and stacks the rows in index
+order.  A simulator is one function of one trial's stream that returns the
 trial's row: its stops and cap flags for a walk, (error, capped) for the
-error-rate check.  `_fan_out` runs it on every CPU the process may use
-(`WORKERS`), always inside a session (`run_session`): the session forks
-`WORKERS` - 1 workers once, and each runs the same sequence of simulator
-calls as the caller.  Each call splits its trials into contiguous ranges:
-a worker runs its range and sends the rows down its pipe, the caller runs
-the last range, builds every trial's stream handle, and stacks the rows in
-trial order.  Stops are averaged as one block and flags and errors summed, so
-results never depend on the worker count.  A walk sweep runs all its
-points in one session; a call outside a sweep is a session of one call.
-Every worker is reaped before its session returns or raises.  Without POSIX
-fork, `WORKERS` is 1 and a session has no workers.
+error-rate check; its task (`_trial_task`) runs trial i on stream
+(seed, i), and the caller builds every trial's stream handle.  Stops are
+averaged as one block and flags and errors summed, so results never depend
+on the worker count.  The Monte Carlo capacity columns of a threshold
+sweep or of c7 fan out one `mc_capacity` call per task
+(`waterfill.evaluate_thresholds`), while the threshold searches stay in
+the caller.  A walk sweep runs all its points in one session; any other
+call is a session of one call.  Every worker is reaped before its session
+returns or raises.  Without POSIX fork, `WORKERS` is 1 and a session has
+no workers.
 
 Each simulator caps its trials at `CAP_FACTOR` times its analytic
 prediction: the slowest `phase_lengths` stop for `simulate_cell`, the
@@ -71,7 +76,6 @@ they enter the means at the cap value (a lower bound) and are counted in
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import pickle
@@ -453,31 +457,28 @@ def run_session(calls) -> list:
             os.waitpid(pid, 0)
 
 
-def _fan_out(plan: TrialPlan, trial) -> np.ndarray:
-    """Run `trial(rng)` on each of the plan's trial streams and return the
-    rows it returns, stacked in trial order as one array.
+def _fan_out(count: int, task) -> np.ndarray:
+    """Run `task(i)` for every index i < `count` and return the rows it
+    returns, stacked in index order as one array.
 
     The call runs in a session (`run_session`), a session of its own when
-    none is open.  Its trials split into min(WORKERS, trials) contiguous
-    ranges: worker r runs range r and sends its rows down its pipe without
-    waiting, the caller runs the last range and then reads the workers' rows
-    of this call in order.  The split depends on the call alone, never on
-    timing.  The caller builds every stream through `streams(plan, 1)`, so
-    trial i runs on stream (seed, i) whoever runs it; a stream is keyed on
-    the process's shared Philox at its first draw, so a handle the caller
-    only builds costs no Philox.  A worker's exception is re-raised here
-    with its own type, and a worker that dies raises `ChildProcessError`.
+    none is open.  Its indices split into min(WORKERS, count) contiguous
+    ranges, each run in increasing order: worker r runs range r and sends
+    its rows down its pipe without waiting, the caller runs the last range
+    and then reads the workers' rows of this call in order.  The split
+    depends on the call alone, never on timing.  A worker's exception is
+    re-raised here with its own type, and a worker that dies raises
+    `ChildProcessError`.
     """
     if _session is None:
-        return run_session([lambda: _fan_out(plan, trial)])[0]
+        return run_session([lambda: _fan_out(count, task)])[0]
     rank, channel = _session
-    ranges = min(WORKERS, plan.trials)
+    ranges = min(WORKERS, count)
     if rank is not None and rank >= ranges - 1:
         raise _Handed  # the caller runs the last range; this worker has none here
     mine = ranges - 1 if rank is None else rank
-    bounds = [plan.trials * r // ranges for r in range(ranges + 1)]
-    rngs = itertools.islice(streams(plan, 1), bounds[mine], bounds[mine + 1])
-    rows = np.array([trial(rng) for rng, _ in rngs])
+    rows = np.array([task(i) for i in range(count * mine // ranges,
+                                            count * (mine + 1) // ranges)])
     if rank is not None:
         _send((True, rows))
         raise _Handed
@@ -496,6 +497,27 @@ def _fan_out(plan: TrialPlan, trial) -> np.ndarray:
     return np.concatenate(parts + [rows])
 
 
+def _trial_task(plan: TrialPlan, trial):
+    """The task that runs `trial(rng)` on trial i's stream, for `_fan_out`
+    over the plan's trials.
+
+    Called with increasing i, as `_fan_out` does in each process, it builds
+    the handles of trials 0 to i through `streams(plan, 1)` and drops those
+    it does not run, so trial i runs on stream (seed, i) whoever runs it,
+    and the caller, which runs the last range, builds every trial's handle.
+    A stream is keyed on the process's shared Philox at its first draw, so
+    a handle that is only built costs no Philox.
+    """
+    handles = enumerate(streams(plan, 1))
+
+    def task(i):
+        for k, (rng, _) in handles:
+            if k == i:
+                return trial(rng)
+
+    return task
+
+
 def _run_trials(plan: TrialPlan, trial) -> StoppingOutcome:
     """Run the walk `trial(rng)`, which returns its (stops, capped) row, on
     each trial's own stream and average the stops.
@@ -504,7 +526,7 @@ def _run_trials(plan: TrialPlan, trial) -> StoppingOutcome:
     stops are averaged as one block and their cap flags summed, so the
     result does not depend on the worker count.
     """
-    rows = _fan_out(plan, trial)
+    rows = _fan_out(plan.trials, _trial_task(plan, trial))
     est = estimate([rows[:, 0]])
     return StoppingOutcome(est.mean, est.se, est.trials, cap_hits=rows[:, 1].sum(axis=0))
 
@@ -640,7 +662,7 @@ def simulate_error_probability(payload_bits: float, snr: float,
                 return True, not crossed
         return False, not crossed
 
-    errors, cap_hits = _fan_out(plan, trial).sum(axis=0).tolist()
+    errors, cap_hits = _fan_out(plan.trials, _trial_task(plan, trial)).sum(axis=0).tolist()
     return ErrorRateEstimate(errors=errors, trials=plan.trials, cap_hits=cap_hits)
 
 

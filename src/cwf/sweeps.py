@@ -213,17 +213,18 @@ def run_waterfill_sweep(cfg: ExperimentConfig, out=None):
             for s in cfg.s_counts:
                 yield snr_db, p, s, FastFadingScenario(s_count=s, power=p)
 
-    rows = []
-    for index, (snr_db, p, s, sc) in enumerate(_solved(points())):
-        if cfg.trials > 0:
-            seed = point_seed(cfg.resolved_seed, index)
-            res = evaluate_thresholds(sc, cfg.trials, seed)
-            mc = [res.mc_capacity_single.mean, res.mc_capacity_single.ci95,
-                  res.mc_capacity_multi.mean, res.mc_capacity_multi.ci95,
-                  cfg.trials, seed]
-        else:
-            res = optimize_threshold(sc)
-            mc = [None] * 6
-        rows.append([snr_db, p, s, res.gamma_single, res.gamma_multi,
-                     res.cl_at_single, res.cl_at_multi, *mc, "ok"])
+    solved = _solved(points())
+    scenarios = [sc for *_, sc in solved]
+    if cfg.trials > 0:
+        seeds = [point_seed(cfg.resolved_seed, index) for index in range(len(solved))]
+        results = evaluate_thresholds(scenarios, cfg.trials, seeds)
+        mc = [[res.mc_capacity_single.mean, res.mc_capacity_single.ci95,
+               res.mc_capacity_multi.mean, res.mc_capacity_multi.ci95, cfg.trials, seed]
+              for res, seed in zip(results, seeds)]
+    else:
+        results = [optimize_threshold(sc) for sc in scenarios]
+        mc = [[None] * 6] * len(solved)
+    rows = [[snr_db, p, s, res.gamma_single, res.gamma_multi,
+             res.cl_at_single, res.cl_at_multi, *cells, "ok"]
+            for (snr_db, p, s, _), res, cells in zip(solved, results, mc)]
     return write_csv(out, _metadata(cfg), header, rows)

@@ -188,7 +188,7 @@ def _c7_threshold_grid(seed: int) -> CriterionResult:
         max_residual = max(max_residual, residual)
     min_gap = min(r.cl_at_multi - r.cl_at_single for r in searches.values())
 
-    sep = evaluate_thresholds(FastFadingScenario(4, 10.0), TRIALS_MC_CAPACITY, seed)
+    sep, = evaluate_thresholds([FastFadingScenario(4, 10.0)], TRIALS_MC_CAPACITY, [seed])
     mc_single, mc_multi = sep.mc_capacity_single, sep.mc_capacity_multi
     separated = mc_multi.low > mc_single.high
     observed = (f"residual_max={format_value(max_residual)}; cl_gap_min={format_value(min_gap)}; "

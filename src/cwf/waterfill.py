@@ -6,8 +6,11 @@ the threshold `th` and stays silent otherwise, so the long-run average
 power is exactly p.  Raising the threshold thins out interference from
 badly faded users; the capacity lower bound below, in closed form, is
 maximized over `th` to pick the operating point, and `mc_capacity` checks
-it by simulation.  Nothing here integrates numerically: the quadrature of
-`cwf.quadrature` is the bound's oracle in `cwf validate` (criterion 8).
+it by simulation.  `evaluate_thresholds` runs the searches of a sweep or
+of c7 in the calling process and fans their `mc_capacity` calls out, one
+call per task of `simulate._fan_out`.  Nothing here integrates
+numerically: the quadrature of `cwf.quadrature` is the bound's oracle in
+`cwf validate` (criterion 8).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import check_positive, is_int
-from .simulate import BLOCK, Estimate, TrialPlan, estimate, point_seed, streams
+from .simulate import BLOCK, Estimate, TrialPlan, _fan_out, estimate, point_seed, streams
 
 
 @dataclass(frozen=True)
@@ -303,8 +306,9 @@ def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Est
             gains = rng.standard_exponential((min(rows, n - start), sc.s_count))
             own = gains[:, 0]
             others = gains[:, 1:]
-            noise = inv_p + ((others / pon) * (others > gamma_th)).sum(axis=1)
-            with np.errstate(over="ignore"):
+            # past a threshold of about 745 q underflows to 0 and g/q is inf
+            with np.errstate(divide="ignore", over="ignore"):
+                noise = inv_p + np.where(others > gamma_th, others / pon, 0.0).sum(axis=1)
                 values = np.log1p((own / pon) / noise)
             far = np.isinf(values)
             values[far] = np.log(own[far]) + gamma_th - np.log(noise[far])
@@ -314,11 +318,26 @@ def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Est
     return estimate(capacities(rng, n) for rng, n in streams(plan, BLOCK))
 
 
-def evaluate_thresholds(sc: FastFadingScenario, trials: int,
-                        seed: int) -> ThresholdSearchResult:
-    """Optimize the threshold and attach Monte Carlo capacity estimates:
-    seed `point_seed(seed, 0)` at gamma_single, `point_seed(seed, 1)` at gamma_multi."""
-    base = optimize_threshold(sc)
-    single, multi = (TrialPlan(trials, point_seed(seed, i)) for i in (0, 1))
-    return replace(base, mc_capacity_single=mc_capacity(base.gamma_single, sc, single),
-                   mc_capacity_multi=mc_capacity(base.gamma_multi, sc, multi))
+def evaluate_thresholds(scenarios, trials: int, seeds) -> list[ThresholdSearchResult]:
+    """Optimize the threshold of every scenario and attach Monte Carlo
+    capacity estimates: scenario j, seeded seeds[j], on `point_seed(seeds[j], 0)`
+    at gamma_single and `point_seed(seeds[j], 1)` at gamma_multi.
+
+    Every search runs in the calling process.  The 2n `mc_capacity` calls
+    then fan out as the indexed tasks of one `simulate._fan_out`, one
+    (mean, se) row per call, so the estimates do not depend on the worker
+    count.
+    """
+    searches = [optimize_threshold(sc) for sc in scenarios]
+    calls = [(gamma, sc, TrialPlan(trials, point_seed(seed, i)))
+             for sc, seed, res in zip(scenarios, seeds, searches, strict=True)
+             for i, gamma in enumerate((res.gamma_single, res.gamma_multi))]
+
+    def task(i):
+        est = mc_capacity(*calls[i])
+        return est.mean, est.se
+
+    rows = _fan_out(len(calls), task)
+    estimates = [Estimate(mean, se, trials) for mean, se in rows]
+    return [replace(res, mc_capacity_single=single, mc_capacity_multi=multi)
+            for res, single, multi in zip(searches, estimates[0::2], estimates[1::2])]

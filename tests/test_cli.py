@@ -219,6 +219,47 @@ def test_a_walk_sweep_failing_mid_way_leaves_no_child(monkeypatch, who, fault, e
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_waterfill_csv_does_not_depend_on_worker_count(tmp_path, monkeypatch):
+    # the searches run in the caller, once per grid point, before the fork;
+    # the MC columns fan out one mc_capacity call per task
+    from cwf import simulate, waterfill
+
+    search, caller, searched = waterfill.optimize_threshold, os.getpid(), []
+    monkeypatch.setattr(waterfill, "optimize_threshold",
+                        lambda sc: searched.append((os.getpid(), sc)) or search(sc))
+    cfg = default_config("waterfill_sweep")
+    grid = [waterfill.FastFadingScenario(s, db_to_linear(db))
+            for db in cfg.snr_db for s in cfg.s_counts]
+    texts = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "WORKERS", workers)
+        searched.clear()
+        out = tmp_path / f"waterfill_{workers}.csv"
+        assert main(["waterfill", "--trials", "50", "--seed", "7", "--out", str(out)]) == EXIT_OK
+        texts.append(out.read_bytes())
+        assert searched == [(caller, sc) for sc in grid]
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_a_worker_failing_an_mc_capacity_call_is_reraised_with_its_type(monkeypatch):
+    from cwf import simulate, waterfill
+
+    monkeypatch.setattr(simulate, "WORKERS", 3)
+    mc_capacity, caller = waterfill.mc_capacity, os.getpid()
+
+    def failing(gamma_th, sc, plan):
+        if os.getpid() != caller:
+            raise FloatingPointError(f"S={sc.s_count}")
+        return mc_capacity(gamma_th, sc, plan)
+
+    monkeypatch.setattr(waterfill, "mc_capacity", failing)
+    scenarios = [waterfill.FastFadingScenario(s, 1.0) for s in (1, 2, 3)]
+    with pytest.raises(FloatingPointError, match="S=1"):  # the first worker's first task
+        waterfill.evaluate_thresholds(scenarios, 100, [1, 2, 3])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_waterfill_sweep_ordering_columns():
     cfg = ExperimentConfig(kind="waterfill_sweep", snr_db=(0.0,), s_counts=(1, 2))
     text = run_waterfill_sweep(cfg, None)

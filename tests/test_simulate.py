@@ -150,7 +150,7 @@ def test_streams_first_drawn_in_a_forked_child_match_philox(shared):
         return np.concatenate([rng.standard_normal(4), rng.standard_exponential(2),
                                rng.standard_normal(3), [os.getpid()]])
 
-    rows = simulate._fan_out(TrialPlan(7, 5), trial)
+    rows = simulate._fan_out(7, simulate._trial_task(TrialPlan(7, 5), trial))
     assert rows.shape == (7, 10)
     assert len(set(rows[:, -1])) == 3  # two children and the caller
     for k, got in enumerate(rows[:, :-1]):
@@ -462,10 +462,9 @@ def _no_child_left():
 
 @pytest.fixture
 def indexed_fan_out(monkeypatch):
-    """`_fan_out` over three workers, each stream replaced by its trial index."""
+    """`_fan_out` of indexed tasks over three workers."""
     monkeypatch.setattr(simulate, "WORKERS", 3)
-    monkeypatch.setattr(simulate, "trial_stream", lambda seed, index: index)
-    return lambda trials, trial: simulate._fan_out(TrialPlan(trials, 1), trial)
+    return simulate._fan_out
 
 
 def _index_and_pid(index):
@@ -549,17 +548,15 @@ def test_fan_out_reports_a_worker_that_died(indexed_fan_out):
 @pytest.fixture
 def indexed_session(monkeypatch):
     """One session over three workers that runs `_fan_out` once per point,
-    each stream replaced by its trial index and each trial called as
-    `trial(point, index)`; returns the runner and the caller's fork log."""
+    each task called as `trial(point, index)`; returns the runner and the
+    caller's fork log."""
     monkeypatch.setattr(simulate, "WORKERS", 3)
-    monkeypatch.setattr(simulate, "trial_stream", lambda seed, index: index)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
 
     def run(trial, trials=(6, 6, 2, 6)):
-        return simulate.run_session([partial(simulate._fan_out, TrialPlan(n, 1),
-                                             partial(trial, point))
+        return simulate.run_session([partial(simulate._fan_out, n, partial(trial, point))
                                      for point, n in enumerate(trials)])
 
     return run, forks

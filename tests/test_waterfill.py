@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -387,6 +388,14 @@ def test_mc_capacity_rejects_non_finite_or_negative_threshold(gamma_th):
         mc_capacity(gamma_th, FastFadingScenario(2, 1.0), TrialPlan(100, 1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_mc_capacity_past_the_underflow_of_q_is_zero_without_a_warning():
+    # q = e^-800 underflows to 0: g/q was inf and inf * False NaN, with
+    # "divide by zero" and "invalid value" warnings; no gain clears 800
+    est = mc_capacity(800.0, FastFadingScenario(4, 10.0), TrialPlan(1000, 5))
+    assert est.mean == 0.0 and est.se == 0.0
+
+
 @pytest.mark.parametrize("power,match", [
     (math.inf, "positive and finite"), (math.nan, "positive and finite"),
     (0.0, "positive and finite"), (5e-324, "1/power overflows a float")],
@@ -409,17 +418,20 @@ def test_fast_fading_scenario_rejects_binomial_overflow():
 
 
 def test_evaluate_thresholds_seeds_each_threshold_by_point_seed():
-    # the threshold pair's MC columns are children 0 and 1 of the given seed
-    sc = FastFadingScenario(2, 1.0)
-    res = evaluate_thresholds(sc, 1000, seed=9)
-    assert res.mc_capacity_single == mc_capacity(res.gamma_single, sc,
-                                                 TrialPlan(1000, point_seed(9, 0)))
-    assert res.mc_capacity_multi == mc_capacity(res.gamma_multi, sc,
-                                                TrialPlan(1000, point_seed(9, 1)))
+    # each threshold pair's MC columns are children 0 and 1 of its scenario's seed
+    scenarios = [FastFadingScenario(2, 1.0), FastFadingScenario(3, 10.0)]
+    results = evaluate_thresholds(scenarios, 1000, [9, 4])
+    for sc, seed, res in zip(scenarios, (9, 4), results):
+        assert res == replace(optimize_threshold(sc), mc_capacity_single=res.mc_capacity_single,
+                              mc_capacity_multi=res.mc_capacity_multi)
+        assert res.mc_capacity_single == mc_capacity(res.gamma_single, sc,
+                                                     TrialPlan(1000, point_seed(seed, 0)))
+        assert res.mc_capacity_multi == mc_capacity(res.gamma_multi, sc,
+                                                    TrialPlan(1000, point_seed(seed, 1)))
 
 
 def test_evaluate_thresholds_attaches_mc_fields():
-    res = evaluate_thresholds(FastFadingScenario(2, 1.0), 50_000, seed=9)
+    res, = evaluate_thresholds([FastFadingScenario(2, 1.0)], 50_000, [9])
     assert res.mc_capacity_single is not None
     assert res.mc_capacity_multi is not None
     assert res.mc_capacity_multi.mean >= res.cl_at_multi - 4.0 * res.mc_capacity_multi.ci95
