@@ -498,16 +498,11 @@ def _fan_out(count: int, task) -> np.ndarray:
 
 
 def _trial_task(plan: TrialPlan, trial):
-    """The task that runs `trial(rng)` on trial i's stream, for `_fan_out`
-    over the plan's trials.
-
-    Called with increasing i, as `_fan_out` does in each process, it builds
-    the handles of trials 0 to i through `streams(plan, 1)` and drops those
-    it does not run, so trial i runs on stream (seed, i) whoever runs it,
-    and the caller, which runs the last range, builds every trial's handle.
-    A stream is keyed on the process's shared Philox at its first draw, so
-    a handle that is only built costs no Philox.
-    """
+    """`trial(rng)` as a task of `_fan_out` over the plan's trials: task i
+    runs trial i on stream (seed, i).  Called with increasing i, as
+    `_fan_out` does, it builds and drops the handles before i on the way,
+    so the caller, which runs the last range, builds every trial's handle;
+    a handle that is only built costs no Philox."""
     handles = enumerate(streams(plan, 1))
 
     def task(i):
