@@ -217,13 +217,26 @@ def _float_lower_bound(gamma_th: float, sc: FastFadingScenario) -> float:
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section search for the maximizer of f on [lo, hi]."""
+    """Golden-section search for the maximizer of f on [lo, hi].
+
+    The bracket shrinks to a width of at most tol.  If its lower end is
+    then still exactly 0, the maximizer may lie below tol, so the search
+    goes on until the width is within tol of the upper end (tol relative),
+    or until rounding stops the bracket from shrinking.  A bracket whose
+    lower end has left 0 by then ends where the plain search ends.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    relative = False
+    while True:
+        if b - a <= (tol * b if relative else tol):
+            if relative or a > 0.0:
+                break
+            relative = True
+        bracket = (a, b)
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
@@ -232,6 +245,8 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
             f1 = f(x1)
+        if (a, b) == bracket:  # a few subnormal steps apart: no point lies between
+            break
     return 0.5 * (a + b)
 
 
@@ -255,9 +270,11 @@ def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
     reported; the interference-blind threshold is evaluated beside it, so a
     search that misses the optimum shows as cl_at_multi < cl_at_single.
     The grid picks the bracket; the refinement and both reported bounds are
-    float calls, bit for bit equal to one-element array calls.  The bound
-    adds its terms one at a time, so a grid call's memory does not grow
-    with S.
+    float calls, bit for bit equal to one-element array calls.  Where the
+    optimum lies below `REFINE_TOL` (S=1 from about 66 dB), the bracket
+    keeps its lower end 0, and the refinement goes on until the width is
+    within `REFINE_TOL` of the upper end (`_golden_max`).  The bound adds
+    its terms one at a time, so a grid call's memory does not grow with S.
     """
     cap, limit = _threshold_cap(sc.s_count), math.floor(-math.log(sys.float_info.min))
     objective = lambda g: capacity_lower_bound(float(g), sc)
@@ -292,7 +309,10 @@ def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Est
     each from its own counter-based stream, so the estimate does not depend
     on scheduling.  A block's gains are drawn in row slices of at most
     BLOCK // S trials, the same draws in the same order, so memory does not
-    grow with S.
+    grow with S.  Only a slice's on-rows, whose own gain clears the
+    threshold, are gathered and given a rate; an off-row adds exactly 0 and
+    its interference is never formed.  Each on-row's sum, division and
+    logarithms are those of the whole slice, bit for bit.
     """
     if not (math.isfinite(gamma_th) and gamma_th >= 0.0):
         raise ValueError(f"gamma_th must be finite and non-negative, got {gamma_th}")
@@ -301,18 +321,19 @@ def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Est
     rows = max(1, BLOCK // sc.s_count)
 
     def capacities(rng, n):
-        out = np.empty(n)
+        out = np.zeros(n)
         for start in range(0, n, rows):
             gains = rng.standard_exponential((min(rows, n - start), sc.s_count))
-            own = gains[:, 0]
-            others = gains[:, 1:]
+            on = np.flatnonzero(gains[:, 0] > gamma_th)
+            own = gains[on, 0]
+            others = gains[on, 1:]
             # past a threshold of about 745 q underflows to 0 and g/q is inf
             with np.errstate(divide="ignore", over="ignore"):
                 noise = inv_p + np.where(others > gamma_th, others / pon, 0.0).sum(axis=1)
                 values = np.log1p((own / pon) / noise)
             far = np.isinf(values)
             values[far] = np.log(own[far]) + gamma_th - np.log(noise[far])
-            out[start:start + len(gains)] = np.where(own > gamma_th, values, 0.0)
+            out[start + on] = values
         return out
 
     return estimate(capacities(rng, n) for rng, n in streams(plan, BLOCK))

@@ -12,11 +12,12 @@ from scipy.special import exp1, lambertw
 
 from cwf import quadrature, waterfill
 from cwf.config import ExperimentConfig, db_to_linear
-from cwf.simulate import BLOCK, TrialPlan, point_seed, trial_stream
+from cwf.simulate import BLOCK, TrialPlan, estimate, point_seed, streams, trial_stream
 from cwf.sweeps import run_waterfill_sweep
 from cwf.waterfill import (
     GRID_STEP,
     FastFadingScenario,
+    _golden_max,
     _threshold_cap,
     capacity_lower_bound,
     evaluate_thresholds,
@@ -231,6 +232,46 @@ def test_optimize_threshold_pinned(s_count, power, want):
     assert (res.gamma_multi, res.cl_at_multi, res.gamma_single) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("snr_db", [70.0, 75.0, 80.0, 150.0, 1000.0, 3080.0])
+def test_optimize_threshold_resolves_a_single_user_optimum_below_refine_tol(snr_db):
+    # at S = 1 from about 70 dB the optimum lies below REFINE_TOL: the search
+    # stopped at 3.3e-7 whatever p was and scored below the blind threshold
+    # (-2.9e-8 at 70 dB, -2.3e-4 at 3080 dB).  From about 150 dB the bound no
+    # longer tells thresholds near its optimum apart in a float; from 1000 dB
+    # two ulps are allowed
+    res = optimize_threshold(FastFadingScenario(1, 10.0 ** (snr_db / 10.0)))
+    slack = 2.0 * math.ulp(res.cl_at_single) if snr_db >= 1000.0 else 0.0
+    assert res.cl_at_multi - res.cl_at_single >= -slack
+    assert res.gamma_multi < 1e-6
+
+
+@pytest.mark.parametrize("snr_db,want", [
+    (20.0, "0x1.0785071c819d8p-6"), (40.0, "0x1.6830e93a4668ep-13"),
+    (60.0, "0x1.e587134d11736p-20"), (65.0, "0x1.8ccce57c8360ap-21"),
+])
+def test_optimize_threshold_keeps_its_bits_where_the_bracket_leaves_zero(snr_db, want):
+    # the bracket [0, 0.01] loses its lower end 0 before the width reaches
+    # REFINE_TOL, so the refinement ends where it always ended
+    res = optimize_threshold(FastFadingScenario(1, 10.0 ** (snr_db / 10.0)))
+    assert res.gamma_multi.hex() == want
+
+
+@pytest.mark.parametrize("peak,want", [(0.0, 0.0), (5e-320, 5e-320), (1e-300, 1e-300)])
+def test_golden_max_below_tol_ends_when_rounding_stops_the_bracket(peak, want):
+    # a maximum a few subnormal steps above 0 made the bracket cycle between
+    # the same two ends forever; the calls are counted, so a cycle fails
+    # instead of hanging
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 2000:  # 0.01 to the smallest subnormal takes about 1540
+            raise AssertionError("the bracket stopped shrinking")
+        return -abs(x - peak)
+
+    assert _golden_max(f, 0.0, 0.01, 1e-6) == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
 def test_optimize_threshold_evaluates_grid_in_one_array_call(monkeypatch):
     # the ~850-point grid in one call,
     # then the scalar refinement
@@ -368,6 +409,50 @@ def test_mc_capacity_deterministic_and_chunk_invariant():
     assert a.se == pytest.approx(values.std(ddof=1) / math.sqrt(70_000), rel=1e-12)
 
 
+def _reference_mc_capacity(gamma_th, sc, plan):
+    """`mc_capacity` as it stood when it formed every trial's rate, on or off,
+    and zeroed the off ones: the reference whose mean and se the on-rows
+    alone must give bit for bit.  Frozen; do not edit."""
+    pon = math.exp(-gamma_th)
+    inv_p = 1.0 / sc.power
+    rows = max(1, BLOCK // sc.s_count)
+
+    def capacities(rng, n):
+        out = np.empty(n)
+        for start in range(0, n, rows):
+            gains = rng.standard_exponential((min(rows, n - start), sc.s_count))
+            own = gains[:, 0]
+            others = gains[:, 1:]
+            with np.errstate(divide="ignore", over="ignore"):
+                noise = inv_p + np.where(others > gamma_th, others / pon, 0.0).sum(axis=1)
+                values = np.log1p((own / pon) / noise)
+            far = np.isinf(values)
+            values[far] = np.log(own[far]) + gamma_th - np.log(noise[far])
+            out[start:start + len(gains)] = np.where(own > gamma_th, values, 0.0)
+        return out
+
+    return estimate(capacities(rng, n) for rng, n in streams(plan, BLOCK))
+
+
+@given(st.sampled_from([1, 2, 3, 8, 33, 128]), st.floats(-3.0, 308.25),
+       st.one_of(st.sampled_from([0.0, 700.0, 800.0]), st.floats(0.0, 12.0)),
+       st.integers(0, 2**64 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_mc_capacity_matches_its_frozen_reference(s_count, log10_power, gamma_th, seed, data):
+    # the rate of the on-rows alone, scattered into zeros: the same mean and
+    # se under float.hex, within a row slice, across slices and across blocks,
+    # and where the far rule takes over (p near the float range, th near 0)
+    sc = FastFadingScenario(s_count, 10.0 ** log10_power)
+    rows = max(1, BLOCK // s_count)
+    trials = data.draw(st.sampled_from(
+        [2, 3, rows + 1, 2 * rows + 3, BLOCK - 1, BLOCK + 1, BLOCK + rows + 1]))
+    got = mc_capacity(gamma_th, sc, TrialPlan(trials, seed))
+    want = _reference_mc_capacity(gamma_th, sc, TrialPlan(trials, seed))
+    assert got.trials == want.trials
+    assert (float(got.mean).hex(), float(got.se).hex()) == (float(want.mean).hex(),
+                                                             float(want.se).hex())
+
+
 def test_mc_capacity_memory_does_not_grow_with_s():
     # a block's gains are drawn in row slices of at most BLOCK // S trials: at
     # S = 128 one (2^16, 128) draw and its temporaries traced about 135 MB
@@ -394,6 +479,16 @@ def test_mc_capacity_past_the_underflow_of_q_is_zero_without_a_warning():
     # "divide by zero" and "invalid value" warnings; no gain clears 800
     est = mc_capacity(800.0, FastFadingScenario(4, 10.0), TrialPlan(1000, 5))
     assert est.mean == 0.0 and est.se == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_mc_capacity_where_no_gain_clears_the_threshold_is_zero_without_a_warning():
+    # q = e^-60 is a normal float, but no gain of 1000 trials clears 60: no
+    # row's rate is formed, and the mean and se are the reference's zeros
+    sc, plan = FastFadingScenario(4, 10.0), TrialPlan(1000, 5)
+    est = mc_capacity(60.0, sc, plan)
+    assert est.mean == 0.0 and est.se == 0.0
+    assert est == _reference_mc_capacity(60.0, sc, plan)
 
 
 @pytest.mark.parametrize("power,match", [
