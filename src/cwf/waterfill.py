@@ -4,11 +4,12 @@ threshold optimization.
 Every user transmits at power p/P(gain >= th) whenever its own gain clears
 the threshold `th` and stays silent otherwise, so the long-run average
 power is exactly p.  Raising the threshold thins out interference from
-badly faded users; the capacity lower bound below, in closed form, is
-maximized over `th` to pick the operating point, and `mc_capacity` checks
-it by simulation.  `evaluate_thresholds` runs the searches of a sweep or
-of c7 in the calling process and fans their `mc_capacity` calls out, one
-call per task of `simulate._fan_out`.  Nothing here integrates
+badly faded users; the capacity lower bound below, in closed form and in
+float arithmetic, is maximized over `th` by one golden-section search to
+pick the operating point, and `mc_capacity` checks it by simulation.
+`evaluate_thresholds` runs the searches of a sweep or of c7 in the calling
+process and fans their `mc_capacity` calls out, one call per task of
+`simulate._fan_out`.  Nothing here integrates
 numerically: the quadrature of `cwf.quadrature` is the bound's oracle in
 `cwf validate` (criterion 8).
 """
@@ -16,6 +17,7 @@ numerically: the quadrature of `cwf.quadrature` is the bound's oracle in
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -88,22 +90,21 @@ def single_user_threshold(power: float, s_count: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def lower_bound_terms(gamma_th: float | np.ndarray, sc: FastFadingScenario):
+def lower_bound_terms(gamma_th: float, sc: FastFadingScenario):
     """Yield the non-zero terms of `capacity_lower_bound`, one (weight, denom)
-    pair per interferer count t.
+    pair of floats per interferer count t.
 
     weight is the binomial weight C(S-1,t) (1-q)^(S-1-t) q^t and denom the
     noise-plus-mean-interference level q/p + t*(1+gamma_th); the term is
-    weight * int_gamma_th^inf ln(1 + g/denom) e^-g dg.  An array gamma_th
-    gives arrays shaped like it; a term is skipped only when every weight is 0.
+    weight * int_gamma_th^inf ln(1 + g/denom) e^-g dg.  A term whose weight
+    is 0 is skipped.
     """
     s, p = sc.s_count, sc.power
-    # numpy's exp and power for a float too: math.exp and ** may differ in the
-    # last bit, and a float must give a one-element array's terms
-    pon = np.exp(-gamma_th)
+    # numpy's exp and power: math.exp and ** may differ in the last bit
+    pon = float(np.exp(-gamma_th))
     for t in range(s):
-        weight = math.comb(s - 1, t) * np.power(1.0 - pon, s - 1 - t) * np.power(pon, t)
-        if np.count_nonzero(weight):
+        weight = float(math.comb(s - 1, t) * np.power(1.0 - pon, s - 1 - t) * np.power(pon, t))
+        if weight != 0.0:
             yield weight, pon / p + t * (1.0 + gamma_th)
 
 
@@ -112,55 +113,36 @@ def lower_bound_terms(gamma_th: float | np.ndarray, sc: FastFadingScenario):
 _E1_SERIES = [1.0 / (k * math.factorial(k)) for k in range(18, 0, -1)] + [0.0]
 
 
-def _scaled_exp1_series(x):
-    """e^x E1(x) for 0 < x < 1, a float or an array: Horner on `_E1_SERIES`
-    in `np.polyval`'s order."""
+def _scaled_exp1_series(x: float) -> float:
+    """e^x E1(x) for 0 < x < 1: Horner on `_E1_SERIES` in `np.polyval`'s order."""
     neg, poly = -x, 0.0
     for coef in _E1_SERIES:
         poly = poly * neg + coef
-    return np.exp(x) * (-np.euler_gamma - np.log(x) - poly)
+    return float(np.exp(x) * (-np.euler_gamma - np.log(x) - poly))
 
 
-def _fraction_levels(x_min: float) -> int:
-    """Levels of the continued fraction for every x >= x_min >= 1."""
-    return 8 + int(100.0 / x_min)
+def _fraction_levels(x: float) -> int:
+    """Levels of the continued fraction at x >= 1: 8 + 100/x, which
+    truncates it below 3e-17 relative."""
+    return 8 + int(100.0 / x)
 
 
 #: (2k - 1, k^2) of level k = 1, 2, ... of the continued fraction, as (exact)
-#: floats, so a level costs the float path no int-to-float conversion
+#: floats, so a level costs no int-to-float conversion
 _FRACTION_TERMS = [(2.0 * k - 1.0, float(k * k)) for k in range(1, _fraction_levels(1.0) + 1)]
 
 
-def _scaled_exp1_fraction(x, levels: int):
-    """e^x E1(x) for x >= 1, a float or an array: the continued fraction
-    evaluated backward from `levels` levels."""
+def _scaled_exp1_fraction(x: float, levels: int) -> float:
+    """e^x E1(x) for x >= 1: the continued fraction
+    1/(x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...)))) evaluated backward from
+    `levels` levels."""
     t = x + (2 * levels + 1)
     for odd, square in reversed(_FRACTION_TERMS[:levels]):
         t = x + odd - square / t
     return 1.0 / t
 
 
-def scaled_exp1(x: np.ndarray) -> np.ndarray:
-    """e^x E1(x) elementwise, for x > 0.
-
-    Below 1 the power series of E1 (`_E1_SERIES`); from 1 the continued
-    fraction 1/(x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...)))), evaluated
-    backward from 8 + 100/min(x) levels, which truncates it below 3e-17
-    relative.  Agrees with mpmath to 5e-16 relative on [1e-300, 1e300].
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    low = x < 1.0
-    if low.any():
-        out[low] = _scaled_exp1_series(x[low])
-    if not low.all():
-        xs = x[~low]
-        out[~low] = _scaled_exp1_fraction(xs, _fraction_levels(xs.min()))
-    return out
-
-
-def capacity_lower_bound(gamma_th: float | np.ndarray,
-                         sc: FastFadingScenario) -> float | np.ndarray:
+def capacity_lower_bound(gamma_th: float, sc: FastFadingScenario) -> float:
     """One-dimensional capacity lower bound of one user at threshold gamma_th.
 
     Conditions on the number t of active interferers (binomial over S-1
@@ -171,71 +153,50 @@ def capacity_lower_bound(gamma_th: float | np.ndarray,
                int_gamma_th^inf ln(1 + g/d) e^-g dg,   d = q/p + t*(1+gamma_th)
 
     with q = exp(-gamma_th).  Integration by parts gives each integral in
-    closed form, q * [ln(1 + gamma_th/d) + e^x E1(x)] with x = d + gamma_th,
-    and `scaled_exp1` for the second part.  One loop over
-    `lower_bound_terms` adds the terms in order of t, and each term's
-    continued fraction runs to the depth of its own smallest x >= 1.  An
-    array gamma_th gives one bound per element; a scalar takes
-    `_float_lower_bound`, bit for bit equal to a one-element array.
+    closed form, q * [ln(1 + gamma_th/d) + e^x E1(x)] with x = d + gamma_th.
+    e^x E1(x) is the power series of E1 below 1 and the continued fraction
+    from 1, at the depth of the term's own x; both agree with mpmath to
+    5e-16 relative on [1e-300, 1e300].  One loop over `lower_bound_terms`
+    adds the terms in order of t, in float arithmetic with numpy's exp,
+    log and log1p.  gamma_th is one real number, finite and non-negative;
+    an array raises TypeError.
     """
-    if np.ndim(gamma_th) == 0:
-        return _float_lower_bound(float(gamma_th), sc)
-    gamma = np.asarray(gamma_th, dtype=float)
-    if np.any(gamma < 0.0):
-        raise ValueError(f"gamma_th must be non-negative, got {np.min(gamma)}")
-    pon = np.exp(-gamma)
-    total = 0.0
-    for weight, d in lower_bound_terms(gamma, sc):
-        with np.errstate(divide="ignore", over="ignore"):
-            log_ratio = np.log1p(gamma / d)
-        # past about 3000 dB, gamma_th / (q/p) overflows at t = 0 (q/p may even
-        # underflow to 0); there ln(1 + gamma_th p/q) = ln gamma_th + gamma_th + ln p
-        far = np.isinf(log_ratio)
-        log_ratio[far] = np.log(gamma[far]) + gamma[far] + math.log(sc.power)
-        total += weight * (pon * (log_ratio + scaled_exp1(d + gamma)))
-    return total
-
-
-def _float_lower_bound(gamma_th: float, sc: FastFadingScenario) -> float:
-    """`capacity_lower_bound` at one float threshold: the array path's loop
-    on floats, with numpy's exp, log and log1p and each term's fraction
-    depth from its own x."""
-    if gamma_th < 0.0:
-        raise ValueError(f"gamma_th must be non-negative, got {gamma_th}")
+    if not isinstance(gamma_th, numbers.Real):
+        raise TypeError(f"gamma_th must be a real number, got {type(gamma_th).__name__}")
+    gamma_th = float(gamma_th)
+    if not (math.isfinite(gamma_th) and gamma_th >= 0.0):
+        raise ValueError(f"gamma_th must be finite and non-negative, got {gamma_th}")
     pon = float(np.exp(-gamma_th))
     total = 0.0
     for weight, d in lower_bound_terms(gamma_th, sc):
-        d = float(d)
-        # d is 0 where q/p underflows: numpy's gamma_th / 0 is inf, Python's raises
+        # past about 3000 dB, gamma_th / (q/p) overflows at t = 0 (q/p may even
+        # underflow to 0, where Python's division raises); there
+        # ln(1 + gamma_th p/q) = ln gamma_th + gamma_th + ln p
         log_ratio = float(np.log1p(gamma_th / d)) if d > 0.0 else math.inf
         if math.isinf(log_ratio):
             log_ratio = float(np.log(gamma_th)) + gamma_th + math.log(sc.power)
         x = d + gamma_th
         scaled = _scaled_exp1_series(x) if x < 1.0 else _scaled_exp1_fraction(x, _fraction_levels(x))
         total += weight * (pon * (log_ratio + scaled))
-    return float(total)
+    return total
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section search for the maximizer of f on [lo, hi].
 
-    The bracket shrinks to a width of at most tol.  If its lower end is
-    then still exactly 0, the maximizer may lie below tol, so the search
-    goes on until the width is within tol of the upper end (tol relative),
-    or until rounding stops the bracket from shrinking.  A bracket whose
-    lower end has left 0 by then ends where the plain search ends.
+    The bracket [a, b] shrinks until b - a <= tol * min(1, b): a width of
+    tol from b = 1 up, and tol relative to b below, so a maximizer near 0
+    keeps its digits.  A tie moves the bracket down, where a bound that
+    underflowed to 0 at large thresholds is non-zero.  The search also ends
+    when rounding stops the bracket from shrinking, a few subnormal steps
+    above 0.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    relative = False
-    while True:
-        if b - a <= (tol * b if relative else tol):
-            if relative or a > 0.0:
-                break
-            relative = True
+    while b - a > tol * min(1.0, b):
         bracket = (a, b)
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
@@ -250,45 +211,26 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-#: first search cap: on-probability below 1e-3/S contributes nothing at desk scale
-def _threshold_cap(s_count: int) -> float:
-    return math.log(1000.0 * s_count)
-
-
-#: coarse grid step of the threshold search and the golden-section tolerance
-GRID_STEP = 0.01
+#: the golden-section tolerance of the threshold search (see `_golden_max`)
 REFINE_TOL = 1e-6
+#: the top of the searched thresholds: q = e^-th stays a normal float a step past it
+THRESHOLD_MAX = float(math.floor(-math.log(sys.float_info.min)))
 
 
 def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
     """Maximize the capacity lower bound over the on-off threshold.
 
-    Coarse grid (step 0.01) over [0, ln(1000*S)] in one array call, then
-    golden-section refinement.  While the argmax is the grid's last point,
-    the cap doubles, up to 708 (q = e^-th stays a normal float a step past
-    it), and the grid is searched again.  The search's own argmax is
-    reported; the interference-blind threshold is evaluated beside it, so a
-    search that misses the optimum shows as cl_at_multi < cl_at_single.
-    The grid picks the bracket; the refinement and both reported bounds are
-    float calls, bit for bit equal to one-element array calls.  Where the
-    optimum lies below `REFINE_TOL` (S=1 from about 66 dB), the bracket
-    keeps its lower end 0, and the refinement goes on until the width is
-    within `REFINE_TOL` of the upper end (`_golden_max`).  The bound adds
-    its terms one at a time, so a grid call's memory does not grow with S.
+    One golden-section search over [0, 708] (`THRESHOLD_MAX`), to a width
+    of `REFINE_TOL` from 1 up and `REFINE_TOL` relative below 1, about 45
+    bound evaluations.  It assumes the bound is unimodal in the threshold,
+    which a dense reference grid checks in the tests from -3000 to 3080 dB.
+    The search's own argmax is reported; the interference-blind threshold
+    is evaluated beside it, so a search that misses the optimum shows as
+    cl_at_multi < cl_at_single.  The bound adds its terms one at a time, so
+    a search's memory does not grow with S.
     """
-    cap, limit = _threshold_cap(sc.s_count), math.floor(-math.log(sys.float_info.min))
-    objective = lambda g: capacity_lower_bound(float(g), sc)
-    while True:
-        grid = np.arange(0.0, cap + GRID_STEP, GRID_STEP)
-        values = capacity_lower_bound(grid, sc)
-        best = int(np.argmax(values))
-        if best < len(grid) - 1 or cap >= limit:
-            break
-        cap = min(2.0 * cap, limit)
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    gamma_multi = _golden_max(objective, float(lo), float(hi), REFINE_TOL)
-
+    objective = lambda g: capacity_lower_bound(g, sc)
+    gamma_multi = _golden_max(objective, 0.0, THRESHOLD_MAX, REFINE_TOL)
     gamma_single = single_user_threshold(sc.power, sc.s_count)
     return ThresholdSearchResult(
         gamma_single=gamma_single,

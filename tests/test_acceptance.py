@@ -60,7 +60,7 @@ def test_report_bytes_are_pinned(validate_run):
     # claims an unchanged report is checked here
     _, _, text = validate_run
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "0fc1751c886824e30135b20a860acc66e05beabacd47b9dbe7fe7768c01152fb")
+        "d2d9f5d8fb9287aab01ba4af36c156aa5579058a125a976f18e37649f92f1c10")
 
 
 @pytest.mark.parametrize("index", sorted(CRITERIA))

@@ -329,17 +329,17 @@ _GOLDEN_CONFIGS = {
     ("thm1", "9478d2357c6cccfb"),
     ("queue", "56583564fee4e7eb"),
     ("fading", "8e948aed5e98dc41"),
-    ("waterfill", "d981c9b884ef84c0"),
+    ("waterfill", "99aeab753c76e2bd"),
     ("thm1 --seed 7 --trials 50", "fd5ce271155a33ff"),
     ("queue --seed 7 --trials 50", "c5399ff8f12eccb7"),
     ("fading --seed 7 --trials 4", "419a1c51e3bbd529"),
-    ("waterfill --seed 7 --trials 50", "dc1f9d8dc18b2fca"),
+    ("waterfill --seed 7 --trials 50", "41d59be30111817a"),
     ("thm1_seed3", "b66a4dcccb9208ac"),
     ("fading_seed5", "0b34110db282bd5e"),
     ("fading5", "bb72d28af83110f3"),
     ("thm1big", "8ef7dc5103dbaf97"),
     ("queuebig", "9b32c29d60e45bec"),
-    ("threshold_grid", "4d13917ef1278917"),
+    ("threshold_grid", "501e79cc39377f70"),
 ])
 def test_cli_csv_bytes_are_pinned(tmp_path, run, digest):
     """Golden bytes: the sha256 prefix of each CSV, so a refactor that claims
@@ -766,7 +766,7 @@ def test_validate_threshold_criteria_report_is_pinned():
 
     results, ok, text = run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[7, 8])
     assert ok and [r.index for r in results] == [7, 8]
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d9b525886c742426"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "688f4269993bce61"
 
 
 def test_validate_quadrature_oracle_fails_its_row_when_the_oracle_raises(monkeypatch):
@@ -806,7 +806,7 @@ def test_validate_threshold_grid_report_is_pinned():
 
     results, ok, text = run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[7])
     assert ok and [r.index for r in results] == [7]
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "443b4f8621e62be3"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "e6893686b2b0e843"
 
 
 # ---------------------------------------------------------------- import path

@@ -15,16 +15,17 @@ from cwf.config import ExperimentConfig, db_to_linear
 from cwf.simulate import BLOCK, TrialPlan, estimate, point_seed, streams, trial_stream
 from cwf.sweeps import run_waterfill_sweep
 from cwf.waterfill import (
-    GRID_STEP,
+    THRESHOLD_MAX,
     FastFadingScenario,
+    _fraction_levels,
     _golden_max,
-    _threshold_cap,
+    _scaled_exp1_fraction,
+    _scaled_exp1_series,
     capacity_lower_bound,
     evaluate_thresholds,
     lower_bound_terms,
     mc_capacity,
     optimize_threshold,
-    scaled_exp1,
     single_user_threshold,
 )
 
@@ -143,38 +144,34 @@ def test_capacity_lower_bound_continuity():
     assert np.max(np.abs(np.diff(vals))) < 0.02
 
 
-@given(
-    st.integers(min_value=1, max_value=40),
-    st.floats(min_value=-300.0, max_value=308.0),
-    st.data(),
-)
-@settings(max_examples=50, deadline=None)
-def test_capacity_lower_bound_array_matches_scalar_calls(s_count, log10_power, data):
-    # thresholds on the search's own lattice, so no two lie within rounding;
-    # from -3000 to +3080 dB and over the whole searched threshold range
-    steps = data.draw(st.lists(st.integers(min_value=0, max_value=int(700.0 / GRID_STEP)),
-                               min_size=1, max_size=40, unique=True))
-    grid = np.sort(steps) * GRID_STEP
-    sc = FastFadingScenario(s_count, 10.0**log10_power)
-    values = capacity_lower_bound(grid, sc)
-    scalars = [capacity_lower_bound(float(g), sc) for g in grid]
-    assert values.shape == grid.shape
-    assert values == pytest.approx(scalars, rel=1e-12)
-    assert np.argmax(values) == np.argmax(scalars)
-    # a float threshold takes the float path: bit for bit a one-element array
-    for g in [*grid, data.draw(st.floats(min_value=0.0, max_value=700.0))]:
-        assert capacity_lower_bound(float(g), sc) == capacity_lower_bound(np.array([g]), sc)[0]
-
-
-@pytest.mark.parametrize("s_count,snr_db,gamma_th", [
-    (2, -5.0, 5.516246716547083e-09), (3, 15.0, 2.5783449729549798e-05),
-    (3, 22.5, 0.025438816699116403), (3, 22.5, 1.2864152230461904e-13)])
-def test_float_bound_counts_fraction_levels_over_all_terms(s_count, snr_db, gamma_th):
-    # on both paths each term's continued fraction runs to the depth of its
-    # own x; at these points a depth from the smallest x >= 1 of all terms
-    # would move the last bit of one path away from the other
+@pytest.mark.parametrize("s_count,snr_db,gamma_th,want", [
+    (2, -5.0, 5.516246716547083e-09, "0x1.98940d906f115p-3"),
+    (3, 15.0, 2.5783449729549798e-05, "0x1.6d9240c966f1ap-2"),
+    (3, 22.5, 0.025438816699116403, "0x1.7854a984dcbf2p-2"),
+    (3, 22.5, 1.2864152230461904e-13, "0x1.71342aefa0554p-2")])
+def test_float_bound_counts_fraction_levels_over_all_terms(s_count, snr_db, gamma_th, want):
+    # each term's continued fraction runs to the depth of its own x; at these
+    # points a depth from the smallest x >= 1 of all terms moved the last bit
     sc = FastFadingScenario(s_count, 10.0 ** (snr_db / 10.0))
-    assert capacity_lower_bound(gamma_th, sc) == capacity_lower_bound(np.array([gamma_th]), sc)[0]
+    assert capacity_lower_bound(gamma_th, sc).hex() == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma_th", [math.nan, math.inf, -math.inf, -0.5])
+def test_capacity_lower_bound_rejects_non_finite_or_negative_threshold(gamma_th):
+    # NaN and inf died in _fraction_levels with "cannot convert float NaN to
+    # integer", naming no argument
+    with pytest.raises(ValueError, match="gamma_th must be finite and non-negative, got"):
+        capacity_lower_bound(gamma_th, FastFadingScenario(2, 1.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma_th", [np.array([0.5]), np.array([0.5, math.inf]), np.array(0.5)],
+                         ids=["one", "with_inf", "zero_dim"])
+def test_capacity_lower_bound_rejects_an_array(gamma_th):
+    # an array holding inf warned "invalid value" and returned NaN
+    with pytest.raises(TypeError, match="gamma_th must be a real number"):
+        capacity_lower_bound(gamma_th, FastFadingScenario(2, 1.0))
 
 
 def test_optimize_threshold_interior_maximum_and_ordering():
@@ -197,9 +194,9 @@ def test_optimize_threshold_single_user_exists():
 
 
 def test_optimize_threshold_reports_its_own_argmax():
-    # at -3000 dB the optimum lies far beyond the first grid's end ln(1000 S) = 6.91:
-    # the grid doubles until its argmax is interior, and the search's own argmax
-    # scores above the blind threshold
+    # at -3000 dB the optimum lies far beyond ln(1000 S) = 6.91, near the top of
+    # the searched range, and the search's own argmax scores above the blind
+    # threshold
     res = optimize_threshold(FastFadingScenario(1, 1e-300))
     assert res.gamma_multi == pytest.approx(678.43, abs=0.01)
     assert res.gamma_single == pytest.approx(684.25, abs=0.01)
@@ -211,23 +208,23 @@ def test_optimize_threshold_reports_its_own_argmax():
 @pytest.mark.parametrize("s_count", [1, 4])
 @pytest.mark.parametrize("snr_db", [-57.0, -65.0])
 def test_optimize_threshold_searches_past_an_argmax_at_the_grid_end(s_count, snr_db):
-    # the first grid ends at ln(1000 S), 6.91 at S = 1 and 8.29 at S = 4, below the
-    # optimum here; stopping there scored below the blind threshold at S = 1
+    # a coarse grid that ended at ln(1000 S), 6.91 at S = 1 and 8.29 at S = 4, lay
+    # below the optimum here; stopping there scored below the blind threshold at S = 1
     sc = FastFadingScenario(s_count, 10.0 ** (snr_db / 10.0))
     res = optimize_threshold(sc)
-    assert res.gamma_multi > _threshold_cap(s_count) + GRID_STEP
+    assert res.gamma_multi > math.log(1000.0 * s_count) + 0.01
     assert res.cl_at_multi >= res.cl_at_single
-    for step in (-GRID_STEP, GRID_STEP):
+    for step in (-0.01, 0.01):
         assert capacity_lower_bound(res.gamma_multi + step, sc) <= res.cl_at_multi
 
 
 @pytest.mark.parametrize("s_count,power,want", [
-    (1, 0.1, (1.492451709109245, 0.16354983075373591, 1.7455280027406994)),
-    (4, 10.0, (1.4287702754764529, 0.5608892323311842, 1.0667683070416145)),
-    (8, 100.0, (2.0889086580135294, 0.42478748599629357, 1.5252073397422148)),
+    (1, 0.1, (1.4924514207316806, 0.16354983075373591, 1.7455280027406994)),
+    (4, 10.0, (1.428770358239575, 0.5608892323311842, 1.0667683070416145)),
+    (8, 100.0, (2.088908364516403, 0.42478748599629357, 1.5252073397422148)),
 ])
 def test_optimize_threshold_pinned(s_count, power, want):
-    # (gamma_multi, cl_at_multi, gamma_single) as the scalar grid loop found them
+    # (gamma_multi, cl_at_multi, gamma_single) of the golden search over [0, 708]
     res = optimize_threshold(FastFadingScenario(s_count, power))
     assert (res.gamma_multi, res.cl_at_multi, res.gamma_single) == pytest.approx(want, rel=1e-12)
 
@@ -246,14 +243,43 @@ def test_optimize_threshold_resolves_a_single_user_optimum_below_refine_tol(snr_
 
 
 @pytest.mark.parametrize("snr_db,want", [
-    (20.0, "0x1.0785071c819d8p-6"), (40.0, "0x1.6830e93a4668ep-13"),
-    (60.0, "0x1.e587134d11736p-20"), (65.0, "0x1.8ccce57c8360ap-21"),
+    (20.0, "0x1.0784d92ca27acp-6"), (40.0, "0x1.67da3fff17334p-13"),
+    (60.0, "0x1.cd3a73b7c225ep-20"), (65.0, "0x1.23b582e271faep-21"),
 ])
 def test_optimize_threshold_keeps_its_bits_where_the_bracket_leaves_zero(snr_db, want):
-    # the bracket [0, 0.01] loses its lower end 0 before the width reaches
-    # REFINE_TOL, so the refinement ends where it always ended
+    # S = 1 optima from 0.016 down to 5e-7: the golden bracket [0, 708] loses
+    # its lower end 0 on the way, and its width ends at REFINE_TOL relative
     res = optimize_threshold(FastFadingScenario(1, 10.0 ** (snr_db / 10.0)))
     assert res.gamma_multi.hex() == want
+
+
+#: the dense reference grid: 0, geometric from 1e-12, a step of 0.002 up to 20,
+#: then a coarse tail up to the top of the searched range
+_DENSE_THRESHOLDS = np.unique(np.concatenate([
+    [0.0], np.geomspace(1e-12, 0.002, 121), np.arange(0.0, 20.0, 0.002),
+    np.arange(20.0, THRESHOLD_MAX, 0.5), [THRESHOLD_MAX]])).tolist()
+
+
+@pytest.mark.parametrize("s_count,snr_db", [
+    (1, -3000.0), (1, -57.0), (1, -10.0), (1, 0.0), (1, 32.5), (1, 50.0), (1, 60.0),
+    (1, 62.5), (1, 3080.0), (2, -65.0), (2, 10.0), (2, 1000.0), (4, -57.0), (4, 10.0),
+    (4, 80.0), (8, -30.0), (8, 20.0), (16, 10.0), (32, -20.0), (128, 0.0)])
+def test_optimize_threshold_against_a_dense_reference(s_count, snr_db):
+    # the search assumes a unimodal bound; on a dense grid of float calls the
+    # bound never rises again after it falls by more than 1e-12 relative, and
+    # the search scores at least the grid's best and the blind threshold
+    sc = FastFadingScenario(s_count, 10.0 ** (snr_db / 10.0))
+    values = np.array([capacity_lower_bound(g, sc) for g in _DENSE_THRESHOLDS])
+    best = int(np.argmax(values))
+    top = values[best]
+    tol = 1e-12 * abs(top)
+    rising, falling = values[:best + 1], values[best:]
+    assert np.all(np.maximum.accumulate(rising) - rising <= tol)
+    assert np.all(falling - np.minimum.accumulate(falling) <= tol)
+    res = optimize_threshold(sc)
+    assert res.cl_at_multi >= top - tol
+    slack = 2.0 * math.ulp(res.cl_at_single) if snr_db >= 1000.0 else 0.0
+    assert res.cl_at_multi >= res.cl_at_single - slack
 
 
 @pytest.mark.parametrize("peak,want", [(0.0, 0.0), (5e-320, 5e-320), (1e-300, 1e-300)])
@@ -272,41 +298,37 @@ def test_golden_max_below_tol_ends_when_rounding_stops_the_bracket(peak, want):
     assert _golden_max(f, 0.0, 0.01, 1e-6) == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
-def test_optimize_threshold_evaluates_grid_in_one_array_call(monkeypatch):
-    # the ~850-point grid in one call,
-    # then the scalar refinement
+@pytest.mark.parametrize("peak,rel,abs_", [(1e-9, 1e-6, 0.0), (678.0, 0.0, 1e-6)])
+def test_golden_max_over_the_searched_range(peak, rel, abs_):
+    # from [0, 708]: a peak below 1 to REFINE_TOL relative, one above to REFINE_TOL
     calls = []
-    real = waterfill.capacity_lower_bound
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def f(x):
+        calls.append(x)
+        return -abs(x - peak)
 
-    monkeypatch.setattr(waterfill, "capacity_lower_bound", counting)
-    optimize_threshold(FastFadingScenario(4, 1.0))
-    assert sum(np.ndim(g) > 0 for g in calls) == 1
+    assert _golden_max(f, 0.0, THRESHOLD_MAX, 1e-6) == pytest.approx(peak, rel=rel, abs=abs_)
     assert len(calls) < 100
 
 
 @pytest.mark.parametrize("s_count,want", [
-    (9, ("0x1.1c1f609d10924p+1", "0x1.77471f7f63cdbp-3", "0x1.56907cd284ad9p-3")),
-    (17, ("0x1.6a8585e24b52dp+1", "0x1.cfad09838e7a4p-4", "0x1.8397c2880b742p-4")),
-    (64, ("0x1.0911fbe88f71cp+2", "0x1.3f575b1e9a181p-5", "0x1.9bdbefa352da4p-6")),
-    (200, ("0x1.51cf41fd60c10p+2", "0x1.e821f65fd10d1p-7", "0x1.e5c9d787397b4p-8")),
-    (513, ("0x1.8e14de639e230p+2", "0x1.af1e6d6df068dp-8", "0x1.5caa6f5369d5dp-9")),
-    (1030, ("0x1.bab69500b567cp+2", "0x1.d24ad2aa176d2p-9", "0x1.47f9ff135d3ffp-10")),
+    (9, ("0x1.1c1f623b93a2ap+1", "0x1.77471f7f63c83p-3", "0x1.56907cd284ad9p-3")),
+    (17, ("0x1.6a85834fe463dp+1", "0x1.cfad09838e740p-4", "0x1.8397c2880b742p-4")),
+    (64, ("0x1.0911fdb76d48cp+2", "0x1.3f575b1e9a159p-5", "0x1.9bdbefa352da4p-6")),
+    (200, ("0x1.51cf4179bc2b4p+2", "0x1.e821f65fd1133p-7", "0x1.e5c9d787397b4p-8")),
+    (513, ("0x1.8e14ddc2f5eb4p+2", "0x1.af1e6d6df0698p-8", "0x1.5caa6f5369d5dp-9")),
+    (1030, ("0x1.bab694ab7fa2ap+2", "0x1.d24ad2aa17321p-9", "0x1.47f9ff135d3ffp-10")),
 ])
 def test_optimize_threshold_pinned_bits_at_large_s(s_count, want):
-    # (gamma_multi, cl_at_multi, cl_at_single) of the search that sliced its
-    # coarse grid into calls of at most 2^16 (term x threshold) elements:
-    # one grid call, term by term, keeps every bit
+    # (gamma_multi, cl_at_multi, cl_at_single) of the golden search over
+    # [0, 708]; cl_at_single is the bits of every earlier search
     res = optimize_threshold(FastFadingScenario(s_count, 1.0))
     assert (res.gamma_multi.hex(), res.cl_at_multi.hex(), res.cl_at_single.hex()) == want
 
 
 def test_optimize_threshold_memory_does_not_grow_with_s(monkeypatch):
-    # one grid call at S = 200 too, which adds the bound's terms one at a time:
-    # a stacked (term x threshold) array of 200 x 1222 elements peaked at 5.2 MB
+    # float calls only, each adding the bound's terms one at a time: a stacked
+    # (term x threshold) array of 200 x 1222 elements once peaked at 5.2 MB
     calls = []
     real = waterfill.capacity_lower_bound
 
@@ -321,7 +343,7 @@ def test_optimize_threshold_memory_does_not_grow_with_s(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [np.size(g) for g in calls if np.ndim(g) > 0] == [1222]
+    assert calls and all(type(g) is float for g in calls)
     assert peak < 1 << 20
 
 
@@ -347,18 +369,17 @@ def test_capacity_lower_bound_matches_mpmath(s_count, log10_power, gamma_th):
     # from -3000 to +3080 dB and over the whole searched threshold range
     sc = FastFadingScenario(s_count, 10.0**log10_power)
     want = _bound_mpmath(s_count, sc.power, gamma_th)
-    # the float path and the array path
     assert capacity_lower_bound(gamma_th, sc) == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert capacity_lower_bound(np.array([gamma_th]), sc)[0] == pytest.approx(want, rel=1e-12,
-                                                                             abs=0.0)
 
 
 def test_scaled_exp1_matches_mpmath():
     # both sides of the series / continued-fraction split at 1, out to the float range
-    x = np.concatenate([np.geomspace(1e-300, 1e300, 601), np.linspace(0.9, 1.1, 41)])
+    x = np.concatenate([np.geomspace(1e-300, 1e300, 601), np.linspace(0.9, 1.1, 41)]).tolist()
     with mpmath.workdps(40):
         want = [float(mpmath.exp(v) * mpmath.e1(v)) for v in map(mpmath.mpf, x)]
-    assert scaled_exp1(x) == pytest.approx(want, rel=1e-14, abs=0.0)
+    got = [_scaled_exp1_series(v) if v < 1.0 else _scaled_exp1_fraction(v, _fraction_levels(v))
+           for v in x]
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_threshold_search_integrates_nothing(monkeypatch):
