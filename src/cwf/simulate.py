@@ -58,13 +58,13 @@ trial's row: its stops and cap flags for a walk, (error, capped) for the
 error-rate check; its task (`_trial_task`) runs trial i on stream
 (seed, i), and the caller builds every trial's stream handle.  Stops are
 averaged as one block and flags and errors summed, so results never depend
-on the worker count.  The Monte Carlo capacity columns of a threshold
-sweep or of c7 fan out one `mc_capacity` call per task
-(`waterfill.evaluate_thresholds`), while the threshold searches stay in
-the caller.  A walk sweep runs all its points in one session; any other
-call is a session of one call.  Every worker is reaped before its session
-returns or raises.  Without POSIX fork, `WORKERS` is 1 and a session has
-no workers.
+on the worker count.  A threshold sweep or c7 first searches each
+scenario once, in the caller; `waterfill.evaluate_thresholds` then fans
+the Monte Carlo capacity columns out, one `mc_capacity` call per task.
+A walk sweep runs all its points in one session; any other call is a
+session of one call.  Every worker is reaped before its session returns
+or raises.  Without POSIX fork, `WORKERS` is 1 and a session has no
+workers.
 
 Each simulator caps its trials at `CAP_FACTOR` times its analytic
 prediction: the slowest `phase_lengths` stop for `simulate_cell`, the

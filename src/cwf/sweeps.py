@@ -215,14 +215,13 @@ def run_waterfill_sweep(cfg: ExperimentConfig, out=None):
 
     solved = _solved(points())
     scenarios = [sc for *_, sc in solved]
+    results = [optimize_threshold(sc) for sc in scenarios]
     if cfg.trials > 0:
         seeds = [point_seed(cfg.resolved_seed, index) for index in range(len(solved))]
-        results = evaluate_thresholds(scenarios, cfg.trials, seeds)
-        mc = [[res.mc_capacity_single.mean, res.mc_capacity_single.ci95,
-               res.mc_capacity_multi.mean, res.mc_capacity_multi.ci95, cfg.trials, seed]
-              for res, seed in zip(results, seeds)]
+        pairs = evaluate_thresholds(scenarios, results, cfg.trials, seeds)
+        mc = [[single.mean, single.ci95, multi.mean, multi.ci95, cfg.trials, seed]
+              for (single, multi), seed in zip(pairs, seeds)]
     else:
-        results = [optimize_threshold(sc) for sc in scenarios]
         mc = [[None] * 6] * len(solved)
     rows = [[snr_db, p, s, res.gamma_single, res.gamma_multi,
              res.cl_at_single, res.cl_at_multi, *cells, "ok"]

@@ -7,9 +7,9 @@ power is exactly p.  Raising the threshold thins out interference from
 badly faded users; the capacity lower bound below, in closed form and in
 float arithmetic, is maximized over `th` by one golden-section search to
 pick the operating point, and `mc_capacity` checks it by simulation.
-`evaluate_thresholds` runs the searches of a sweep or of c7 in the calling
-process and fans their `mc_capacity` calls out, one call per task of
-`simulate._fan_out`.  Nothing here integrates
+A sweep or c7 searches each scenario once, in the calling process; then
+`evaluate_thresholds` fans the searches' `mc_capacity` calls out, one call
+per task of `simulate._fan_out`.  Nothing here integrates
 numerically: the quadrature of `cwf.quadrature` is the bound's oracle in
 `cwf validate` (criterion 8).
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,39 +55,28 @@ class ThresholdSearchResult:
     gamma_multi: float
     cl_at_single: float
     cl_at_multi: float
-    mc_capacity_single: Estimate | None = None
-    mc_capacity_multi: Estimate | None = None
 
 
-def single_user_threshold(power: float, s_count: int) -> float:
-    """Root of th * e^th = 1/power + (s_count - 1).
+def single_user_threshold(sc: FastFadingScenario) -> float:
+    """Root of th * e^th = x, x = 1/power + (s_count - 1): the Lambert W(x).
 
     The interference-blind constant-power cutoff: other users are frozen at
-    unit gain, so the link sees fixed noise 1/power + S - 1.  The left side
-    is monotone, so plain bisection converges; it stops when the midpoint
-    rounds onto an end of the bracket, which then cannot shrink any more.
-    Below a target of 1 the root lies in [target/e, target], so it keeps
-    its digits however small 1/power is.
+    unit gain, so the link sees fixed noise 1/power + S - 1.  W(x) lies in
+    [x/(1+x), ln(1+x)] for every x > 0 (Hoorfar & Hassani, JIPAM 2008), so
+    plain bisection of that one bracket converges, and keeps its digits
+    however small or large x is.  It stops when the midpoint rounds onto an
+    end of the bracket, which then cannot shrink any more.
     """
-    check_positive("power", power)
-    if not (is_int(s_count) and s_count >= 1):
-        raise ValueError(f"s_count must be an integer >= 1, got {s_count}")
-    target = 1.0 / power + (s_count - 1)
-    if target < 1.0:
-        lo, hi = target / math.e, target
-    else:
-        lo, hi = 0.0, 1.0
-        while hi * math.exp(hi) < target:
-            hi = min(2.0 * hi, 709.0)  # 709 * e^709 exceeds every float; e^710 overflows
-    for _ in range(200):
+    target = 1.0 / sc.power + (sc.s_count - 1)
+    lo, hi = target / (1.0 + target), math.log1p(target)
+    while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            break
+            return mid
         if mid * math.exp(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def lower_bound_terms(gamma_th: float, sc: FastFadingScenario):
@@ -102,10 +91,12 @@ def lower_bound_terms(gamma_th: float, sc: FastFadingScenario):
     s, p = sc.s_count, sc.power
     # numpy's exp and power: math.exp and ** may differ in the last bit
     pon = float(np.exp(-gamma_th))
+    comb = 1  # C(s-1, t), exact in integers
     for t in range(s):
-        weight = float(math.comb(s - 1, t) * np.power(1.0 - pon, s - 1 - t) * np.power(pon, t))
+        weight = float(comb * np.power(1.0 - pon, s - 1 - t) * np.power(pon, t))
         if weight != 0.0:
             yield weight, pon / p + t * (1.0 + gamma_th)
+        comb = comb * (s - 1 - t) // (t + 1)
 
 
 #: 1/(k k!) for k = 18..1, then 0: E1(x) = -euler_gamma - ln x - polyval(_E1_SERIES, -x)
@@ -231,7 +222,7 @@ def optimize_threshold(sc: FastFadingScenario) -> ThresholdSearchResult:
     """
     objective = lambda g: capacity_lower_bound(g, sc)
     gamma_multi = _golden_max(objective, 0.0, THRESHOLD_MAX, REFINE_TOL)
-    gamma_single = single_user_threshold(sc.power, sc.s_count)
+    gamma_single = single_user_threshold(sc)
     return ThresholdSearchResult(
         gamma_single=gamma_single,
         gamma_multi=gamma_multi,
@@ -281,17 +272,18 @@ def mc_capacity(gamma_th: float, sc: FastFadingScenario, plan: TrialPlan) -> Est
     return estimate(capacities(rng, n) for rng, n in streams(plan, BLOCK))
 
 
-def evaluate_thresholds(scenarios, trials: int, seeds) -> list[ThresholdSearchResult]:
-    """Optimize the threshold of every scenario and attach Monte Carlo
-    capacity estimates: scenario j, seeded seeds[j], on `point_seed(seeds[j], 0)`
-    at gamma_single and `point_seed(seeds[j], 1)` at gamma_multi.
+def evaluate_thresholds(scenarios, searches, trials: int,
+                        seeds) -> list[tuple[Estimate, Estimate]]:
+    """Monte Carlo capacity estimates at both thresholds of searches already
+    made: scenario j, seeded seeds[j], on `point_seed(seeds[j], 0)` at
+    searches[j].gamma_single and `point_seed(seeds[j], 1)` at
+    searches[j].gamma_multi, returned as one (single, multi) pair per
+    scenario.
 
-    Every search runs in the calling process.  The 2n `mc_capacity` calls
-    then fan out as the indexed tasks of one `simulate._fan_out`, one
-    (mean, se) row per call, so the estimates do not depend on the worker
-    count.
+    The 2n `mc_capacity` calls fan out as the indexed tasks of one
+    `simulate._fan_out`, one (mean, se) row per call, so the estimates do
+    not depend on the worker count.
     """
-    searches = [optimize_threshold(sc) for sc in scenarios]
     calls = [(gamma, sc, TrialPlan(trials, point_seed(seed, i)))
              for sc, seed, res in zip(scenarios, seeds, searches, strict=True)
              for i, gamma in enumerate((res.gamma_single, res.gamma_multi))]
@@ -300,7 +292,5 @@ def evaluate_thresholds(scenarios, trials: int, seeds) -> list[ThresholdSearchRe
         est = mc_capacity(*calls[i])
         return est.mean, est.se
 
-    rows = _fan_out(len(calls), task)
-    estimates = [Estimate(mean, se, trials) for mean, se in rows]
-    return [replace(res, mc_capacity_single=single, mc_capacity_multi=multi)
-            for res, single, multi in zip(searches, estimates[0::2], estimates[1::2])]
+    estimates = [Estimate(mean, se, trials) for mean, se in _fan_out(len(calls), task)]
+    return list(zip(estimates[0::2], estimates[1::2]))

@@ -222,10 +222,10 @@ def test_a_walk_sweep_failing_mid_way_leaves_no_child(monkeypatch, who, fault, e
 def test_waterfill_csv_does_not_depend_on_worker_count(tmp_path, monkeypatch):
     # the searches run in the caller, once per grid point, before the fork;
     # the MC columns fan out one mc_capacity call per task
-    from cwf import simulate, waterfill
+    from cwf import simulate, sweeps, waterfill
 
     search, caller, searched = waterfill.optimize_threshold, os.getpid(), []
-    monkeypatch.setattr(waterfill, "optimize_threshold",
+    monkeypatch.setattr(sweeps, "optimize_threshold",
                         lambda sc: searched.append((os.getpid(), sc)) or search(sc))
     cfg = default_config("waterfill_sweep")
     grid = [waterfill.FastFadingScenario(s, db_to_linear(db))
@@ -254,8 +254,9 @@ def test_a_worker_failing_an_mc_capacity_call_is_reraised_with_its_type(monkeypa
 
     monkeypatch.setattr(waterfill, "mc_capacity", failing)
     scenarios = [waterfill.FastFadingScenario(s, 1.0) for s in (1, 2, 3)]
+    searches = [waterfill.optimize_threshold(sc) for sc in scenarios]
     with pytest.raises(FloatingPointError, match="S=1"):  # the first worker's first task
-        waterfill.evaluate_thresholds(scenarios, 100, [1, 2, 3])
+        waterfill.evaluate_thresholds(scenarios, searches, 100, [1, 2, 3])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

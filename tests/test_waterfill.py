@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -32,33 +31,34 @@ from cwf.waterfill import (
 
 # ------------------------------------------------------ threshold optimization
 
+def _blind(power, s_count):
+    return single_user_threshold(FastFadingScenario(s_count, power))
+
+
 def test_single_user_threshold_lambert_oracle():
-    assert single_user_threshold(1.0, 1) == pytest.approx(0.5671432904097838, abs=1e-10)
-    assert single_user_threshold(1.0, 2) == pytest.approx(0.8526055020137254, abs=1e-10)
+    assert _blind(1.0, 1) == pytest.approx(0.5671432904097838, abs=1e-10)
+    assert _blind(1.0, 2) == pytest.approx(0.8526055020137254, abs=1e-10)
     for p, s in [(0.5, 3), (2.0, 1), (10.0, 4), (0.1, 2)]:
         want = float(lambertw(1.0 / p + s - 1.0).real)
-        assert single_user_threshold(p, s) == pytest.approx(want, abs=1e-10)
+        assert _blind(p, s) == pytest.approx(want, abs=1e-10)
 
 
 def test_single_user_threshold_monotonicity():
-    assert single_user_threshold(1.0, 2) > single_user_threshold(1.0, 1)
-    assert single_user_threshold(2.0, 2) < single_user_threshold(1.0, 2)
+    assert _blind(1.0, 2) > _blind(1.0, 1)
+    assert _blind(2.0, 2) < _blind(1.0, 2)
 
 
 def test_single_user_threshold_rejects_fractional_user_count():
+    # the threshold takes a scenario, which checks the user count
     with pytest.raises(ValueError, match="s_count must be an integer >= 1"):
-        single_user_threshold(1.0, 2.5)
+        _blind(1.0, 2.5)
 
 
 def _bisect_200_steps(power, s_count):
-    """The blind threshold's bisection run for all 200 steps, without a stop test."""
+    """The blind threshold's bisection of [x/(1+x), ln(1+x)] run for all 200
+    steps, without a stop test."""
     target = 1.0 / power + (s_count - 1)
-    if target < 1.0:
-        lo, hi = target / math.e, target
-    else:
-        lo, hi = 0.0, 1.0
-        while hi * math.exp(hi) < target:
-            hi = min(2.0 * hi, 709.0)
+    lo, hi = target / (1.0 + target), math.log1p(target)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid * math.exp(mid) < target:
@@ -71,32 +71,42 @@ def _bisect_200_steps(power, s_count):
 def test_single_user_threshold_stops_early_with_the_200_step_bits(monkeypatch):
     # the bisection stops once its midpoint rounds onto an end of the
     # bracket, which then never changes: the 200-step loop's result, bit for
-    # bit, in far fewer steps (its old stop test never held, so all 200 ran)
-    grid = [(db_to_linear(float(db)), s) for s in (1, 2, 3, 4, 8, 16, 128, 1030)
+    # bit, in far fewer steps
+    grid = [FastFadingScenario(s, db_to_linear(float(db))) for s in (1, 2, 3, 4, 8, 16, 128, 1030)
             for db in np.arange(-300.0, 3081.0, 10.0)]
-    for p, s in grid:
-        assert single_user_threshold(p, s) == _bisect_200_steps(p, s)
+    for sc in grid:
+        assert single_user_threshold(sc) == _bisect_200_steps(sc.power, sc.s_count)
     calls = []
     monkeypatch.setattr(waterfill, "math", SimpleNamespace(
-        e=math.e, exp=lambda x: calls.append(x) or math.exp(x)))
-    for p, s in grid:
+        log1p=math.log1p, exp=lambda x: calls.append(x) or math.exp(x)))
+    counts = []
+    for sc in grid:
         calls.clear()
-        single_user_threshold(p, s)
-        assert len(calls) <= 70  # at most 11 bracket doublings and 53 halvings
+        single_user_threshold(sc)
+        counts.append(len(calls))
+    assert max(counts) <= 70  # each step halves a bracket under 710 wide onto adjacent floats
+    assert 50 <= np.median(counts) <= 60
 
 
 @pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
 def test_single_user_threshold_rejects_non_finite_or_zero_power(power):
-    # an infinite power returned 2.8e-17
+    # an infinite power returned 2.8e-17; the scenario now rejects it
     with pytest.raises(ValueError, match="power must be positive and finite"):
-        single_user_threshold(power, 1)
+        _blind(power, 1)
 
 
 @pytest.mark.parametrize("power", [1e-300, 5.7e-309])
 def test_single_user_threshold_at_extreme_low_power(power):
-    # the bracket doubled past e^709 and math.exp overflowed; it now stops at 709
-    th = single_user_threshold(power, 1)
+    # a bracket doubled past e^709 once made math.exp overflow; ln(1 + x) caps it
+    th = _blind(power, 1)
     assert th * math.exp(th) == pytest.approx(1.0 / power, rel=1e-12)
+
+
+def test_single_user_threshold_rejects_a_power_whose_reciprocal_overflows():
+    # 1/1e-320 is inf, and the threshold's own bracket once returned a finite
+    # 703.23 for it, where W(1e320) = 730.23
+    with pytest.raises(ValueError, match="1/power overflows a float"):
+        _blind(1e-320, 1)
 
 
 @pytest.mark.parametrize("snr_db", [160.0, 300.0, 3080.0])
@@ -106,7 +116,23 @@ def test_single_user_threshold_keeps_its_digits_at_high_snr(snr_db):
     power = 10.0 ** (snr_db / 10.0)
     with mpmath.workdps(40):
         want = float(mpmath.lambertw(mpmath.mpf(1.0 / power)))
-    assert single_user_threshold(power, 1) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert _blind(power, 1) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@given(st.integers(min_value=1, max_value=1030), st.floats(min_value=-308.25, max_value=308.0))
+@settings(max_examples=300, deadline=None)
+def test_single_user_threshold_is_the_float_root_inside_its_bracket(s_count, log10_power):
+    # x/(1+x) <= W(x) <= ln(1+x) for every x > 0, and the bisection ends on
+    # the float root of th e^th = x: 2 ulps below it the product lies under
+    # x, 2 ulps above it at or over x
+    sc = FastFadingScenario(s_count, 10.0**log10_power)
+    x = 1.0 / sc.power + (s_count - 1)
+    th = single_user_threshold(sc)
+    assert x / (1.0 + x) <= th <= math.log1p(x)
+    below, above = th, th
+    for _ in range(2):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+    assert below * math.exp(below) < x <= above * math.exp(above)
 
 
 @pytest.mark.parametrize("s_count", [2.5, True, 0])
@@ -536,18 +562,46 @@ def test_fast_fading_scenario_rejects_binomial_overflow():
 def test_evaluate_thresholds_seeds_each_threshold_by_point_seed():
     # each threshold pair's MC columns are children 0 and 1 of its scenario's seed
     scenarios = [FastFadingScenario(2, 1.0), FastFadingScenario(3, 10.0)]
-    results = evaluate_thresholds(scenarios, 1000, [9, 4])
-    for sc, seed, res in zip(scenarios, (9, 4), results):
-        assert res == replace(optimize_threshold(sc), mc_capacity_single=res.mc_capacity_single,
-                              mc_capacity_multi=res.mc_capacity_multi)
-        assert res.mc_capacity_single == mc_capacity(res.gamma_single, sc,
-                                                     TrialPlan(1000, point_seed(seed, 0)))
-        assert res.mc_capacity_multi == mc_capacity(res.gamma_multi, sc,
-                                                    TrialPlan(1000, point_seed(seed, 1)))
+    searches = [optimize_threshold(sc) for sc in scenarios]
+    pairs = evaluate_thresholds(scenarios, searches, 1000, [9, 4])
+    for sc, seed, res, (single, multi) in zip(scenarios, (9, 4), searches, pairs, strict=True):
+        assert single == mc_capacity(res.gamma_single, sc, TrialPlan(1000, point_seed(seed, 0)))
+        assert multi == mc_capacity(res.gamma_multi, sc, TrialPlan(1000, point_seed(seed, 1)))
 
 
 def test_evaluate_thresholds_attaches_mc_fields():
-    res, = evaluate_thresholds([FastFadingScenario(2, 1.0)], 50_000, [9])
-    assert res.mc_capacity_single is not None
-    assert res.mc_capacity_multi is not None
-    assert res.mc_capacity_multi.mean >= res.cl_at_multi - 4.0 * res.mc_capacity_multi.ci95
+    # one (single, multi) estimate pair per search, at the search's thresholds
+    sc = FastFadingScenario(2, 1.0)
+    res = optimize_threshold(sc)
+    (single, multi), = evaluate_thresholds([sc], [res], 50_000, [9])
+    assert single.trials == multi.trials == 50_000
+    assert multi.mean >= res.cl_at_multi - 4.0 * multi.ci95
+
+
+@pytest.mark.parametrize("trials", [0, 20])
+def test_waterfill_sweep_searches_each_grid_point_once(monkeypatch, trials):
+    # with or without MC columns, one optimize_threshold call per grid point
+    # (the bench's threshold_grid coverage counts exactly these)
+    from cwf import sweeps
+
+    searched = []
+    monkeypatch.setattr(sweeps, "optimize_threshold",
+                        lambda sc: searched.append(sc) or optimize_threshold(sc))
+    cfg = ExperimentConfig(kind="waterfill_sweep", snr_db=(-3.0, 10.0), s_counts=(1, 2, 4),
+                           trials=trials, seed=1)
+    run_waterfill_sweep(cfg, None)
+    assert searched == [FastFadingScenario(s, db_to_linear(db))
+                        for db in cfg.snr_db for s in cfg.s_counts]
+
+
+def test_c7_reuses_its_grid_search_for_the_mc_columns(monkeypatch):
+    # the (S=4, p=10) point of c7's 9-point grid is searched once, not again
+    # for its Monte Carlo columns
+    from cwf import validate
+
+    searched = []
+    monkeypatch.setattr(validate, "optimize_threshold",
+                        lambda sc: searched.append(sc) or optimize_threshold(sc))
+    validate._c7_threshold_grid(1)
+    assert len(searched) == len(set(searched)) == 9
+    assert FastFadingScenario(4, 10.0) in searched
