@@ -1,13 +1,12 @@
 """The numeric oracle of the capacity lower bound (criterion 8 of `cwf
 validate`); `waterfill.capacity_lower_bound` is a closed form and integrates
 nothing.  Each call computes one integral  int_a^inf f(g) exp(-g) dg,  with f
-a slowly growing log-type factor called as `f(g)` on a 1-D array of nodes g.
+a slowly growing log-type factor that works elementwise on floats and on 1-D
+arrays of nodes g.
 
-* `exp_tail_quadrature`, the primary rule: 64-node Gauss-Legendre panels on
-  the head [a, a+1], whose widths grow geometrically from `scale` so that a
-  branch point of f at distance `scale` below `a` never sits close to a
-  panel relative to its width, then a shifted 64-node Gauss-Laguerre rule on
-  [a+1, inf).
+* `exp_tail_quadrature`, the primary rule: QUADPACK's adaptive rule on
+  [a, inf) (`scipy.integrate.quad`; Piessens, de Doncker-Kapenga, Ueberhuber
+  & Kahaner, 1983), which needs no hint about where f is singular.
 * `adaptive_simpson`, the classic depth-first adaptive Simpson with
   Richardson extrapolation (Lyness, J. ACM 1969), is the independent
   cross-check on a truncated interval.
@@ -17,52 +16,48 @@ QuadratureError, which criterion 8 reports as a failed row.
 """
 
 import math
+import warnings
 from collections.abc import Callable
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
+import scipy  # scipy.integrate loads on first attribute access, not at import
 
 
 class QuadratureError(ArithmeticError):
     """Raised when independent quadrature routes disagree or fail to converge."""
 
 
-_LAG_X, _LAG_W = laggauss(64)
-_LEG_X, _LEG_W = leggauss(64)
-
 #: integrals truncated here for the Simpson cross-check; exp(-40) ~ 4e-18
 SIMPSON_SPAN = 40.0
-#: width of the Gauss-Legendre head [a, a + HEAD] before the Laguerre tail
-HEAD = 1.0
 #: largest accepted disagreement between the two routes, absolute
 AGREE_TOL = 1e-6
-#: absolute tolerance of the Simpson cross-check, well inside AGREE_TOL
+#: absolute tolerance of the Simpson cross-check and largest accepted
+#: QUADPACK error estimate, both well inside AGREE_TOL
 SIMPSON_TOL = AGREE_TOL * 1e-3
 #: an interval this many halvings below its integral's span fails to converge
 SIMPSON_MAX_DEPTH = 48
 
 
-def exp_tail_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float,
-                        scale: float = 1.0) -> float:
-    """Integrate f(g)*exp(-g) over [a, inf), calling `f` on 64 nodes at a time.
+def exp_tail_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float) -> float:
+    """Integrate f(g)*exp(-g) over [a, inf) with `scipy.integrate.quad`.
 
-    `scale` should bound the distance from `a` to the nearest singularity of
-    f below `a` (use 1.0 for smooth integrands).
+    Raises QuadratureError for a non-finite `a`, on any IntegrationWarning,
+    or when QUADPACK's error estimate exceeds `SIMPSON_TOL`.
     """
-    if not (math.isfinite(a) and math.isfinite(scale)):
-        raise QuadratureError(f"non-finite lower limit or scale: a={a}, scale={scale}")
-    total = 0.0
-    lo, width = 0.0, min(max(scale, 1e-300), HEAD)  # panels covering [a, a + HEAD]
-    while lo < HEAD:
-        hi = min(lo + width, HEAD)
-        half = 0.5 * (hi - lo)
-        g = (a + 0.5 * (lo + hi)) + half * _LEG_X
-        total += half * np.dot(f(g) * np.exp(-g), _LEG_W)
-        lo, width = hi, 2.0 * width
-    # shifted Gauss-Laguerre on [a + HEAD, inf); math.exp may differ in the last bit
-    shift = a + HEAD
-    return float(total + np.exp(-shift) * np.dot(f(shift + _LAG_X), _LAG_W))
+    if not math.isfinite(a):
+        raise QuadratureError(f"non-finite lower limit: a={a}")
+    integrate = scipy.integrate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            value, error = integrate.quad(lambda g: f(g) * math.exp(-g), a, math.inf,
+                                          epsabs=1e-13, epsrel=1e-12, limit=200)
+        except integrate.IntegrationWarning as exc:
+            raise QuadratureError(f"QUADPACK warned on [{a}, inf): {exc}") from exc
+    if not error <= SIMPSON_TOL:
+        raise QuadratureError(f"QUADPACK error estimate {error:.3e} > {SIMPSON_TOL} "
+                              f"on [{a}, inf)")
+    return float(value)
 
 
 def _simpson(fa, fm, fb, h):
@@ -106,11 +101,10 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) 
     return float(recurse(a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), SIMPSON_TOL, 0))
 
 
-def checked_exp_integral(f: Callable[[np.ndarray], np.ndarray], a: float,
-                         scale: float = 1.0) -> float:
+def checked_exp_integral(f: Callable[[np.ndarray], np.ndarray], a: float) -> float:
     """`exp_tail_quadrature`'s value, checked by `adaptive_simpson` on [a, a + SIMPSON_SPAN];
     raises QuadratureError if the two differ by more than `AGREE_TOL`."""
-    primary = exp_tail_quadrature(f, a, scale)
+    primary = exp_tail_quadrature(f, a)
     check = adaptive_simpson(lambda g: f(g) * np.exp(-g), a, a + SIMPSON_SPAN)
     diff = abs(primary - check)
     if not diff <= AGREE_TOL:

@@ -217,16 +217,14 @@ def _c8_quadrature_oracle(seed: int, grid=_threshold_searches) -> CriterionResul
         exact = math.exp(1.0 / power) * float(scipy.special.exp1(1.0 / power))
         closed_err = max(closed_err, abs(cl - exact))
 
-    # the closed-form bound against the checked quadrature (Gauss route and
+    # the closed-form bound against the checked quadrature (QUADPACK and
     # Simpson), one integral per term of the bound, at both thresholds of
     # every c7 search
     quadrature_diff, failure = 0.0, ""
     for sc, res in grid().items():
         for gamma_th in (res.gamma_single, res.gamma_multi):
             try:
-                # scale: the distance from gamma_th down to the log's branch point -d
-                oracle = sum(w * checked_exp_integral(lambda g, d=d: np.log1p(g / d), gamma_th,
-                                                      scale=d + gamma_th)
+                oracle = sum(w * checked_exp_integral(lambda g, d=d: np.log1p(g / d), gamma_th)
                              for w, d in lower_bound_terms(gamma_th, sc))
             except QuadratureError as exc:
                 failure = (f"; oracle_error={type(exc).__name__} at S={sc.s_count} "

@@ -11,8 +11,8 @@ the interference-blind threshold, to pick the operating point, and
 A sweep or c7 searches each scenario once, in the calling process; then
 `evaluate_thresholds` fans the searches' `mc_capacity` calls out, one call
 per task of `simulate._fan_out`.  Nothing here integrates
-numerically: the quadrature of `cwf.quadrature` is the bound's oracle in
-`cwf validate` (criterion 8).
+numerically: `cwf.quadrature` (QUADPACK, checked by adaptive Simpson) is
+the bound's oracle in `cwf validate` (criterion 8).
 """
 
 from __future__ import annotations

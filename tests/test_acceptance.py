@@ -60,7 +60,7 @@ def test_report_bytes_are_pinned(validate_run):
     # claims an unchanged report is checked here
     _, _, text = validate_run
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "b006aadf1767651a32063a233acf6093e210b3b9dedd80f8e6c88ef7b5f9525d")
+        "0c4f3f06b21ada164e390ab98a5f0b401f49407164d8b740c827d6f484d423a7")
 
 
 @pytest.mark.parametrize("index", sorted(CRITERIA))

@@ -767,7 +767,7 @@ def test_validate_threshold_criteria_report_is_pinned():
 
     results, ok, text = run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[7, 8])
     assert ok and [r.index for r in results] == [7, 8]
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f67f0b602bf68313"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "497cb83647ad36c8"
 
 
 def test_validate_quadrature_oracle_fails_its_row_when_the_oracle_raises(monkeypatch):
@@ -784,6 +784,21 @@ def test_validate_quadrature_oracle_fails_its_row_when_the_oracle_raises(monkeyp
     assert len(text.splitlines()[-1].split(",")) == 6  # the message adds no CSV cell
 
 
+def test_validate_quadrature_oracle_fails_its_row_on_an_oversized_error_estimate(monkeypatch):
+    # QUADPACK's own error estimate, not only the Simpson cross-check, can fail the row
+    import scipy.integrate
+
+    from cwf import validate
+    from cwf.quadrature import SIMPSON_TOL
+
+    exact = scipy.integrate.quad
+    monkeypatch.setattr(scipy.integrate, "quad",
+                        lambda *args, **kwargs: (exact(*args, **kwargs)[0], 2.0 * SIMPSON_TOL))
+    results, ok, _ = validate.run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[8])
+    assert not ok and not results[0].passed
+    assert "oracle_error=QuadratureError at S=4 p=10 th=" in results[0].observed
+
+
 def test_validate_quadrature_oracle_fails_a_wrong_closed_form(monkeypatch):
     # a bound off by 1e-3 for gamma_th > 0 only: the exp1 check at gamma_th = 0
     # cannot see it, the quadrature at the searches' thresholds must
@@ -798,6 +813,42 @@ def test_validate_quadrature_oracle_fails_a_wrong_closed_form(monkeypatch):
     closed_err, quadrature_diff = (float(cell.split("=")[1])
                                    for cell in results[0].observed.split("; "))
     assert closed_err <= AGREE_TOL < quadrature_diff
+
+
+def _no_cancellation(rx):
+    # every criterion patched with it sums its received powers to 2: a finished
+    # user keeps interfering with those still active
+    return rx / (1.0 + 2.0 - rx)
+
+
+def _scaled_capacity(snr, dims=1):
+    from cwf.channel import capacity
+
+    return 1.01 * capacity(snr, dims)
+
+
+def _interference_blind_terms(gamma_th, sc):
+    yield 1.0, float(np.exp(-gamma_th)) / sc.power  # only the no-interferer term
+
+
+@pytest.mark.parametrize("index,target,mutant", [
+    (1, "cwf.simulate.active_sinrs", _no_cancellation),
+    (5, "cwf.simulate.active_sinrs", _no_cancellation),
+    # validate keeps its own binding of capacity: only phase_lengths' rates move
+    (2, "cwf.lengths.capacity", _scaled_capacity),
+    (3, "cwf.lengths.active_sinrs", _no_cancellation),
+    (7, "cwf.waterfill.lower_bound_terms", _interference_blind_terms),
+], ids=["c1-walk-without-cancellation", "c5-walk-without-cancellation",
+        "c2-phase-rates-scaled", "c3-lengths-without-cancellation",
+        "c7-bound-blind-to-interference"])
+def test_validate_criterion_fails_on_a_mutant_of_what_it_checks(monkeypatch, index, target,
+                                                               mutant):
+    # each criterion at its own budget and seed must see one broken mechanism
+    from cwf.validate import run_validate
+
+    monkeypatch.setattr(target, mutant)
+    results, ok, _ = run_validate(DEFAULT_VALIDATE_SEED, None, criteria=[index])
+    assert not ok and [(r.index, r.verdict) for r in results] == [(index, "fail")]
 
 
 def test_validate_threshold_grid_report_is_pinned():
@@ -817,6 +868,7 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import cwf, cwf.cli, cwf.sweeps, cwf.validate
 print("scipy" in sys.modules, "scipy.special" in sys.modules)
+print("scipy.integrate" in sys.modules, "numpy.polynomial" in sys.modules)
 from cwf.channel import sinr_awgn
 from cwf.lengths import fixed_length_blocklength
 n = fixed_length_blocklength(1000.0, sinr_awgn(1.0, 2), 1e-3)
@@ -826,14 +878,16 @@ print("scipy.special" in sys.modules, n)
 
 def test_import_leaves_scipy_special_until_first_use():
     # scipy.special is about half of a cold start; only c8 needs it, so neither
-    # importing cwf nor solving a fixed-length baseline may load it
+    # importing cwf nor solving a fixed-length baseline may load it; nor may
+    # importing cwf load c8's quadrature (scipy.integrate) or numpy.polynomial
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, str(src)],
                           capture_output=True, text=True, check=True)
-    after_import, after_call = (line.split() for line in done.stdout.splitlines())
+    after_import, lazy, after_call = (line.split() for line in done.stdout.splitlines())
     # scipy itself stays imported: the benchmark's result line reads its
     # version from sys.modules["scipy"]
     assert after_import == ["True", "False"]
+    assert lazy == ["False", "False"]
     # the baseline takes Qinv from the standard library; 3923 is the value
     # test_lengths pins for this call
     assert after_call == ["False", "3923"]

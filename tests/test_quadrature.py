@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.special import exp1
 
 from cwf import quadrature
@@ -35,16 +37,47 @@ def test_exp_tail_polynomial_moment():
 @pytest.mark.parametrize("a,d", [(0.0, 2.0), (0.0, 0.1), (0.0, 1e-4), (0.5, 0.05), (3.0, 1e-6)])
 def test_exp_tail_log_integrand_vs_closed_form(a, d):
     # int_a^inf ln(1+g/d) e^-g dg = e^-a ln(1+a/d) + e^d E1(d+a)
-    got = exp_tail_quadrature(lambda g: np.log1p(g / d), a, scale=d + a)
+    got = exp_tail_quadrature(lambda g: np.log1p(g / d), a)
     want = math.exp(-a) * math.log1p(a / d) + math.exp(d) * float(exp1(d + a))
     assert isinstance(got, float)
     assert got == pytest.approx(want, abs=1e-11, rel=1e-11)
 
 
-@pytest.mark.parametrize("a,scale", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0)])
-def test_exp_tail_rejects_non_finite_limit_or_scale(a, scale):
-    with pytest.raises(QuadratureError, match="non-finite"):
-        exp_tail_quadrature(np.log1p, a, scale=scale)
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_exp_tail_rejects_non_finite_limit(a):
+    with pytest.raises(QuadratureError, match="non-finite lower limit"):
+        exp_tail_quadrature(np.log1p, a)
+
+
+def test_exp_tail_raises_on_an_integration_warning(monkeypatch):
+    def warning_quad(*args, **kwargs):
+        warnings.warn("forced roundoff", scipy.integrate.IntegrationWarning)
+        return 1.0, 0.0
+
+    monkeypatch.setattr(scipy.integrate, "quad", warning_quad)
+    # a warning raises whatever the caller's filters say, even "ignore"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(QuadratureError, match="QUADPACK warned on .*forced roundoff"):
+            exp_tail_quadrature(np.log1p, 0.0)
+
+
+def test_exp_tail_raises_when_quadpack_runs_out_of_subdivisions():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(QuadratureError, match=r"QUADPACK warned on .*subdivisions \(200\)"):
+            exp_tail_quadrature(lambda g: np.sin(1e3 * g) + 1.0, 0.0)
+
+
+@pytest.mark.parametrize("error", [2.0 * quadrature.SIMPSON_TOL, math.inf, math.nan])
+def test_exp_tail_raises_on_an_oversized_error_estimate(monkeypatch, error):
+    exact = scipy.integrate.quad
+    monkeypatch.setattr(scipy.integrate, "quad",
+                        lambda *args, **kwargs: (exact(*args, **kwargs)[0], error))
+    with pytest.raises(QuadratureError, match="QUADPACK error estimate"):
+        exp_tail_quadrature(np.log1p, 0.0)
+    with pytest.raises(QuadratureError, match="QUADPACK error estimate"):
+        checked_exp_integral(np.log1p, 0.0)
 
 
 def test_adaptive_simpson_polynomial_exact(monkeypatch):
@@ -56,7 +89,7 @@ def test_adaptive_simpson_polynomial_exact(monkeypatch):
 def test_adaptive_simpson_matches_quadrature_route(monkeypatch):
     monkeypatch.setattr(quadrature, "SIMPSON_TOL", 1e-10)
     d = 0.1
-    primary = exp_tail_quadrature(lambda g: np.log1p(g / d), 0.0, scale=d)
+    primary = exp_tail_quadrature(lambda g: np.log1p(g / d), 0.0)
     simpson = adaptive_simpson(lambda g: np.log1p(g / d) * np.exp(-g), 0.0, 40.0)
     assert primary == pytest.approx(simpson, abs=1e-8)
 
@@ -87,8 +120,7 @@ def test_checked_exp_integral_sums_to_the_bound_on_threshold_grid():
             for gamma_th in (res.gamma_single, res.gamma_multi):
                 oracle = 0.0
                 for w, d in lower_bound_terms(gamma_th, sc):
-                    oracle += w * checked_exp_integral(lambda g: np.log1p(g / d), gamma_th,
-                                                       scale=d + gamma_th)
+                    oracle += w * checked_exp_integral(lambda g: np.log1p(g / d), gamma_th)
                     checked += 1
                 assert abs(capacity_lower_bound(gamma_th, sc) - oracle) <= quadrature.AGREE_TOL
     assert checked == 390
@@ -100,12 +132,10 @@ def test_checked_exp_integral_accepts_agreeing_routes():
 
 
 def test_checked_exp_integral_raises_on_disagreement(monkeypatch):
-    # a wrong `scale` hint cannot break agreement, but a discontinuous
-    # integrand sampled differently by the two rules can; simulate the
-    # failure by checking the raise path with an unachievable tolerance
+    # the raise path, forced with an unachievable tolerance
     monkeypatch.setattr(quadrature, "AGREE_TOL", 1e-16)
     with pytest.raises(QuadratureError, match="quadrature routes disagree"):
-        checked_exp_integral(lambda g: np.log1p(g / 1e-7), 0.0, scale=1.0)
+        checked_exp_integral(lambda g: np.log1p(g / 1e-7), 0.0)
 
 
 def test_adaptive_simpson_depth_exhaustion_raises(monkeypatch):

@@ -159,6 +159,26 @@ def test_capacity_lower_bound_binomial_weights_sum():
     assert sum(weights) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("snr_db", [-10.0, -3.0, 0.0, 10.0, 20.0, 30.0])
+def test_capacity_lower_bound_at_large_s_matches_its_poisson_limit(snr_db):
+    # at S = 1030 the count of on-interferers is nearly Poisson((S-1) q), so
+    # the same sum with Poisson weights, each term's integral by quadrature,
+    # checks the bound where its binomials are large.  At gamma_multi,
+    # (S-1) q is near 1; at gamma_single it is about 5.3 and the two laws
+    # differ by 2e-3 to 4e-3, so gamma_single is left out
+    sc = FastFadingScenario(1030, db_to_linear(snr_db))
+    gamma_th = optimize_threshold(sc).gamma_multi
+    pon = math.exp(-gamma_th)
+    lam = (sc.s_count - 1) * pon
+    poisson, weight, t = 0.0, math.exp(-lam), 0
+    while weight > 1e-18 or t <= lam:
+        d = pon / sc.power + t * (1.0 + gamma_th)
+        poisson += weight * quadrature.exp_tail_quadrature(lambda g: np.log1p(g / d), gamma_th)
+        t += 1
+        weight *= lam / t
+    assert capacity_lower_bound(gamma_th, sc) == pytest.approx(poisson, rel=1e-3)
+
+
 def test_capacity_lower_bound_vanishes_at_large_threshold():
     sc = FastFadingScenario(2, 1.0)
     values = [capacity_lower_bound(th, sc) for th in (6.0, 9.0, 12.0)]
