@@ -41,11 +41,14 @@ of its trial's stream for each active user, in user order, the input and
 then the noise.  In the error-rate check the competing codewords then take
 the (M-1)*tau normals that follow the true walk's 2*tau, in blocks of rows
 of at most `_MAX_CHUNK` normals (or one row); the first block in which one
-crosses ends the trial, whose stream nothing else reads.  Walks look ahead
-in chunks of at most `_MAX_CHUNK` symbols, drawn into one buffer per trial,
-but keep every normal they did not use at the buffer's front for the next
-chunk, so neither look-ahead nor blocks ever change a result, and a walk
-holds at most one chunk of normals.
+crosses ends the trial, whose stream nothing else reads.  A walk holds at
+most `_MAX_CHUNK` = 2^15 normals of look-ahead, whatever its width: a
+chunk of the walk engine is at most `_MAX_CHUNK` // (normals per symbol)
+symbols (at least one), drawn into one buffer per trial, and the
+error-rate truth's window and its growth step are at most `_MAX_CHUNK` // 2
+rows.  Every normal a chunk does not use stays at the buffer's front for
+the next one, so chunk and block sizes change speed and memory, never
+results.
 
 `_fan_out(count, task)` runs `task(i)`, which returns one row, for every
 index i on every CPU the process may use (`WORKERS`), always inside a
@@ -93,8 +96,8 @@ from .lengths import (AwgnScenario, QueueScenario, message_threshold, phase_leng
 #: per-trial symbol cap, as a multiple of the predicted mean length
 CAP_FACTOR = 50.0
 
-#: longest look-ahead of any walk in symbols, and the most normals in a block of
-#: error-rate competitors beyond one row; bounds memory, never results
+#: the most normals a walk holds as look-ahead, whatever its width, and in a block
+#: of error-rate competitors beyond one row; changes speed and memory, never results
 _MAX_CHUNK = 1 << 15
 
 #: trials per stream in the bulk samplers (`mc_capacity`, order statistics)
@@ -285,7 +288,9 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None, link
     changes the interference felt by everyone else, and the normals after
     it stay in the buffer: the next refill moves them to its front and
     draws the rest behind them, so the buffer never outgrows the largest
-    chunk.  Chunk sizes affect speed only.
+    chunk: at most `_MAX_CHUNK` normals whatever the number of active
+    users, or one symbol when a symbol takes more.  Chunk sizes affect speed
+    and memory only.
 
     `links`, the link table, maps a tuple of active users to their
     (rates, gains, SINRs, normals per symbol), filled on first use; a
@@ -328,7 +333,7 @@ def _walk_trial(rng, thresholds, rx, dims, cap, t_sub=None, congested=None, link
             rates, gains, snr, width = link
         need = min((thresholds[u] - acc[u]) / rate for u, rate in zip(users, rates))
         chunk = int(min(max(16.0, 1.25 * need + 8.0), float(boundary - t),
-                        float(cap - t), _MAX_CHUNK))
+                        float(cap - t), max(1, _MAX_CHUNK // width)))
         size = chunk * width
         if end - start < size:  # keep the unused normals at the front, draw the rest
             kept = end - start
@@ -626,10 +631,11 @@ def simulate_error_probability(payload_bits: float, snr: float,
     rate = capacity(snr)
     cap = int(CAP_FACTOR * max(threshold, rate) / rate)
     sqrt_snr = math.sqrt(snr)
+    window = max(1, _MAX_CHUNK // 2)  # rows of the truth's look-ahead, 2 normals each
 
     def trial(rng):
         # symbol t reads row t: the input, then the noise; the window doubles
-        z = rng.standard_normal((min(int(2.0 * threshold / rate) + 32, cap, _MAX_CHUNK), 2))
+        z = rng.standard_normal((min(int(2.0 * threshold / rate) + 32, cap, window), 2))
         while True:
             x = sqrt_snr * z[:, 0]
             received = x + z[:, 1]
@@ -638,7 +644,7 @@ def simulate_error_probability(payload_bits: float, snr: float,
             crossed = cum[tau - 1] >= threshold
             if crossed or len(z) == cap:
                 break
-            more = min(len(z), cap - len(z), _MAX_CHUNK)
+            more = min(len(z), cap - len(z), window)
             z = np.concatenate([z, rng.standard_normal((more, 2))])
         if not crossed:
             tau = cap  # undecided truth; competitors may still cross

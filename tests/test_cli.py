@@ -831,6 +831,12 @@ def _interference_blind_terms(gamma_th, sc):
     yield 1.0, float(np.exp(-gamma_th)) / sc.power  # only the no-interferer term
 
 
+def _threshold_2_nats_low(payload_bits):
+    # errs at a rate of 0.362 at c6's budget and seed, against the union bound
+    # 1/kappa = 0.180; one nat low gives 0.156, which c6 cannot see
+    return message_threshold(payload_bits) - 2.0
+
+
 @pytest.mark.parametrize("index,target,mutant", [
     (1, "cwf.simulate.active_sinrs", _no_cancellation),
     (5, "cwf.simulate.active_sinrs", _no_cancellation),
@@ -838,9 +844,12 @@ def _interference_blind_terms(gamma_th, sc):
     (2, "cwf.lengths.capacity", _scaled_capacity),
     (3, "cwf.lengths.active_sinrs", _no_cancellation),
     (7, "cwf.waterfill.lower_bound_terms", _interference_blind_terms),
+    # c6 draws 100 000 trials: it runs with the acceptance gate
+    pytest.param(6, "cwf.simulate.message_threshold", _threshold_2_nats_low,
+                 marks=pytest.mark.acceptance),
 ], ids=["c1-walk-without-cancellation", "c5-walk-without-cancellation",
         "c2-phase-rates-scaled", "c3-lengths-without-cancellation",
-        "c7-bound-blind-to-interference"])
+        "c7-bound-blind-to-interference", "c6-decoder-threshold-2-nats-low"])
 def test_validate_criterion_fails_on_a_mutant_of_what_it_checks(monkeypatch, index, target,
                                                                mutant):
     # each criterion at its own budget and seed must see one broken mechanism

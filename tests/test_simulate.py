@@ -240,9 +240,9 @@ def test_walk_engine_pinned_stop_sums(run, stop_sums, cap_hits):
 @PINNED
 def test_walk_outcomes_do_not_depend_on_look_ahead(monkeypatch, run, stop_sums, cap_hits):
     # look-ahead keeps unused normals for the next chunk, so the chunk cap
-    # changes speed only
+    # changes speed only; 56 normals are 7 to 14 symbols at these walks' widths
     outs = []
-    for max_chunk in (7, 1000):
+    for max_chunk in (56, 1000):
         monkeypatch.setattr(simulate, "_MAX_CHUNK", max_chunk)
         outs.append(run())
     a, b = outs
@@ -367,10 +367,10 @@ def _walk_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_walk_engine_matches_its_frozen_reference(case):
     # same draws, same floats, same crossings: every row bit for bit, with and
-    # without interval boundaries and congested users, in 7-symbol chunks and
-    # at the default look-ahead
+    # without interval boundaries and congested users, in chunks of 56 normals
+    # (2 to 28 symbols) and at the default look-ahead
     seed, dims, thresholds, rx, cap, t_sub, congested = case
-    for max_chunk in (7, simulate._MAX_CHUNK):
+    for max_chunk in (56, simulate._MAX_CHUNK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_MAX_CHUNK", max_chunk)
             links = {}  # one table for every trial, as a call with a fixed rx shares it
@@ -384,21 +384,25 @@ def test_walk_engine_matches_its_frozen_reference(case):
 
 
 def test_walk_memory_is_bounded_by_the_look_ahead(monkeypatch):
-    # two users at -13 dB stop after about 90 000 and 175 000 symbols, so chunks
-    # reach _MAX_CHUNK symbols; the one draw buffer never holds more than one
-    # chunk, and with the chunk's increments it peaked at 2.7 chunks of normals
-    # (4.2 when each refill concatenated the unused normals with new ones)
+    # users at -13 dB with payloads of 3000, 6000, ... bits times dims stop after
+    # about 88 000 to 366 000 symbols, so chunks reach the look-ahead cap; the one
+    # draw buffer never holds more than _MAX_CHUNK normals, whatever the walk's
+    # width (2 * dims * active users), and with the chunk's increments the peak
+    # stays near 3 chunks of normals (8, 16 and 28 when the cap counted symbols)
     monkeypatch.setattr(simulate, "WORKERS", 1)
-    s_count, dims = 2, 1
-    thresholds = [message_threshold(3000.0), message_threshold(6000.0)]
-    tracemalloc.start()
-    try:
-        out = simulate_cell(thresholds, [0.05] * s_count, dims, TrialPlan(2, 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.mean.min() > 2 * simulate._MAX_CHUNK  # the walk is long enough to show it
-    assert peak < 4 * simulate._MAX_CHUNK * 2 * dims * s_count * 8
+    # the process's one Philox exists from here: building it imports numpy.random,
+    # which tracemalloc counts as about 4 chunks of normals
+    trial_stream(1, 0).standard_normal(1)
+    for dims, s_count in [(1, 2), (2, 2), (2, 4)]:
+        thresholds = [message_threshold(3000.0 * dims * (u + 1)) for u in range(s_count)]
+        tracemalloc.start()
+        try:
+            out = simulate_cell(thresholds, [0.05] * s_count, dims, TrialPlan(2, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.mean.min() > 2 * simulate._MAX_CHUNK  # the walk is long enough to show it
+        assert peak < 4 * simulate._MAX_CHUNK * 8, (dims, s_count, peak)
 
 
 def test_a_link_table_never_outlives_its_call():
